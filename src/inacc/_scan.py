@@ -4,8 +4,13 @@ The object-level iterator in :mod:`inacc.partitions` is fine for desk-size
 n, but exhaustive verification at n = 12 touches 4,213,595 partitions and
 a Python-object loop does not cut it.  This module enumerates canonical
 restricted-growth strings directly into int8 label matrices (rows =
-partitions, columns = outcomes) and evaluates Jeffrey-posterior
-expectations with bincount reductions, never holding more than one chunk.
+partitions, columns = outcomes), never holding more than one chunk.
+
+The kernels read Jeffrey posteriors from tables over the 2^n subsets of
+the outcomes (4,096 entries at n = 12): R(S) = p*(S)/p(S) and
+W(S) = R(S) (d p)(S).  A posterior is R gathered at each outcome's block,
+and E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
+sibling group of rows and adjusted per row for where outcome n goes.
 
 Row order is lexicographic in the RGS encoding, matching the public
 iterator exactly; a test cross-checks the two enumerations row by row.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -28,7 +34,7 @@ import numpy as np
 
 from .core import TOL_DEDUP, TOL_NUM
 
-#: rows per chunk; keeps per-chunk temporaries around a few MB
+#: most rows in one chunk; keeps kernel temporaries around a few MB
 CHUNK_ROWS = 1 << 16
 #: full label matrix is cached up to this n (Bell(10)-2 = 115,973 rows)
 CACHE_MAX_N = 10
@@ -42,8 +48,9 @@ def _expand_chunks(
     """Grow RGS prefixes to full length n, yielding (labels, maxes) chunks.
 
     All partitions are produced (coarsest and finest included); callers
-    filter on the block count.  Depth-first with ordered splitting keeps
-    global lexicographic order.
+    filter on the block count.  Any block longer than chunk_rows is split,
+    at the last depth too, so no chunk exceeds it.  Depth-first with
+    ordered splitting keeps global lexicographic order.
     """
     stack = [(prefix, maxes)]
     while stack:
@@ -64,7 +71,7 @@ def _expand_chunks(
             )
             mx = np.maximum(np.repeat(mx, counts), block[:, -1])
             depth += 1
-            if depth < n and block.shape[0] > chunk_rows:
+            if block.shape[0] > chunk_rows:
                 pieces = range(0, block.shape[0], chunk_rows)
                 slices = [(block[i : i + chunk_rows], mx[i : i + chunk_rows]) for i in pieces]
                 for piece in reversed(slices[1:]):
@@ -105,40 +112,82 @@ def cached_labels(n: int) -> np.ndarray:
 # chunk kernels
 
 
-def block_sums(labels: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """out[r, b] = sum of vec[i] over outcomes i with labels[r, i] == b."""
-    rows, n = labels.shape
-    idx = labels.astype(np.intp) + (np.arange(rows, dtype=np.intp) * n)[:, None]
-    flat = np.bincount(
-        idx.ravel(),
-        weights=np.broadcast_to(vec, (rows, n)).ravel(),
-        minlength=rows * n,
-    )
-    return flat.reshape(rows, n)
+@functools.lru_cache(maxsize=4)
+def _subset_bits(n: int) -> np.ndarray:
+    """bits[S, i] = 1.0 if outcome i is in subset S, for all 2^n subsets (read-only)."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    bits.setflags(write=False)
+    return bits
 
 
-def block_ratio(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Jeffrey multiplier p*(B)/p(B) per row per block label; 0 off-support."""
-    num = block_sums(labels, pstar)
-    den = block_sums(labels, p)
+def _subset_sums(vecs: np.ndarray) -> np.ndarray:
+    """out[..., S] = sum of vecs[..., i] over the outcomes i in S, for all 2^n subsets S."""
+    return vecs @ _subset_bits(vecs.shape[-1]).T
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
 
+def _ratio_table(pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R(S) = p*(S)/p(S) over all subsets S; 0 where p(S) = 0."""
+    num, den = _subset_sums(np.array([pstar, p]))
+    return _ratio(num, den)
+
+
+def _score_table(pstar: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """W(S) = R(S) (d p)(S): E_{q_Pi}[d] is the sum of W over the blocks of Pi."""
+    num, den, dp = _subset_sums(np.array([pstar, p, d * p]))
+    return _ratio(num, den) * dp
+
+
+def _block_masks(labels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, index) of a label matrix with `width` labels per row.
+
+    masks[r * width + b] is the bitmask of the outcomes i with
+    labels[r, i] == b, and index[r, i] = r * width + labels[r, i], so
+    masks[index] is the mask of the block that holds each outcome.
+    """
+    rows, k = labels.shape
+    index = labels.astype(np.intp) + (np.arange(rows, dtype=np.intp) * width)[:, None]
+    bits = np.broadcast_to(2.0 ** np.arange(k), (rows, k))
+    masks = np.bincount(index.ravel(), weights=bits.ravel(), minlength=rows * width)
+    return masks.astype(np.intp), index
+
+
 def chunk_scores(
     labels: np.ndarray, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
-    """E_{q_Pi}[d] for every row: sum_B p*(B)/p(B) * sum_{i in B} d(i) p(i)."""
-    ratio = block_ratio(labels, pstar, p)
-    dp = block_sums(labels, d * p)
-    return np.einsum("ij,ij->i", ratio, dp)
+    """E_{q_Pi}[d] for every row: the sum of W over the blocks of Pi.
+
+    Rows must come in lexicographic RGS order, as ``iter_label_chunks``
+    yields them (any contiguous run of it).  Rows that share their first
+    n-1 labels form a sibling group, and a group starts wherever the last
+    label does not increase.  The block sum is taken once per group, on
+    the shared prefix; each row then moves outcome n from nowhere into its
+    block m: total - W[m] + W[m | bit(n-1)].
+    """
+    rows, n = labels.shape
+    if rows == 0:
+        return np.zeros(0)
+    table = _score_table(pstar, p, d)
+    last = labels[:, -1].astype(np.intp)
+    head = np.empty(rows, dtype=bool)
+    head[0] = True
+    np.less_equal(last[1:], last[:-1], out=head[1:])
+    group = np.add.accumulate(head, dtype=np.intp) - 1
+    masks, _ = _block_masks(labels[head, :-1], n)
+    total = table[masks].reshape(-1, n).sum(axis=1)
+    own = masks[group * n + last]
+    return total[group] - table[own] + table[own | (1 << (n - 1))]
 
 
 def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Jeffrey posterior q_Pi(i) = p*(B(i)) p(i) / p(B(i)) for every row."""
-    ratio = block_ratio(labels, pstar, p)
-    return np.take_along_axis(ratio, labels.astype(np.intp), axis=1) * p
+    masks, index = _block_masks(labels, labels.shape[1])
+    return _ratio_table(pstar, p)[masks[index]] * p
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +383,36 @@ def _merge_within_tolerance(acc: dict) -> list[tuple[tuple[float, ...], int]]:
 # mixture-identity scan
 
 
-def _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps) -> tuple[int, float, float]:
-    q = chunk_posteriors(labels, pstar, p)
-    q_eps = chunk_posteriors(labels, p_eps, p)
-    mix = float(np.abs(q_eps - ((1.0 - eps) * q + eps * p)).max())
-    expect = float(np.abs(q_eps @ d_eps - (1.0 - eps) * (q @ d)).max())
-    return labels.shape[0], mix, expect
+def _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps) -> tuple[int, float]:
+    score = chunk_scores(labels, pstar, p, d)
+    score_eps = chunk_scores(labels, p_eps, p, d_eps)
+    return labels.shape[0], float(np.abs(score_eps - (1.0 - eps) * score).max())
 
 
-def _epsilon_worker(args: tuple) -> tuple[int, float, float]:
+def _epsilon_worker(args: tuple) -> tuple[int, float]:
     prefix, maxes, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps = args
-    count, mix, expect = 0, 0.0, 0.0
+    count, expect = 0, 0.0
     for labels in iter_label_chunks(n, chunk_rows, prefix, maxes):
-        c, m, e = _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps)
+        c, e = _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps)
         count += c
-        mix = max(mix, m)
         expect = max(expect, e)
-    return count, mix, expect
+    return count, expect
+
+
+def _mixture_residual(
+    n: int, pstar: np.ndarray, p: np.ndarray, p_eps: np.ndarray, eps: float
+) -> float:
+    """max |q_eps(i) - ((1-eps) q(i) + eps p(i))| over all Pi and i.
+
+    q_Pi(i) depends only on the block B that holds i, and for n >= 3 every
+    nonempty proper subset B is a block of the proper non-trivial partition
+    {B, complement}, so checking each pair (B, i in B) once covers the scan.
+    """
+    proper = slice(1, (1 << n) - 1)
+    member = _subset_bits(n)[proper] > 0
+    q = _ratio_table(pstar, p)[proper, None] * p
+    q_eps = _ratio_table(p_eps, p)[proper, None] * p
+    return float(np.abs(q_eps - ((1.0 - eps) * q + eps * p))[member].max())
 
 
 def epsilon_scan(
@@ -366,12 +428,14 @@ def epsilon_scan(
 ) -> tuple[int, float, float]:
     """(count, max mixture residual, max expectation residual) over all Pi."""
     if n <= CACHE_MAX_N:
-        return _epsilon_chunk(cached_labels(n), pstar, p, p_eps, d, d_eps, eps)
-    if workers <= 1:
-        return _epsilon_worker((None, None, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps))
-    parts = _parallel_map(_epsilon_worker, (pstar, p, p_eps, d, d_eps, eps), n, workers, chunk_rows)
-    count = sum(p_[0] for p_ in parts)
-    return count, max(p_[1] for p_ in parts), max(p_[2] for p_ in parts)
+        count, expect = _epsilon_chunk(cached_labels(n), pstar, p, p_eps, d, d_eps, eps)
+    elif workers <= 1:
+        count, expect = _epsilon_worker((None, None, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps))
+    else:
+        common = (pstar, p, p_eps, d, d_eps, eps)
+        parts = _parallel_map(_epsilon_worker, common, n, workers, chunk_rows)
+        count, expect = sum(c for c, _ in parts), max(e for _, e in parts)
+    return count, _mixture_residual(n, pstar, p, p_eps, eps), expect
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +463,27 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+def _pool_size(asked: int, cpus: int, tasks: int) -> int:
+    """Processes to start: the ask, never above the usable CPUs or the tasks."""
+    return max(1, min(asked, cpus, tasks))
+
+
 def _parallel_map(
     worker: Callable, common: tuple, n: int, workers: int, chunk_rows: int
 ) -> list:
-    prefix, mx = _frontier(n, 8 * workers)
-    bounds = np.linspace(0, prefix.shape[0], min(prefix.shape[0], 8 * workers) + 1).astype(int)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    split = 8 * min(workers, cpus)
+    prefix, mx = _frontier(n, split)
+    bounds = np.linspace(0, prefix.shape[0], min(prefix.shape[0], split) + 1).astype(int)
     tasks = [
         (prefix[a:b], mx[a:b], n, chunk_rows) + common
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
+    size = _pool_size(workers, cpus, len(tasks))
+    with ProcessPoolExecutor(max_workers=size, mp_context=_pool_context()) as pool:
         futures = [pool.submit(worker, t) for t in tasks]
         return [f.result() for f in futures]

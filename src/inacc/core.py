@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -261,13 +261,3 @@ def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:
     if len(ns) != 1:
         raise DimensionMismatch(f"mixed outcome counts {sorted(ns)}")
     return ns.pop()
-
-
-def scores_close(a: float, b: float, tol: float = TOL_NUM) -> bool:
-    return abs(a - b) <= tol
-
-
-def max_abs_diff(a: Sequence[float], b: Sequence[float]) -> float:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"{len(a)} vs {len(b)} entries")
-    return max(abs(x - y) for x, y in zip(a, b))
