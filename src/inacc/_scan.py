@@ -1,8 +1,7 @@
 """Chunked, vectorized scans over all proper non-trivial partitions.
 
-The object-level iterator in :mod:`inacc.partitions` is fine for desk-size
-n, but exhaustive verification at n = 12 touches 4,213,595 partitions and
-a Python-object loop does not cut it.  This module enumerates canonical
+Exhaustive verification at n = 12 touches 4,213,595 partitions, so a
+Python-object loop does not cut it.  This module enumerates canonical
 restricted-growth strings directly into int8 label matrices (rows =
 partitions, columns = outcomes), never holding more than one chunk.
 
@@ -12,13 +11,16 @@ W(S) = R(S) (d p)(S).  A posterior is R gathered at each outcome's block,
 and E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
 sibling group of rows and adjusted per row for where outcome n goes.
 
-Row order is lexicographic in the RGS encoding, matching the public
-iterator exactly; a test cross-checks the two enumerations row by row.
+Row order is lexicographic in the RGS encoding; the object-level
+iterator in :mod:`inacc.partitions` reads these rows, and a test pins
+them to a brute-force enumeration.
 
-Parallel scans split the RGS prefix tree across processes.  Reductions
-(count, max, min, dedup-merge) are order-independent, so results agree
-with the single-threaded scan within numeric tolerance; merge order is
-fixed by submission order to keep single-run determinism.
+Every scan is a worker that folds the chunks of ``_label_chunks`` into a
+partial result, plus a merge for two partial results; ``_reduce`` runs
+the worker in this process or splits the RGS prefix tree across a fork
+pool and folds the parts in submission order.  Each row's score and
+posterior do not depend on where chunk edges fall, so parallel results
+equal the single-threaded ones.
 """
 
 from __future__ import annotations
@@ -106,6 +108,32 @@ def cached_labels(n: int) -> np.ndarray:
     mat = np.concatenate(list(iter_label_chunks(n)), axis=0)
     mat.setflags(write=False)
     return mat
+
+
+def _label_chunks(
+    n: int,
+    chunk_rows: int,
+    prefix: np.ndarray | None = None,
+    maxes: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """The chunks every scan reads: the cached matrix up to CACHE_MAX_N, else a stream."""
+    if n <= CACHE_MAX_N:
+        return iter((cached_labels(n),))
+    return iter_label_chunks(n, chunk_rows, prefix, maxes)
+
+
+def _reduce(
+    worker: Callable, common: tuple, merge: Callable, n: int, workers: int, chunk_rows: int
+):
+    """Run worker((prefix, maxes, n, chunk_rows) + common) over the whole enumeration.
+
+    Cached labels are always scanned in this process; a streamed scan with
+    more than one worker folds the pool's parts with ``merge`` in
+    submission order.
+    """
+    if n <= CACHE_MAX_N or workers <= 1:
+        return worker((None, None, n, chunk_rows) + common)
+    return functools.reduce(merge, _parallel_map(worker, common, n, workers, chunk_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +232,12 @@ class ScoreScan:
     argmax_rgs: tuple[int, ...]
     num_le: int  # scores <= +tol: inaccessible under the tie rule
     num_lt: int  # scores <  -tol: strictly negative
-    labels: np.ndarray | None = None  # populated only when collecting
-    scores: np.ndarray | None = None
+
+    @classmethod
+    def of_chunks(cls, chunks: list[tuple[np.ndarray, np.ndarray]], tol: float) -> "ScoreScan":
+        """Aggregates of (labels, scores) chunks given in enumeration order."""
+        stats = (_score_stats(labels, scores, tol) for labels, scores in chunks)
+        return cls(*functools.reduce(_merge_stats, stats, _EMPTY))
 
 
 _EMPTY = (0, -np.inf, np.inf, (), 0, 0)
@@ -239,7 +271,7 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
 def _score_worker(args: tuple) -> tuple:
     prefix, maxes, n, chunk_rows, pstar, p, d, tol = args
     agg = _EMPTY
-    for labels in iter_label_chunks(n, chunk_rows, prefix, maxes):
+    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
         agg = _merge_stats(agg, _score_stats(labels, chunk_scores(labels, pstar, p, d), tol))
     return agg
 
@@ -251,35 +283,19 @@ def score_scan(
     d: np.ndarray,
     tol: float = TOL_NUM,
     workers: int = 1,
-    collect: bool = False,
     chunk_rows: int = CHUNK_ROWS,
 ) -> ScoreScan:
     """Scan E_{q_Pi}[d] over all proper non-trivial partitions of {1..n}."""
-    if n <= CACHE_MAX_N:
-        labels = cached_labels(n)
-        scores = chunk_scores(labels, pstar, p, d)
-        agg = _score_stats(labels, scores, tol)
-        return ScoreScan(*agg, labels=labels if collect else None,
-                         scores=scores if collect else None)
-    if collect:
-        raise ValueError("collect=True is only supported for cached (small) n")
-    if workers <= 1:
-        agg = _score_worker((None, None, n, chunk_rows, pstar, p, d, tol))
-    else:
-        parts = _parallel_map(_score_worker, (pstar, p, d, tol), n, workers, chunk_rows)
-        agg = functools.reduce(_merge_stats, parts, _EMPTY)
-    return ScoreScan(*agg)
+    return ScoreScan(
+        *_reduce(_score_worker, (pstar, p, d, tol), _merge_stats, n, workers, chunk_rows)
+    )
 
 
 def iter_scored_chunks(
     n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray, chunk_rows: int = CHUNK_ROWS
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, scores) per chunk, single-threaded; used for CSV streaming."""
-    if n <= CACHE_MAX_N:
-        labels = cached_labels(n)
-        yield labels, chunk_scores(labels, pstar, p, d)
-        return
-    for labels in iter_label_chunks(n, chunk_rows):
+    """(labels, scores) per chunk, single-threaded, for per-partition details."""
+    for labels in _label_chunks(n, chunk_rows):
         yield labels, chunk_scores(labels, pstar, p, d)
 
 
@@ -309,9 +325,20 @@ def _class_chunk(acc: dict, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray
 def _class_worker(args: tuple) -> dict:
     prefix, maxes, n, chunk_rows, pstar, p = args
     acc: dict = {}
-    for labels in iter_label_chunks(n, chunk_rows, prefix, maxes):
+    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
         _class_chunk(acc, labels, pstar, p)
     return acc
+
+
+def _merge_classes(a: dict, b: dict) -> dict:
+    """Add b's buckets into a; a keeps its representative where both have one."""
+    for key, (cnt, rep) in b.items():
+        entry = a.get(key)
+        if entry is None:
+            a[key] = [cnt, rep]
+        else:
+            entry[0] += cnt
+    return a
 
 
 def class_scan(
@@ -327,21 +354,7 @@ def class_scan(
     representatives sit within ``TOL_DEDUP`` in max-norm are merged, so
     sub-tolerance collisions count as genuine multiplicity.
     """
-    if n <= CACHE_MAX_N:
-        acc: dict = {}
-        _class_chunk(acc, cached_labels(n), pstar, p)
-    elif workers <= 1:
-        acc = _class_worker((None, None, n, chunk_rows, pstar, p))
-    else:
-        parts = _parallel_map(_class_worker, (pstar, p), n, workers, chunk_rows)
-        acc = {}
-        for part in parts:
-            for key, (cnt, rep) in part.items():
-                entry = acc.get(key)
-                if entry is None:
-                    acc[key] = [cnt, rep]
-                else:
-                    entry[0] += cnt
+    acc = _reduce(_class_worker, (pstar, p), _merge_classes, n, workers, chunk_rows)
     return _merge_within_tolerance(acc)
 
 
@@ -392,11 +405,15 @@ def _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps) -> tuple[int, float]:
 def _epsilon_worker(args: tuple) -> tuple[int, float]:
     prefix, maxes, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps = args
     count, expect = 0, 0.0
-    for labels in iter_label_chunks(n, chunk_rows, prefix, maxes):
+    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
         c, e = _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps)
         count += c
         expect = max(expect, e)
     return count, expect
+
+
+def _merge_epsilon(a: tuple[int, float], b: tuple[int, float]) -> tuple[int, float]:
+    return a[0] + b[0], max(a[1], b[1])
 
 
 def _mixture_residual(
@@ -427,14 +444,8 @@ def epsilon_scan(
     chunk_rows: int = CHUNK_ROWS,
 ) -> tuple[int, float, float]:
     """(count, max mixture residual, max expectation residual) over all Pi."""
-    if n <= CACHE_MAX_N:
-        count, expect = _epsilon_chunk(cached_labels(n), pstar, p, p_eps, d, d_eps, eps)
-    elif workers <= 1:
-        count, expect = _epsilon_worker((None, None, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps))
-    else:
-        common = (pstar, p, p_eps, d, d_eps, eps)
-        parts = _parallel_map(_epsilon_worker, common, n, workers, chunk_rows)
-        count, expect = sum(c for c, _ in parts), max(e for _, e in parts)
+    common = (pstar, p, p_eps, d, d_eps, eps)
+    count, expect = _reduce(_epsilon_worker, common, _merge_epsilon, n, workers, chunk_rows)
     return count, _mixture_residual(n, pstar, p, p_eps, eps), expect
 
 

@@ -28,6 +28,7 @@ from . import _scan
 from .conditioning import in_blind_spot, jeffrey_posterior, radon_nikodym
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
+    MAX_SCAN_OUTCOMES,
     _guard_outcomes,
     construct_inaccessible_decision,
     verify_inaccessibility,
@@ -161,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-n", type=int, default=DEFAULT_MAX_OUTCOMES, metavar="N",
-        help=f"resource guard for exhaustive scans (default {DEFAULT_MAX_OUTCOMES})",
+        help=f"resource guard for exhaustive scans (default {DEFAULT_MAX_OUTCOMES}; "
+        f"never above {MAX_SCAN_OUTCOMES}, whatever N)",
     )
     common.add_argument(
         "--ack-large", action="store_true",

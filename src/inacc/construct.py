@@ -39,6 +39,9 @@ from .partitions import SetPartition, proper_nontrivial_count
 
 #: exhaustive scans refuse outcome counts above this unless overridden
 DEFAULT_MAX_OUTCOMES = 13
+#: no override reaches past this: Bell(16) ~ 1.05e10 rows is about 20 min of
+#: scanning, Bell(17) over two hours, and the 2^n subset tables grow with n
+MAX_SCAN_OUTCOMES = 16
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0
 
@@ -204,10 +207,11 @@ class InaccessibilityReport:
 
 
 def _guard_outcomes(n: int, max_outcomes: int) -> None:
-    if n > max_outcomes:
+    limit = min(max_outcomes, MAX_SCAN_OUTCOMES)
+    if n > limit:
         raise RefusedTooLarge(
-            f"exhaustive enumeration over {n} outcomes refused "
-            f"(guard is {max_outcomes}; raise it explicitly if you mean it)"
+            f"exhaustive enumeration over {n} outcomes refused (guard is {limit}; "
+            f"raise it explicitly if you mean it, up to {MAX_SCAN_OUTCOMES})"
         )
 
 
@@ -223,7 +227,8 @@ def verify_inaccessibility(
     """Enumerate all of P and classify every posterior expectation of d.
 
     ``keep_partitions`` controls whether per-partition details are stored:
-    None (default) keeps them only when the enumeration is small.
+    None (default) keeps them only when the enumeration is small.  Kept
+    details come from one single-threaded pass, whatever ``workers`` is.
     """
     n = require_same_n(p_star, p, d)
     if not p.strictly_positive:
@@ -232,31 +237,22 @@ def verify_inaccessibility(
     total = proper_nontrivial_count(n)
     if keep_partitions is None:
         keep_partitions = total <= _scan.KEEP_DETAILS_MAX
-    scan = _scan.score_scan(
-        n,
-        p_star.as_array(),
-        p.as_array(),
-        d.as_array(),
-        tol=TOL_NUM,
-        workers=workers,
-        collect=keep_partitions and n <= _scan.CACHE_MAX_N,
-    )
-    if scan.count != total:
-        raise VerificationFailed(f"scan saw {scan.count} partitions, expected {total}")
+    ps, pw, dw = p_star.as_array(), p.as_array(), d.as_array()
     per_partition = None
     inaccessible = None
     if keep_partitions:
-        if scan.labels is None:
-            # streaming path asked to keep details: re-enumerate objects
-            pairs = list(_scan.iter_scored_chunks(n, p_star.as_array(), p.as_array(), d.as_array()))
-            labels = [row for chunk, _ in pairs for row in chunk]
-            scores = [float(s) for _, ss in pairs for s in ss]
-        else:
-            labels = list(scan.labels)
-            scores = [float(s) for s in scan.scores]
-        parts = [SetPartition(tuple(int(x) for x in row)) for row in labels]
-        per_partition = tuple(zip(parts, scores))
+        chunks = list(_scan.iter_scored_chunks(n, ps, pw, dw))
+        scan = _scan.ScoreScan.of_chunks(chunks, TOL_NUM)
+        per_partition = tuple(
+            (SetPartition(row), score)
+            for labels, scores in chunks
+            for row, score in zip(labels.tolist(), scores.tolist())
+        )
         inaccessible = tuple(pi for pi, s in per_partition if s <= TOL_NUM)
+    else:
+        scan = _scan.score_scan(n, ps, pw, dw, tol=TOL_NUM, workers=workers)
+    if scan.count != total:
+        raise VerificationFailed(f"scan saw {scan.count} partitions, expected {total}")
     return InaccessibilityReport(
         n=n,
         partition_count=scan.count,

@@ -71,14 +71,9 @@ def degree(
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
 ) -> int:
     """|I(d)|: how many partitions make the decision non-positive."""
-    n = require_same_n(p_star, p, d)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    _guard_outcomes(n, max_outcomes)
-    scan = _scan.score_scan(
-        n, p_star.as_array(), p.as_array(), d.as_array(), tol=TOL_NUM, workers=workers
-    )
-    return scan.num_le
+    return verify_inaccessibility(
+        p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
+    ).degree
 
 
 @dataclass(frozen=True)

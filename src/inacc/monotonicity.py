@@ -33,7 +33,7 @@ from .core import (
     require_same_n,
 )
 from .conditioning import jeffrey_posterior
-from .construct import DEFAULT_MAX_OUTCOMES, _guard_outcomes
+from .construct import DEFAULT_MAX_OUTCOMES, _guard_outcomes, verify_inaccessibility
 from .partitions import SetPartition
 
 
@@ -72,28 +72,22 @@ def check_monotonicity(
     only mean numerics beyond tolerance or an implementation bug, and it
     must surface rather than be absorbed.
     """
-    n = require_same_n(p_star, p, d)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    _guard_outcomes(n, max_outcomes)
-    scan = _scan.score_scan(
-        n, p_star.as_array(), p.as_array(), d.as_array(), tol=TOL_NUM, workers=workers
+    report = verify_inaccessibility(
+        p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
-    e_pstar = expectation(d, p_star)
-    e_p = expectation(d, p)
-    hypotheses = e_pstar > 0.0 and scan.num_le == scan.count
-    conclusion = e_p < 0.0
+    hypotheses = report.e_pstar > 0.0 and report.inaccessible
+    conclusion = report.e_p < 0.0
     if hypotheses and not conclusion:
         raise TheoremViolation(
-            f"inaccessible decision with E_p[d] = {e_p!r} >= 0 "
-            f"(E_p*[d] = {e_pstar!r}, max posterior score = {scan.max_score!r})"
+            f"inaccessible decision with E_p[d] = {report.e_p!r} >= 0 "
+            f"(E_p*[d] = {report.e_pstar!r}, max posterior score = {report.max_score!r})"
         )
     return MonotonicityCheck(
         hypotheses_hold=hypotheses,
         conclusion_holds=conclusion,
-        e_pstar=e_pstar,
-        e_p=e_p,
-        max_posterior_score=scan.max_score,
+        e_pstar=report.e_pstar,
+        e_p=report.e_p,
+        max_posterior_score=report.max_score,
     )
 
 

@@ -6,8 +6,9 @@ at 0.  Proper non-trivial means the block count m satisfies 2 <= m <= n-1,
 which excludes exactly the coarsest (one block) and finest (all singletons)
 partitions; the remaining count is Bell(n) - 2.
 
-Enumeration is streaming and lexicographic in the RGS encoding; nothing is
-ever materialized, because Bell(13) is already ~2.8e7.
+Enumeration is streaming and lexicographic in the RGS encoding: it reads
+the label chunks of :mod:`inacc._scan` and never materializes the whole
+set, because Bell(13) is already ~2.8e7.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from . import _scan
 from .core import (
     MIN_OUTCOMES,
     TOL_NUM,
@@ -146,18 +148,9 @@ def enumerate_proper_nontrivial(n: int) -> Iterator[SetPartition]:
     """
     if n < MIN_OUTCOMES:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
-    rgs = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[SetPartition]:
-        if i == n:
-            if 1 <= top <= n - 2:  # block_count = top + 1 in [2, n-1]
-                yield SetPartition(rgs)
-            return
-        for v in range(top + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0)
+    for labels in _scan.iter_label_chunks(n):
+        for row in labels.tolist():
+            yield SetPartition(row)
 
 
 def adjacent_pair_partition(m: int, n: int) -> SetPartition:

@@ -158,6 +158,16 @@ class TestExitCodes:
         assert code == 2
         assert "--ack-large" in capsys.readouterr().err
 
+    def test_max_n_has_a_ceiling(self, capsys):
+        vec = ",".join(["0.0588235294117647"] * 17)
+        report = run_json(
+            capsys,
+            ["verify", "--pstar", vec, "--p", vec, "--d", "1" + ",0" * 16,
+             "--max-n", "17", "--ack-large"],
+            expect_code=1,
+        )
+        assert report["error"]["type"] == "RefusedTooLarge"
+
     def test_sweep_out_of_range(self, capsys):
         code = run_command(["sweep", "--n", "11", "--samples", "1"])
         assert code == 1

@@ -145,7 +145,7 @@ class TestBlindSpot:
         res = in_blind_spot(UNIFORM3, UNIFORM3)
         assert not res.member
         assert res.witness is not None
-        assert res.witness.rgs == (0, 0, 1)  # first enumerated partition
+        assert res.witness.rgs == (0, 0, 1)  # pair of the first two tied ratios
         assert posterior_equals_target(UNIFORM3, UNIFORM3, res.witness)
 
     def test_level_set_witness(self):
@@ -171,10 +171,26 @@ class TestBlindSpot:
                 assert posterior_equals_target(p_star, p, res.witness)
 
     def test_witness_with_improper_level_sets(self):
-        # four-way ratio tie: level sets give one block, scan must kick in
+        # four-way ratio tie: level sets give one block, the closest pair is the witness
         n = 4
         res = in_blind_spot(ProbabilityVector.uniform(n), ProbabilityVector.uniform(n))
         assert not res.member
+        assert res.witness.rgs == (0, 0, 1, 2)
         assert posterior_equals_target(
             ProbabilityVector.uniform(n), ProbabilityVector.uniform(n), res.witness
         )
+
+    def test_chained_near_ties_need_the_pair_witness(self):
+        # adjacent ratio gaps of 0.95e-9 chain all seven outcomes into one
+        # level set, but the ratios span 5.7e-9: a big block averages them
+        # off p* by more than TOL_NUM, while a pair block stays within it
+        raw = np.array([0.45, 0.02, 0.02, 0.02, 0.02, 0.45, 0.02])
+        p_arr = raw / raw.sum()
+        r = 1.0 + 0.95e-9 * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.0])
+        r += 1.0 - float(p_arr @ r)
+        p, p_star = ProbabilityVector(p_arr), ProbabilityVector(r * p_arr)
+        assert not posterior_equals_target(p_star, p, SetPartition.parse("0,0,0,0,0,0,1"))
+        res = in_blind_spot(p_star, p)
+        assert not res.member
+        assert res.witness.block_count == 6
+        assert posterior_equals_target(p_star, p, res.witness)

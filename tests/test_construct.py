@@ -245,6 +245,16 @@ class TestVerify:
         with pytest.raises(RefusedTooLarge):
             verify_inaccessibility(p_star, p, UtilityFunction([0.0] * 14))
 
+    def test_guard_has_a_ceiling(self):
+        # no max_outcomes reaches an n whose scan cannot finish
+        raw = [1.1 ** i for i in range(17)]
+        p_star = ProbabilityVector(x / sum(raw) for x in raw)
+        with pytest.raises(RefusedTooLarge, match="16"):
+            verify_inaccessibility(
+                p_star, ProbabilityVector.uniform(17), UtilityFunction([0.0] * 17),
+                max_outcomes=17,
+            )
+
     def test_guard_override(self):
         # n=11 is above the detail cap but below the default guard
         raw = [1.2 ** i for i in range(11)]

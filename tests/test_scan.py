@@ -1,4 +1,4 @@
-"""The chunked label-matrix engine against the object-level enumeration."""
+"""The chunked label-matrix engine against the brute-force oracles."""
 
 import functools
 
@@ -12,12 +12,14 @@ from conftest import random_positive_pair
 from oracles import blocks_to_rgs, brute_expectation, brute_jeffrey, brute_proper_partitions
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_chunks_match_object_enumeration(n):
+    # the oracle enumerates block families; sorted RGS is the engine's row order
+    oracle = sorted(blocks_to_rgs(blocks, n) for blocks in brute_proper_partitions(n))
     rows = np.concatenate(list(_scan.iter_label_chunks(n)), axis=0)
-    objs = [pi.rgs for pi in enumerate_proper_nontrivial(n)]
     assert rows.shape == (bell_number(n) - 2, n)
-    assert [tuple(int(x) for x in row) for row in rows] == objs
+    assert [tuple(row) for row in rows.tolist()] == oracle
+    assert [pi.rgs for pi in enumerate_proper_nontrivial(n)] == oracle
 
 
 #: chunk sizes that cut sibling groups anywhere, down to one row per chunk
@@ -180,14 +182,20 @@ def test_parallel_scan_agrees_with_serial():
     n = 11  # above the cache threshold so the parallel path engages
     rng = np.random.default_rng(4)
     p_star, p = random_positive_pair(rng, n)
+    ps, pw = p_star.as_array(), p.as_array()
     d = rng.normal(size=n)
-    serial = _scan.score_scan(n, p_star.as_array(), p.as_array(), d, workers=1)
-    parallel = _scan.score_scan(n, p_star.as_array(), p.as_array(), d, workers=2)
-    assert serial.count == parallel.count == bell_number(n) - 2
-    assert parallel.max_score == pytest.approx(serial.max_score, abs=1e-9)
-    assert parallel.min_score == pytest.approx(serial.min_score, abs=1e-9)
-    assert parallel.num_le == serial.num_le
-    assert parallel.num_lt == serial.num_lt
+    serial = _scan.score_scan(n, ps, pw, d, workers=1)
+    parallel = _scan.score_scan(n, ps, pw, d, workers=2)
+    assert serial.count == bell_number(n) - 2
+    assert parallel == serial
+    # row scores do not depend on chunk edges, so every reduction is exact
+    eps = 0.3
+    eps_args = (n, ps, pw, (1 - eps) * ps + eps * pw, d, d - eps * float(d @ pw), eps)
+    assert _scan.epsilon_scan(*eps_args, workers=2) == _scan.epsilon_scan(*eps_args, workers=1)
+    # p* = p makes every posterior p: one class holding every partition
+    classes = _scan.class_scan(n, pw, pw, workers=1)
+    assert [count for _, count in classes] == [bell_number(n) - 2]
+    assert _scan.class_scan(n, pw, pw, workers=2) == classes
 
 
 def test_class_scan_counts():
