@@ -30,7 +30,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -234,10 +234,8 @@ class ScoreScan:
     num_lt: int  # scores <  -tol: strictly negative
 
     @classmethod
-    def of_chunks(cls, chunks: list[tuple[np.ndarray, np.ndarray]], tol: float) -> "ScoreScan":
-        """Aggregates of (labels, scores) chunks given in enumeration order."""
-        stats = (_score_stats(labels, scores, tol) for labels, scores in chunks)
-        return cls(*functools.reduce(_merge_stats, stats, _EMPTY))
+    def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]], tol: float) -> "ScoreScan":
+        return cls(*_fold_stats(chunks, tol))
 
 
 _EMPTY = (0, -np.inf, np.inf, (), 0, 0)
@@ -268,12 +266,16 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], hi, min(a[2], b[2]), arg, a[4] + b[4], a[5] + b[5])
 
 
+def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]], tol: float) -> tuple:
+    """Aggregates of (labels, scores) chunks given in enumeration order."""
+    stats = (_score_stats(labels, scores, tol) for labels, scores in chunks)
+    return functools.reduce(_merge_stats, stats, _EMPTY)
+
+
 def _score_worker(args: tuple) -> tuple:
     prefix, maxes, n, chunk_rows, pstar, p, d, tol = args
-    agg = _EMPTY
-    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
-        agg = _merge_stats(agg, _score_stats(labels, chunk_scores(labels, pstar, p, d), tol))
-    return agg
+    chunks = _label_chunks(n, chunk_rows, prefix, maxes)
+    return _fold_stats(((lb, chunk_scores(lb, pstar, p, d)) for lb in chunks), tol)
 
 
 def score_scan(

@@ -18,11 +18,10 @@ from .core import (
     DimensionMismatch,
     PriorHasZero,
     ProbabilityVector,
-    UtilityFunction,
     VerificationFailed,
     require_same_n,
 )
-from .partitions import SetPartition, level_set_partition
+from .partitions import SetPartition
 
 
 @dataclass(frozen=True)
@@ -99,29 +98,24 @@ def in_blind_spot(p_star: ProbabilityVector, p: ProbabilityVector) -> BlindSpotR
     """Is p* unreachable as a Jeffrey posterior of p?
 
     Membership is equivalent to injectivity of the ratio p*/p.  When the
-    target is reachable, a witness partition with q_Pi = p* is returned:
-    the level sets of the ratio if they form a proper non-trivial
-    partition.  When they collapse to one block, the witness pairs the two
-    outcomes i, j whose ratios are closest in sorted order and leaves every
-    other outcome a singleton: q_Pi then moves p_i p_j gap / (p_i + p_j)
-    of mass between i and j and matches p* elsewhere, which is below
-    TOL_NUM because that gap is.  (A coarser partition need not match: its
-    blocks average ratios that differ by up to (n-1) TOL_NUM.)
+    target is reachable, the witness pairs the two outcomes i, j whose
+    ratios are closest in sorted order and leaves every other outcome a
+    singleton: q_Pi then moves p_i p_j gap / (p_i + p_j) of mass between
+    i and j and matches p* elsewhere, which is below TOL_NUM because that
+    gap is.  (A coarser partition, such as the level sets of the ratio,
+    need not match: its blocks average ratios that differ by up to
+    (n-1) TOL_NUM.)
     """
     ratio = radon_nikodym(p_star, p)
     if ratio.injective:
         return BlindSpotResult(member=True, witness=None, ratio=ratio)
-    levels = level_set_partition(UtilityFunction(ratio.values))
-    if isinstance(levels, SetPartition):
-        witness = levels
-    else:
-        order = sorted(range(p.n), key=lambda i: ratio.values[i])
-        gaps = [ratio.values[b] - ratio.values[a] for a, b in zip(order, order[1:])]
-        k = gaps.index(min(gaps))
-        pair = (order[k], order[k + 1])
-        witness = SetPartition.from_blocks(
-            [[i + 1 for i in pair]] + [[i + 1] for i in range(p.n) if i not in pair]
-        )
+    order = sorted(range(p.n), key=lambda i: ratio.values[i])
+    gaps = [ratio.values[b] - ratio.values[a] for a, b in zip(order, order[1:])]
+    k = gaps.index(min(gaps))
+    pair = (order[k], order[k + 1])
+    witness = SetPartition.from_blocks(
+        [[i + 1 for i in pair]] + [[i + 1] for i in range(p.n) if i not in pair]
+    )
     if not posterior_equals_target(p_star, p, witness):
         raise VerificationFailed("blind-spot witness failed the posterior check")
     return BlindSpotResult(member=False, witness=witness, ratio=ratio)

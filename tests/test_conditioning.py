@@ -171,7 +171,7 @@ class TestBlindSpot:
                 assert posterior_equals_target(p_star, p, res.witness)
 
     def test_witness_with_improper_level_sets(self):
-        # four-way ratio tie: level sets give one block, the closest pair is the witness
+        # four-way ratio tie: the first two tied outcomes form the pair block
         n = 4
         res = in_blind_spot(ProbabilityVector.uniform(n), ProbabilityVector.uniform(n))
         assert not res.member
@@ -181,16 +181,22 @@ class TestBlindSpot:
         )
 
     def test_chained_near_ties_need_the_pair_witness(self):
-        # adjacent ratio gaps of 0.95e-9 chain all seven outcomes into one
-        # level set, but the ratios span 5.7e-9: a big block averages them
-        # off p* by more than TOL_NUM, while a pair block stays within it
-        raw = np.array([0.45, 0.02, 0.02, 0.02, 0.02, 0.45, 0.02])
-        p_arr = raw / raw.sum()
-        r = 1.0 + 0.95e-9 * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.0])
-        r += 1.0 - float(p_arr @ r)
-        p, p_star = ProbabilityVector(p_arr), ProbabilityVector(r * p_arr)
-        assert not posterior_equals_target(p_star, p, SetPartition.parse("0,0,0,0,0,0,1"))
-        res = in_blind_spot(p_star, p)
-        assert not res.member
-        assert res.witness.block_count == 6
-        assert posterior_equals_target(p_star, p, res.witness)
+        # adjacent ratio gaps of about 0.95e-9 chain seven outcomes into one
+        # level set spanning about 5.7e-9: a block that big averages the
+        # ratios off p* by more than TOL_NUM, while a pair block stays within
+        chain = 1.0 + 0.95e-9 * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 0.0])
+        cases = [
+            # the level sets collapse to one block
+            ([0.45, 0.02, 0.02, 0.02, 0.02, 0.45, 0.02], chain, "0,0,0,0,0,0,1"),
+            # the level sets are a proper partition and still miss p*
+            ([0.45, 0.02, 0.02, 0.02, 0.02, 0.45, 0.02, 0.02], np.append(chain, 1.5),
+             "0,0,0,0,0,0,0,1"),
+        ]
+        for raw, r, coarse in cases:
+            p_arr = np.array(raw) / sum(raw)
+            p, p_star = ProbabilityVector(p_arr), ProbabilityVector(r * p_arr / (p_arr @ r))
+            assert not posterior_equals_target(p_star, p, SetPartition.parse(coarse))
+            res = in_blind_spot(p_star, p)
+            assert not res.member
+            assert res.witness.block_count == p.n - 1
+            assert posterior_equals_target(p_star, p, res.witness)
