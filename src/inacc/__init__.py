@@ -13,7 +13,6 @@ from .core import (
     TOL_NORM,
     TOL_NUM,
     TOL_SEP,
-    DecisionContext,
     DimensionMismatch,
     InaccError,
     NonFiniteUtility,
@@ -30,12 +29,9 @@ from .core import (
     SeparationFailed,
     TheoremViolation,
     TooSmall,
-    TrivialContext,
     UtilityFunction,
-    ValidatedContext,
     VerificationFailed,
     expectation,
-    validate_context,
 )
 from .partitions import (
     NotProper,

@@ -21,12 +21,17 @@ the worker in this process or splits the RGS prefix tree across a fork
 pool and folds the parts in submission order.  Each row's score and
 posterior do not depend on where chunk edges fall, so parallel results
 equal the single-threaded ones.
+
+The class scan buckets each chunk's posteriors on a 1e-12 grid; the
+parts are concatenated and merged by single linkage within TOL_DEDUP,
+all in array operations (no Python loop per bucket or class).
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -305,42 +310,24 @@ def iter_scored_chunks(
 # posterior class scan (dedup with multiplicities)
 
 
-def _class_chunk(acc: dict, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> None:
+def _class_chunk(acc: list, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> None:
+    """Append (keys, reps, counts) for one chunk: its posteriors bucketed on a 1e-12 grid.
+
+    keys are sorted and distinct, reps holds the posterior of the first row
+    in each bucket and counts the rows per bucket.
+    """
     q = chunk_posteriors(labels, pstar, p)
-    rounded = np.round(q, 12) + 0.0  # normalize -0.0 so byte keys match
-    uniq, inverse, counts = np.unique(
-        rounded, axis=0, return_inverse=True, return_counts=True
-    )
-    inv = inverse.ravel()
-    # reversed assignment leaves the first occurrence per unique row
-    first = np.empty(uniq.shape[0], dtype=np.int64)
-    first[inv[::-1]] = np.arange(inv.size - 1, -1, -1)
-    for u in range(uniq.shape[0]):
-        key = uniq[u].tobytes()
-        entry = acc.get(key)
-        if entry is None:
-            acc[key] = [int(counts[u]), q[first[u]].copy()]
-        else:
-            entry[0] += int(counts[u])
+    rounded = np.round(q, 12) + 0.0  # normalize -0.0 so equal keys compare equal
+    keys, first, counts = np.unique(rounded, axis=0, return_index=True, return_counts=True)
+    acc.append((keys, q[first], counts))
 
 
-def _class_worker(args: tuple) -> dict:
+def _class_worker(args: tuple) -> list:
     prefix, maxes, n, chunk_rows, pstar, p = args
-    acc: dict = {}
+    acc: list = []
     for labels in _label_chunks(n, chunk_rows, prefix, maxes):
         _class_chunk(acc, labels, pstar, p)
     return acc
-
-
-def _merge_classes(a: dict, b: dict) -> dict:
-    """Add b's buckets into a; a keeps its representative where both have one."""
-    for key, (cnt, rep) in b.items():
-        entry = a.get(key)
-        if entry is None:
-            a[key] = [cnt, rep]
-        else:
-            entry[0] += cnt
-    return a
 
 
 def class_scan(
@@ -356,42 +343,89 @@ def class_scan(
     representatives sit within ``TOL_DEDUP`` in max-norm are merged, so
     sub-tolerance collisions count as genuine multiplicity.
     """
-    acc = _reduce(_class_worker, (pstar, p), _merge_classes, n, workers, chunk_rows)
-    return _merge_within_tolerance(acc)
+    parts = _reduce(_class_worker, (pstar, p), operator.add, n, workers, chunk_rows)
+    return _merge_within_tolerance(parts, chunk_rows)
 
 
-def _merge_within_tolerance(acc: dict) -> list[tuple[tuple[float, ...], int]]:
-    items = sorted(
-        ((tuple(float(x) for x in rep), cnt) for cnt, rep in acc.values()),
-        key=lambda it: it[0],
-    )
-    if not items:
+def _merge_within_tolerance(
+    parts: list, chunk_rows: int = CHUNK_ROWS
+) -> list[tuple[tuple[float, ...], int]]:
+    """Single-linkage classes of the buckets in ``parts``, in max-norm <= TOL_DEDUP.
+
+    A bucket keeps the representative of the first part that has it.  Each
+    class is labelled by its lexicographically first representative and
+    counts the rows of all its buckets.
+    """
+    if not parts:
         return []
-    reps = [it[0] for it in items]
-    parent = list(range(len(items)))
+    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse.ravel(), weights=counts).astype(np.int64)
+    reps = reps[first]
+    order = np.lexsort(reps.T[::-1])
+    reps, counts = reps[order], counts[order]
+    root = _single_linkage(reps, TOL_DEDUP, chunk_rows)
+    totals = np.bincount(root, weights=counts).astype(np.int64)
+    roots = np.flatnonzero(root == np.arange(root.size))
+    return list(zip(map(tuple, reps[roots].tolist()), totals[roots].tolist()))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    # max-norm closeness forces closeness in the first coordinate, so a
-    # window scan over the sorted list sees every mergeable pair
-    for i in range(len(items)):
-        j = i + 1
-        while j < len(items) and reps[j][0] - reps[i][0] <= TOL_DEDUP:
-            if max(abs(a - b) for a, b in zip(reps[i], reps[j])) <= TOL_DEDUP:
-                parent[find(j)] = find(i)
-            j += 1
-    groups: dict[int, list] = {}
-    for i in range(len(items)):
-        root = find(i)
-        entry = groups.setdefault(root, [None, 0])
-        if entry[0] is None or reps[i] < entry[0]:
-            entry[0] = reps[i]
-        entry[1] += items[i][1]
-    return sorted((tuple(rep), cnt) for rep, cnt in groups.values())
+def _single_linkage(points: np.ndarray, tol: float, block: int) -> np.ndarray:
+    """root[i] = the smallest index joined to point i by hops of max-norm <= tol.
+
+    Candidate pairs come from a window on a generic projection c.x: a
+    max-norm gap <= tol moves c.x by at most tol |c|_1, so a reach of twice
+    that misses no pair.  (All-ones would not do: every posterior sums to
+    one.)  Pairs are expanded at most ``block`` at a time, and a window
+    entry already joined to its row through a run of equal roots is
+    skipped, so a dense cluster links in about size/block rounds.
+    """
+    m = points.shape[0]
+    root = np.arange(m)
+    c = np.random.default_rng(0).uniform(1.0, 2.0, points.shape[1])
+    proj = points @ c
+    pos = np.argsort(proj, kind="stable")
+    proj = proj[pos]
+    hi = np.searchsorted(proj, proj + 2.0 * tol * c.sum(), side="right")
+    nxt = np.arange(1, m + 1)  # next window entry each row has not examined
+    while True:
+        # positions [i, run_end[i]) share row i's root, so pairing them adds nothing
+        lab = root[pos]
+        starts = np.append(np.flatnonzero(lab[1:] != lab[:-1]) + 1, m)
+        run_end = starts[np.searchsorted(starts, np.arange(m), side="right")]
+        lo = np.maximum(nxt, run_end)
+        width = np.maximum(hi - lo, 0)
+        ends = np.cumsum(width)
+        taken = min(int(ends[-1]), block)
+        if taken == 0:
+            return root
+        k = np.arange(taken)
+        row = np.searchsorted(ends, k, side="right")
+        col = lo[row] + k - (ends[row] - width[row])
+        a, b = pos[row], pos[col]
+        close = np.abs(points[a] - points[b]).max(axis=1) <= tol
+        _union(root, a[close], b[close])
+        nxt = lo + np.clip(taken - (ends - width), 0, width)
+
+
+def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join a[k] with b[k] in place.
+
+    root stays fully compressed: every point maps to the smallest index of
+    its class.
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root[:] = up
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .conditioning import in_blind_spot, jeffrey_posterior, radon_nikodym
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
     MAX_SCAN_OUTCOMES,
-    _guard_outcomes,
+    _check_scan_inputs,
     construct_inaccessible_decision,
     verify_inaccessibility,
 )
@@ -90,7 +90,9 @@ def _parse_partition(text: str, flag: str) -> SetPartition:
         raise UsageError(f"{flag}: cannot parse {text!r} ({exc})") from exc
 
 
-def _load_context(path: str) -> dict:
+def _load_context(path: str | None) -> dict:
+    if not path:
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -101,31 +103,44 @@ def _load_context(path: str) -> dict:
     return raw
 
 
-def _resolve_measures(args) -> tuple[ProbabilityVector, ProbabilityVector]:
-    ctx = _load_context(args.context) if getattr(args, "context", None) else {}
+def _context_value(ctx: dict, key: str, make):
+    try:
+        return make(ctx[key])
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"--context: cannot parse {key!r} ({exc})") from exc
+
+
+def _resolve_measures(
+    args, ctx: dict | None = None
+) -> tuple[ProbabilityVector, ProbabilityVector]:
+    if ctx is None:
+        ctx = _load_context(args.context)
     if args.pstar is not None:
         p_star = _parse_probability(args.pstar, "--pstar")
     elif "p_star" in ctx:
-        p_star = ProbabilityVector(ctx["p_star"])
+        p_star = _context_value(ctx, "p_star", ProbabilityVector)
     else:
         raise UsageError("--pstar: missing (give the flag or a --context file)")
     if args.p is not None:
         p = _parse_probability(args.p, "--p")
     elif "p" in ctx:
-        p = ProbabilityVector(ctx["p"])
+        p = _context_value(ctx, "p", ProbabilityVector)
     else:
         raise UsageError("--p: missing (give the flag or a --context file)")
     return p_star, p
 
 
-def _resolve_d(args) -> UtilityFunction:
-    ctx = _load_context(args.context) if getattr(args, "context", None) else {}
-    if getattr(args, "d", None) is not None:
-        return _parse_utility(args.d, "--d")
+def _resolve_decision(args) -> tuple[ProbabilityVector, ProbabilityVector, UtilityFunction]:
+    """p*, p and d from the flags, falling back on one read of --context."""
+    ctx = _load_context(args.context)
+    p_star, p = _resolve_measures(args, ctx)
+    if args.d is not None:
+        return p_star, p, _parse_utility(args.d, "--d")
     if "d" in ctx:
-        return UtilityFunction(ctx["d"])
+        return p_star, p, _context_value(ctx, "d", UtilityFunction)
     if "f1" in ctx and "f2" in ctx:
-        return UtilityFunction(ctx["f1"]).minus(UtilityFunction(ctx["f2"]))
+        f1 = _context_value(ctx, "f1", UtilityFunction)
+        return p_star, p, f1.minus(_context_value(ctx, "f2", UtilityFunction))
     raise UsageError("--d: missing (give the flag or d / f1,f2 in --context)")
 
 
@@ -429,14 +444,13 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_verify(args) -> dict | None:
-    p_star, p = _resolve_measures(args)
-    d = _resolve_d(args)
+    p_star, p, d = _resolve_decision(args)
     if args.format == "csv":
-        _guard_outcomes(p.n, _max_outcomes(args))
+        n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
         writer = csv.writer(sys.stdout)
         writer.writerow(["rgs", "block_count", "expectation", "in_inaccessible_set"])
         for labels, scores in _scan.iter_scored_chunks(
-            p.n, p_star.as_array(), p.as_array(), d.as_array()
+            n, p_star.as_array(), p.as_array(), d.as_array()
         ):
             for row, score in zip(labels, scores):
                 rgs = ",".join(str(int(x)) for x in row)
@@ -459,8 +473,7 @@ def _cmd_verify(args) -> dict | None:
 
 def _cmd_degree(args) -> dict:
     _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    d = _resolve_d(args)
+    p_star, p, d = _resolve_decision(args)
     deg = degree(p_star, p, d, workers=args.parallel, max_outcomes=_max_outcomes(args))
     return {
         "command": "degree",
@@ -508,8 +521,7 @@ def _cmd_realize(args) -> dict:
 
 def _cmd_monotonicity(args) -> dict:
     _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    d = _resolve_d(args)
+    p_star, p, d = _resolve_decision(args)
     check = check_monotonicity(
         p_star, p, d, workers=args.parallel, max_outcomes=_max_outcomes(args)
     )
@@ -529,8 +541,7 @@ def _cmd_certificate(args) -> dict:
 
 def _cmd_epsilon(args) -> dict:
     _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    d = _resolve_d(args)
+    p_star, p, d = _resolve_decision(args)
     check = epsilon_mixture_check(
         p_star, p, d, args.eps, workers=args.parallel, max_outcomes=_max_outcomes(args)
     )

@@ -206,13 +206,28 @@ class InaccessibilityReport:
         return out
 
 
-def _guard_outcomes(n: int, max_outcomes: int) -> None:
+def _check_scan_inputs(
+    p_star: ProbabilityVector,
+    p: ProbabilityVector,
+    *utilities: UtilityFunction,
+    max_outcomes: int,
+) -> int:
+    """The outcome count n, once the inputs pass the checks every scan needs.
+
+    All arguments share n, the credence p is strictly positive, and n is
+    within the resource guard, which no max_outcomes lifts past
+    MAX_SCAN_OUTCOMES.
+    """
+    n = require_same_n(p_star, p, *utilities)
+    if not p.strictly_positive:
+        raise PriorHasZero("credence p must be strictly positive")
     limit = min(max_outcomes, MAX_SCAN_OUTCOMES)
     if n > limit:
         raise RefusedTooLarge(
             f"exhaustive enumeration over {n} outcomes refused (guard is {limit}; "
             f"raise it explicitly if you mean it, up to {MAX_SCAN_OUTCOMES})"
         )
+    return n
 
 
 def verify_inaccessibility(
@@ -230,10 +245,7 @@ def verify_inaccessibility(
     None (default) keeps them only when the enumeration is small.  Kept
     details come from one single-threaded pass, whatever ``workers`` is.
     """
-    n = require_same_n(p_star, p, d)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    _guard_outcomes(n, max_outcomes)
+    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
     total = proper_nontrivial_count(n)
     if keep_partitions is None:
         keep_partitions = total <= _scan.KEEP_DETAILS_MAX
@@ -314,10 +326,9 @@ def construct_inaccessible_decision(
     within TOL_NUM of zero: such inputs are too close to degeneracy for
     the certificate to mean anything at the working tolerance.
     """
-    n = require_same_n(p_star, p)
     if not 0.0 < eps_fraction < 1.0:
         raise OutOfRange(f"eps_fraction must lie in (0,1), got {eps_fraction}")
-    _guard_outcomes(n, max_outcomes)
+    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
     bs = in_blind_spot(p_star, p)
     if not bs.member:
         raise NotInBlindSpot(

@@ -1,4 +1,4 @@
-"""Finite probability vectors, utility functions, and decision contexts.
+"""Finite probability vectors, utility functions, tolerances and errors.
 
 Outcome spaces are X = {1, ..., n} with n >= 3 (1-based labels at the API
 surface, 0-based tuples internally).  Everything is double precision; all
@@ -52,10 +52,6 @@ class PriorHasZero(InaccError):
 
 class PStarHasZero(InaccError):
     """Strict mode requires the target measure to be strictly positive."""
-
-
-class TrivialContext(InaccError):
-    """f1 dominates f2 pointwise, so the decision carries no content."""
 
 
 class NonFiniteUtility(InaccError):
@@ -192,67 +188,6 @@ def expectation(f: UtilityFunction, q: ProbabilityVector) -> float:
     if f.n != q.n:
         raise DimensionMismatch(f"utility has {f.n} outcomes, measure has {q.n}")
     return math.fsum(fi * qi for fi, qi in zip(f.values, q.weights))
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    """A target measure, a strictly positive credence, and a pair of actions.
-
-    Either supply both actions ``f1, f2`` or the advantage ``d`` directly;
-    with ``d`` alone the canonical pair (f1, f2) = (d, 0) is implied.
-    """
-
-    p_star: ProbabilityVector
-    p: ProbabilityVector
-    f1: UtilityFunction | None = None
-    f2: UtilityFunction | None = None
-    d: UtilityFunction | None = None
-
-    def __post_init__(self):
-        if self.d is None and (self.f1 is None or self.f2 is None):
-            raise OutOfRange("supply either d or both f1 and f2")
-
-
-@dataclass(frozen=True)
-class ValidatedContext:
-    """A decision context that passed validation, with d materialized."""
-
-    p_star: ProbabilityVector
-    p: ProbabilityVector
-    f1: UtilityFunction
-    f2: UtilityFunction
-    d: UtilityFunction
-
-    @property
-    def n(self) -> int:
-        return self.p.n
-
-
-def validate_context(ctx: DecisionContext) -> ValidatedContext:
-    """Check a decision context and materialize d = f1 - f2.
-
-    Rejects trivial contexts (f1 > f2 pointwise, i.e. d everywhere
-    positive), zero entries in the credence p, and dimension mismatches.
-    A context is accepted iff d has at least one non-positive entry.
-    """
-    p_star, p = ctx.p_star, ctx.p
-    if p_star.n != p.n:
-        raise DimensionMismatch(f"p* has {p_star.n} outcomes, p has {p.n}")
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    if ctx.d is not None:
-        d = ctx.d
-        f1 = ctx.f1 if ctx.f1 is not None else d
-        f2 = ctx.f2 if ctx.f2 is not None else UtilityFunction.zero(d.n)
-    else:
-        assert ctx.f1 is not None and ctx.f2 is not None
-        f1, f2 = ctx.f1, ctx.f2
-        d = f1.minus(f2)
-    if d.n != p.n:
-        raise DimensionMismatch(f"utilities have {d.n} outcomes, measures have {p.n}")
-    if all(x > 0.0 for x in d.values):
-        raise TrivialContext("f1 exceeds f2 on every outcome")
-    return ValidatedContext(p_star=p_star, p=p, f1=f1, f2=f2, d=d)
 
 
 def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:

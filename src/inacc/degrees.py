@@ -23,8 +23,8 @@ from .core import (
     NotAchievable,
     NotInBlindSpot,
     OutOfRange,
-    PriorHasZero,
     ProbabilityVector,
+    RefusedTooLarge,
     SeparationBelowTolerance,
     SeparationFailed,
     UtilityFunction,
@@ -36,7 +36,7 @@ from .conditioning import radon_nikodym
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
     InaccessibilityReport,
-    _guard_outcomes,
+    _check_scan_inputs,
     log_density_ratio,
     verify_inaccessibility,
 )
@@ -44,6 +44,10 @@ from .partitions import SetPartition, proper_nontrivial_count
 
 #: attempts before giving up on a separating direction / usable eta
 MAX_SEPARATION_ATTEMPTS = 64
+#: posterior classes are refused above this n, whatever max_outcomes says:
+#: a generic pair has one class per partition, and one ProbabilityVector
+#: each is 4.2M objects at n = 12
+MAX_CLASS_OUTCOMES = 11
 
 
 def inaccessible_set(
@@ -94,10 +98,12 @@ def posterior_classes(
     Dedup radius is TOL_DEDUP in max-norm; output is ordered
     lexicographically by posterior weights for reproducibility.
     """
-    n = require_same_n(p_star, p)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    _guard_outcomes(n, max_outcomes)
+    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
+    if n > MAX_CLASS_OUTCOMES:
+        raise RefusedTooLarge(
+            f"posterior classes over {n} outcomes refused "
+            f"(limit {MAX_CLASS_OUTCOMES}, whatever max_outcomes says)"
+        )
     raw = _scan.class_scan(n, p_star.as_array(), p.as_array(), workers=workers)
     classes = tuple(
         PosteriorClass(posterior=ProbabilityVector(rep), multiplicity=count)

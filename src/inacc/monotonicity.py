@@ -33,7 +33,7 @@ from .core import (
     require_same_n,
 )
 from .conditioning import jeffrey_posterior
-from .construct import DEFAULT_MAX_OUTCOMES, _guard_outcomes, verify_inaccessibility
+from .construct import DEFAULT_MAX_OUTCOMES, _check_scan_inputs, verify_inaccessibility
 from .partitions import SetPartition
 
 
@@ -255,12 +255,9 @@ def epsilon_mixture_check(
     blend is the blend of the posteriors, and with d_eps = d - eps E_p[d]
     both the target and every posterior expectation scale by (1 - eps).
     """
-    n = require_same_n(p_star, p, d)
     if not 0.0 < epsilon < 1.0:
         raise OutOfRange(f"epsilon must lie in (0,1), got {epsilon}")
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-    _guard_outcomes(n, max_outcomes)
+    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
     p_eps = ProbabilityVector(
         (1.0 - epsilon) * a + epsilon * b for a, b in zip(p_star.weights, p.weights)
     )

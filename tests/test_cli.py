@@ -168,6 +168,18 @@ class TestExitCodes:
         )
         assert report["error"]["type"] == "RefusedTooLarge"
 
+    @pytest.mark.parametrize(
+        "p, d, error",
+        [("0.5,0.5,0", "1,-1,0", "PriorHasZero"), (P, "1,-1", "DimensionMismatch")],
+    )
+    def test_csv_checks_inputs_first(self, capsys, p, d, error):
+        report = run_json(
+            capsys,
+            ["verify", "--pstar", PSTAR, "--p", p, "--d", d, "--format", "csv"],
+            expect_code=1,
+        )
+        assert report["error"]["type"] == error
+
     def test_sweep_out_of_range(self, capsys):
         code = run_command(["sweep", "--n", "11", "--samples", "1"])
         assert code == 1
@@ -232,6 +244,19 @@ class TestContextFile:
             capsys, ["degree", "--context", str(ctx), "--d", "-1,-1,-1"]
         )
         assert report["degree"] == 3
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            {"p_star": 5, "p": [1 / 3] * 3, "d": [1, -1, 0]},
+            {"p_star": [0.5, 0.3, 0.2], "p": [1 / 3] * 3, "d": "abc"},
+        ],
+    )
+    def test_malformed_values_are_usage_errors(self, capsys, tmp_path, ctx):
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps(ctx))
+        assert run_command(["verify", "--context", str(path)]) == 2
+        assert "--context" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert run_command(["degree", "--context", "/nonexistent.json"]) == 2

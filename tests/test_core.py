@@ -5,17 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inacc import (
-    DecisionContext,
     DimensionMismatch,
     NonFiniteUtility,
     NotAProbability,
-    PriorHasZero,
     ProbabilityVector,
     TooSmall,
-    TrivialContext,
     UtilityFunction,
     expectation,
-    validate_context,
 )
 
 
@@ -119,61 +115,3 @@ class TestExpectation:
     def test_constant_property(self, q, c):
         f = UtilityFunction([c] * q.n)
         assert expectation(f, q) == pytest.approx(c, abs=1e-9, rel=1e-9)
-
-
-class TestValidateContext:
-    def setup_method(self):
-        self.p_star = ProbabilityVector([0.5, 0.3, 0.2])
-        self.p = ProbabilityVector.uniform(3)
-
-    def test_trivial_rejected(self):
-        ctx = DecisionContext(
-            p_star=self.p_star,
-            p=self.p,
-            f1=UtilityFunction([2, 2, 2]),
-            f2=UtilityFunction([1, 1, 1]),
-        )
-        with pytest.raises(TrivialContext):
-            validate_context(ctx)
-
-    def test_zero_prior_rejected(self):
-        ctx = DecisionContext(
-            p_star=self.p_star,
-            p=ProbabilityVector([0.5, 0.5, 0.0]),
-            d=UtilityFunction([1, -1, 0]),
-        )
-        with pytest.raises(PriorHasZero):
-            validate_context(ctx)
-
-    def test_materializes_d(self):
-        ctx = DecisionContext(
-            p_star=self.p_star,
-            p=self.p,
-            f1=UtilityFunction([1, 0, 0]),
-            f2=UtilityFunction([0, 1, 0]),
-        )
-        validated = validate_context(ctx)
-        assert validated.d.values == (1.0, -1.0, 0.0)
-
-    def test_d_only_context_gets_zero_f2(self):
-        ctx = DecisionContext(p_star=self.p_star, p=self.p, d=UtilityFunction([1, -1, 0]))
-        validated = validate_context(ctx)
-        assert validated.f1.values == (1.0, -1.0, 0.0)
-        assert validated.f2.values == (0.0, 0.0, 0.0)
-
-    def test_dimension_mismatch(self):
-        ctx = DecisionContext(
-            p_star=self.p_star, p=self.p, d=UtilityFunction([1, -1, 0, 0])
-        )
-        with pytest.raises(DimensionMismatch):
-            validate_context(ctx)
-
-    @given(utility())
-    @settings(max_examples=100)
-    def test_accepts_iff_some_entry_nonpositive(self, d):
-        ctx = DecisionContext(p_star=self.p_star, p=self.p, d=d)
-        if min(d.values) <= 0.0:
-            assert validate_context(ctx).d.values == d.values
-        else:
-            with pytest.raises(TrivialContext):
-                validate_context(ctx)

@@ -5,6 +5,7 @@ from inacc import (
     NotAchievable,
     NotInBlindSpot,
     ProbabilityVector,
+    RefusedTooLarge,
     SeparationFailed,
     UtilityFunction,
     achievable_degrees,
@@ -82,6 +83,13 @@ class TestPosteriorClasses:
         assert len(classes) == 1
         assert classes[0].multiplicity == bell_number(n) - 2
         assert classes[0].posterior.weights == pytest.approx(p.weights, abs=1e-12)
+
+    @pytest.mark.parametrize("max_outcomes", [13, 16])
+    def test_refused_above_n11(self, max_outcomes):
+        # one object per class would be 4.2M objects; refused before any scan
+        p = ProbabilityVector.uniform(12)
+        with pytest.raises(RefusedTooLarge, match="11"):
+            posterior_classes(p, p, max_outcomes=max_outcomes)
 
     def test_n4_multiplicities_sum_to_13(self):
         rng = np.random.default_rng(11)

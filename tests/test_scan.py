@@ -5,11 +5,17 @@ import functools
 import numpy as np
 import pytest
 
-from inacc import ProbabilityVector, bell_number, enumerate_proper_nontrivial
+from inacc import ProbabilityVector, bell_number, enumerate_proper_nontrivial, posterior_classes
 from inacc import _scan
 
 from conftest import random_positive_pair
-from oracles import blocks_to_rgs, brute_expectation, brute_jeffrey, brute_proper_partitions
+from oracles import (
+    blocks_to_rgs,
+    brute_expectation,
+    brute_jeffrey,
+    brute_posterior_classes,
+    brute_proper_partitions,
+)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -207,11 +213,66 @@ def test_class_scan_counts():
 
 def test_class_scan_merges_near_duplicates():
     # two posteriors closer than the dedup radius must count as one class
-    merged = _scan._merge_within_tolerance(
-        {
-            b"a": [2, np.array([0.4, 0.4, 0.2])],
-            b"b": [3, np.array([0.4, 0.4 + 2e-10, 0.2 - 2e-10])],
-            b"c": [1, np.array([0.5, 0.25, 0.25])],
-        }
-    )
+    reps = np.array([[0.4, 0.4, 0.2], [0.4, 0.4 + 2e-10, 0.2 - 2e-10], [0.5, 0.25, 0.25]])
+    merged = _scan._merge_within_tolerance([(np.round(reps, 12), reps, np.array([2, 3, 1]))])
     assert [count for _, count in merged] == [5, 1]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, _scan.CHUNK_ROWS])
+def test_class_scan_links_chains(chunk_rows):
+    # a~b and b~c join a and c, although a and c are 1.6e-9 apart
+    step = np.array([0.0, 8e-10, -8e-10])
+    a = np.array([0.4, 0.4, 0.2])
+    reps = np.array([a, a + step, a + 2 * step])
+    # a's bucket is in both parts and keeps the representative of the first
+    parts = [
+        (np.round(reps[:2], 12), reps[:2], np.array([2, 3])),
+        (np.round(reps[::2], 12), reps[::2] + 1e-13, np.array([4, 1])),
+    ]
+    merged = _scan._merge_within_tolerance(parts, chunk_rows)
+    assert merged == [(tuple(a), 10)]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_dense_cluster_is_one_class(n):
+    # p* within 3e-10 of p puts every posterior within the dedup radius of p
+    rng = np.random.default_rng(n)
+    p = rng.dirichlet(np.ones(n))
+    pstar = p * (1.0 + 3e-10 * rng.uniform(-1.0, 1.0, n))
+    pstar /= pstar.sum()
+    buckets: list = []
+    _scan._class_chunk(buckets, _scan.cached_labels(n), pstar, p)
+    assert len(buckets[0][0]) > 100  # so the merge, not the 1e-12 grid, makes one class
+    classes = _scan.class_scan(n, pstar, p, chunk_rows=7)
+    assert [count for _, count in classes] == [bell_number(n) - 2]
+    assert _scan.class_scan(n, pstar, p) == classes
+
+
+def tied_pair(rng, n):
+    """p* = p r with r taking three values, so many partitions share a posterior."""
+    _, p = random_positive_pair(rng, n)
+    r = rng.choice([0.5, 1.0, 2.0], size=n)
+    pstar = np.asarray(p.weights) * r
+    return ProbabilityVector(pstar / pstar.sum()), p
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_posterior_classes_match_brute_force(n):
+    rng = np.random.default_rng(500 + n)
+    for p_star, p in (random_positive_pair(rng, n), tied_pair(rng, n), tied_pair(rng, n)):
+        ours = posterior_classes(p_star, p)
+        brute = brute_posterior_classes(list(p_star.weights), list(p.weights), n)
+        assert sorted(c.multiplicity for c in ours) == sorted(m for _, m in brute)
+        for c in ours:
+            gap, count = min(
+                (max(abs(a - b) for a, b in zip(q, c.posterior.weights)), m) for q, m in brute
+            )
+            assert gap <= 1e-9
+            assert count == c.multiplicity
+
+
+def test_posterior_classes_cover_every_partition_at_n10():
+    n = 10
+    p_star, p = random_positive_pair(np.random.default_rng(10), n)
+    classes = posterior_classes(p_star, p)
+    assert sum(c.multiplicity for c in classes) == bell_number(n) - 2
