@@ -354,14 +354,18 @@ def _merge_within_tolerance(
 
     A bucket keeps the representative of the first part that has it.  Each
     class is labelled by its lexicographically first representative and
-    counts the rows of all its buckets.
+    counts the rows of all its buckets.  A single part (every scan of
+    cached labels) has sorted, distinct keys already and skips the fold.
     """
     if not parts:
         return []
-    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    counts = np.bincount(inverse.ravel(), weights=counts).astype(np.int64)
-    reps = reps[first]
+    if len(parts) == 1:
+        _, reps, counts = parts[0]
+    else:
+        keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        counts = np.bincount(inverse.ravel(), weights=counts).astype(np.int64)
+        reps = reps[first]
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]
     root = _single_linkage(reps, TOL_DEDUP, chunk_rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -39,12 +40,18 @@ from .core import (
     OutOfRange,
     ProbabilityVector,
     PStarHasZero,
+    RefusedTooLarge,
     SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
 )
-from .degrees import achievable_degrees, degree, posterior_classes, realize_degree
-from .monotonicity import appendix_certificate, check_monotonicity, epsilon_mixture_check
+from .degrees import _class_multiplicities, achievable_degrees, degree, realize_degree
+from .monotonicity import (
+    _monotonicity_of_report,
+    appendix_certificate,
+    check_monotonicity,
+    epsilon_mixture_check,
+)
 from .partitions import (
     SetPartition,
     enumerate_proper_nontrivial,
@@ -55,6 +62,9 @@ from .partitions import (
 DIRICHLET_FLOOR = 1e-6
 #: sweeps stay in this outcome range; larger spaces are not desk scale
 SWEEP_MAX_N = 10
+#: JSON listings of partitions stop here (Bell(10) - 2 rows); longer ones
+#: go through --format csv, which streams, or a --limit / --count
+MAX_JSON_ROWS = 115_973
 
 ENV_SEED = "INACC_SEED"
 
@@ -257,6 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run_command`` reads argv with, built on first use."""
+    return build_parser()
+
+
+def _refuse_long_listing(rows: int, what: str) -> None:
+    if rows > MAX_JSON_ROWS:
+        raise RefusedTooLarge(
+            f"{what} would list {rows} partitions in JSON (limit {MAX_JSON_ROWS}); "
+            "use --format csv, --limit or --count"
+        )
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -307,6 +331,13 @@ def sweep(
     For each sample a uniform random advantage function is drawn and its
     degree recorded; blind-spot pairs additionally run the construction
     and the monotonicity check.
+
+    Each sample makes one exhaustive pass per question: a score pass for
+    the degree, a class pass for the multiplicity collisions, and, for a
+    blind-spot pair, the score pass that re-verifies the constructed d.
+    The monotonicity check reads that re-verification report, which is
+    the exhaustive report ``check_monotonicity`` would compute for the
+    same d.
     """
     if not 3 <= n <= SWEEP_MAX_N:
         raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
@@ -336,8 +367,8 @@ def sweep(
         deg = degree(p_star, p, d_random, workers=workers)
         histogram[deg] = histogram.get(deg, 0) + 1
 
-        classes = posterior_classes(p_star, p, workers=workers)
-        if any(c.multiplicity > 1 for c in classes):
+        classes = _class_multiplicities(p_star, p, workers=workers)
+        if any(count > 1 for _, count in classes):
             collisions += 1
 
         if member:
@@ -348,7 +379,7 @@ def sweep(
             else:
                 constructed += 1
                 try:
-                    check_monotonicity(p_star, p, built.d, workers=workers)
+                    _monotonicity_of_report(built.report)
                 except TheoremViolation:
                     violations += 1
     return SweepSummary(
@@ -390,6 +421,7 @@ def _cmd_partitions(args) -> dict | None:
     report = {"command": "partitions", "n": n, "count": count}
     if not args.count:
         limit = args.limit if args.limit is not None else count
+        _refuse_long_listing(min(limit, count), f"partitions --n {n}")
         listing = []
         for pi in enumerate_proper_nontrivial(n):
             if len(listing) >= limit:
@@ -458,6 +490,9 @@ def _cmd_verify(args) -> dict | None:
                     [rgs, int(row.max()) + 1, repr(float(score)), score <= TOL_NUM]
                 )
         return None
+    if args.full:
+        n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
+        _refuse_long_listing(proper_nontrivial_count(n), "verify --full")
     report = verify_inaccessibility(
         p_star,
         p,
@@ -603,9 +638,8 @@ def _render_table(report: dict, indent: str = "") -> str:
 
 def run_command(argv: list[str] | None = None) -> int:
     """Parse argv, run the subcommand, report on stdout; returns exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:

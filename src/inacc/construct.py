@@ -15,9 +15,12 @@ it is returned.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
+
+import numpy as np
 
 from . import _scan
 from .core import (
@@ -151,7 +154,10 @@ class InaccessibilityReport:
     Scores within TOL_NUM of zero count as zero: they land in the
     inaccessible set but break strictness.  Per-partition details are kept
     only for desk-size enumerations (or on request); the counts, extrema
-    and verdicts are always present.
+    and verdicts are always present.  Kept details are the scan's
+    (labels, scores) chunks; ``per_partition`` and ``inaccessible_set``
+    build their SetPartition objects on first read, and the JSON is
+    written from the arrays.
     """
 
     n: int
@@ -163,14 +169,35 @@ class InaccessibilityReport:
     max_score: float
     min_score: float
     argmax_partition: SetPartition | None
-    per_partition: tuple[tuple[SetPartition, float], ...] | None = None
-    inaccessible_set: tuple[SetPartition, ...] | None = None
+    _chunks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.inaccessible_set is not None and self.degree != len(self.inaccessible_set):
-            raise VerificationFailed("degree disagrees with the stored inaccessible set")
+        if self._chunks is not None:
+            kept = sum(int((scores <= TOL_NUM).sum()) for _, scores in self._chunks)
+            if self.degree != kept:
+                raise VerificationFailed("degree disagrees with the stored inaccessible set")
         if self.strong and self.degree != self.partition_count:
             raise VerificationFailed("strong verdict requires every partition inaccessible")
+
+    @functools.cached_property
+    def per_partition(self) -> tuple[tuple[SetPartition, float], ...] | None:
+        """(partition, E_{q_Pi}[d]) for every partition, or None when details were not kept."""
+        if self._chunks is None:
+            return None
+        return tuple(
+            (SetPartition(row), score)
+            for labels, scores in self._chunks
+            for row, score in zip(labels.tolist(), scores.tolist())
+        )
+
+    @functools.cached_property
+    def inaccessible_set(self) -> tuple[SetPartition, ...] | None:
+        """The partitions scoring <= TOL_NUM, or None when details were not kept."""
+        if self.per_partition is None:
+            return None
+        return tuple(pi for pi, score in self.per_partition if score <= TOL_NUM)
 
     @property
     def inaccessible(self) -> bool:
@@ -190,16 +217,17 @@ class InaccessibilityReport:
             "min_score": self.min_score,
             "argmax_partition": str(self.argmax_partition) if self.argmax_partition else None,
         }
-        keep = self.per_partition is not None if include_partitions is None else include_partitions
-        if keep and self.per_partition is not None:
+        keep = self._chunks is not None if include_partitions is None else include_partitions
+        if keep and self._chunks is not None:
             out["per_partition"] = [
                 {
-                    "rgs": str(pi),
-                    "block_count": pi.block_count,
+                    "rgs": ",".join(map(str, row)),
+                    "block_count": max(row) + 1,
                     "expectation": score,
                     "in_inaccessible_set": score <= TOL_NUM,
                 }
-                for pi, score in self.per_partition
+                for labels, scores in self._chunks
+                for row, score in zip(labels.tolist(), scores.tolist())
             ]
         else:
             out["per_partition"] = None
@@ -250,17 +278,10 @@ def verify_inaccessibility(
     if keep_partitions is None:
         keep_partitions = total <= _scan.KEEP_DETAILS_MAX
     ps, pw, dw = p_star.as_array(), p.as_array(), d.as_array()
-    per_partition = None
-    inaccessible = None
+    chunks = None
     if keep_partitions:
-        chunks = list(_scan.iter_scored_chunks(n, ps, pw, dw))
+        chunks = tuple(_scan.iter_scored_chunks(n, ps, pw, dw))
         scan = _scan.ScoreScan.of_chunks(chunks, TOL_NUM)
-        per_partition = tuple(
-            (SetPartition(row), score)
-            for labels, scores in chunks
-            for row, score in zip(labels.tolist(), scores.tolist())
-        )
-        inaccessible = tuple(pi for pi, s in per_partition if s <= TOL_NUM)
     else:
         scan = _scan.score_scan(n, ps, pw, dw, tol=TOL_NUM, workers=workers)
     if scan.count != total:
@@ -275,8 +296,7 @@ def verify_inaccessibility(
         max_score=scan.max_score,
         min_score=scan.min_score,
         argmax_partition=SetPartition(scan.argmax_rgs),
-        per_partition=per_partition,
-        inaccessible_set=inaccessible,
+        _chunks=chunks,
     )
 
 
@@ -306,6 +326,28 @@ class ConstructedDecision:
         }
 
 
+def _adjacent_pair_margin(
+    p_star: ProbabilityVector, p: ProbabilityVector, g: UtilityFunction
+) -> tuple[float, tuple[int, int]]:
+    """(Delta, (i, j)): the least adjacent-pair cost f and the 0-based pair attaining it.
+
+    Outcomes are taken in increasing order of r = p*/p, and
+    f(i, j) = p_i p_j / (p_i + p_j) (r_j - r_i)(g_j - g_i) is the score
+    gap E_{p*}[g] - E_{q_Pi}[g] of the partition whose only non-singleton
+    block is {i, j}.  See ``construct_inaccessible_decision`` for why the
+    least of these n - 1 costs is the gap of the best partition.
+    """
+    pw, gv = p.weights, g.values
+    r = [ps / pi for ps, pi in zip(p_star.weights, pw)]
+    order = sorted(range(len(r)), key=r.__getitem__)
+    costs = [
+        pw[i] * pw[j] / (pw[i] + pw[j]) * (r[j] - r[i]) * (gv[j] - gv[i])
+        for i, j in zip(order, order[1:])
+    ]
+    k = min(range(len(costs)), key=costs.__getitem__)
+    return costs[k], (order[k], order[k + 1])
+
+
 def construct_inaccessible_decision(
     p_star: ProbabilityVector,
     p: ProbabilityVector,
@@ -322,6 +364,27 @@ def construct_inaccessible_decision(
     E_{p*}[d] = Delta - eps > 0 and E_{q_Pi}[d] <= -eps for every Pi.
     The canonical action pair is (f1, f2) = (d, 0).
 
+    M and Delta come in closed form, without a scan.  Let r = p*/p, so
+    p*_i = r_i p_i.  For any block B,
+
+        sum_{i in B} p*_i g_i - p*(B) E_p[g | B] = p(B) Cov_{p|B}(r, g)
+            = (1 / p(B)) sum_{{i,j} in B} p_i p_j (r_i - r_j)(g_i - g_j),
+
+    which is >= 0 because g is nondecreasing in r (ln r, also when clamped
+    at -CLAMP_FLOOR).  So E_{p*}[g] - E_{q_Pi}[g] is a sum of block costs,
+    and singletons cost 0.  With f(i,j) = p_i p_j / (p_i + p_j)
+    (r_i - r_j)(g_i - g_j) and m its least value over all pairs, each
+    pair term p_i p_j (r_i - r_j)(g_i - g_j) = f(i,j)(p_i + p_j) is at
+    least m (p_i + p_j), so a block with |B| >= 2 costs at least
+    (|B| - 1) m, and the pair partition of a least pair costs exactly m.
+    The minimum over all pairs sits at a pair adjacent in ratio order:
+    for i < k < j in that order, t = (r_i - r_j)(g_i - g_j) satisfies
+    t_ik + t_kj <= t_ij, and with the harmonic weights this gives
+    min(f_ik, f_kj) <= f_ij.  Hence Delta = min over the n - 1 adjacent
+    pairs of f, and M = E_{p*}[g] - Delta, attained at that pair's
+    partition.  The exhaustive re-verification of d then checks the
+    closed form on every call: its maximum must equal -eps.
+
     Raises SeparationBelowTolerance when Delta, eps, or Delta - eps falls
     within TOL_NUM of zero: such inputs are too close to degeneracy for
     the certificate to mean anything at the working tolerance.
@@ -335,12 +398,8 @@ def construct_inaccessible_decision(
             f"ratio p*/p is not injective (witness {bs.witness}); nothing to construct"
         )
     g = log_density_ratio(p_star, p, mode=mode)
-    scan = _scan.score_scan(
-        n, p_star.as_array(), p.as_array(), g.as_array(), workers=workers
-    )
-    M = scan.max_score
-    e_star_g = expectation(g, p_star)
-    delta = e_star_g - M
+    delta, _ = _adjacent_pair_margin(p_star, p, g)
+    M = expectation(g, p_star) - delta
     epsilon = eps_fraction * delta
     if min(delta, epsilon, delta - epsilon) <= TOL_NUM:
         raise SeparationBelowTolerance(
@@ -353,7 +412,7 @@ def construct_inaccessible_decision(
     sound = (
         report.strong
         and report.e_pstar > 0.0
-        and report.max_score <= -epsilon + TOL_NUM
+        and abs(report.max_score + epsilon) <= TOL_NUM
         and abs(report.e_pstar - (delta - epsilon)) <= TOL_NUM
     )
     if not sound:

@@ -33,7 +33,12 @@ from .core import (
     require_same_n,
 )
 from .conditioning import jeffrey_posterior
-from .construct import DEFAULT_MAX_OUTCOMES, _check_scan_inputs, verify_inaccessibility
+from .construct import (
+    DEFAULT_MAX_OUTCOMES,
+    InaccessibilityReport,
+    _check_scan_inputs,
+    verify_inaccessibility,
+)
 from .partitions import SetPartition
 
 
@@ -75,6 +80,11 @@ def check_monotonicity(
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
+    return _monotonicity_of_report(report)
+
+
+def _monotonicity_of_report(report: InaccessibilityReport) -> MonotonicityCheck:
+    """The theorem check read off an exhaustive report of d (see check_monotonicity)."""
     hypotheses = report.e_pstar > 0.0 and report.inaccessible
     conclusion = report.e_p < 0.0
     if hypotheses and not conclusion:

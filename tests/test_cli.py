@@ -180,6 +180,27 @@ class TestExitCodes:
         )
         assert report["error"]["type"] == error
 
+    def test_long_json_listings_are_refused(self, capsys):
+        # Bell(11) - 2 = 678,568 rows; the JSON limit is Bell(10) - 2 = 115,973
+        vec = ",".join(["0.09090909090909091"] * 11)
+        for argv in (
+            ["partitions", "--n", "11"],
+            ["partitions", "--n", "11", "--limit", "200000"],
+            ["verify", "--pstar", vec, "--p", vec, "--d", "1" + ",0" * 10, "--full"],
+        ):
+            report = run_json(capsys, argv, expect_code=1)
+            assert report["error"]["type"] == "RefusedTooLarge"
+            assert "--format csv" in report["error"]["message"]
+
+    def test_limited_listing_above_the_cap(self, capsys):
+        report = run_json(capsys, ["partitions", "--n", "11", "--limit", "5"])
+        assert report["count"] == 678_568
+        assert [p["rgs"] for p in report["partitions"]][:2] == [
+            "0,0,0,0,0,0,0,0,0,0,1",
+            "0,0,0,0,0,0,0,0,0,1,0",
+        ]
+        assert len(report["partitions"]) == 5
+
     def test_sweep_out_of_range(self, capsys):
         code = run_command(["sweep", "--n", "11", "--samples", "1"])
         assert code == 1

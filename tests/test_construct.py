@@ -14,6 +14,7 @@ from inacc import (
     RefusedTooLarge,
     SetPartition,
     UtilityFunction,
+    appendix_certificate,
     bell_number,
     construct_inaccessible_decision,
     expectation,
@@ -23,6 +24,8 @@ from inacc import (
     radon_nikodym,
     verify_inaccessibility,
 )
+from inacc import _scan
+from inacc.construct import _adjacent_pair_margin
 
 from conftest import random_positive_pair
 from oracles import (
@@ -197,6 +200,38 @@ class TestConstruction:
             )
             assert max(scores) == pytest.approx(-built.epsilon, abs=1e-9)
             assert all(s < 0 for s in scores)
+
+    @pytest.mark.parametrize("mode", ["strict", "clamp"])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_closed_form_max_matches_scan(self, n, mode):
+        """M and Delta from the adjacent-pair closed form equal the exhaustive scan's."""
+        rng = np.random.default_rng(1200 + 20 * n + (mode == "clamp"))
+        done = 0
+        while done < (1 if n >= 11 else 4):
+            p_star, p = random_positive_pair(rng, n)
+            if mode == "clamp":
+                weights = list(p_star.weights)
+                weights[int(rng.integers(n))] = 0.0
+                p_star = ProbabilityVector(x / math.fsum(weights) for x in weights)
+            if not radon_nikodym(p_star, p).injective:
+                continue
+            done += 1
+            g = log_density_ratio(p_star, p, mode=mode)
+            scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
+            delta, (i, j) = _adjacent_pair_margin(p_star, p, g)
+            e_star = expectation(g, p_star)
+            assert abs((e_star - delta) - scan.max_score) <= 1e-12
+            assert abs(delta - (e_star - scan.max_score)) <= 1e-12
+            pair = SetPartition.from_blocks(
+                [[i + 1, j + 1]] + [[k + 1] for k in range(n) if k not in (i, j)]
+            )
+            pair_score = _scan.chunk_scores(
+                np.asarray([pair.rgs], dtype=np.int8),
+                p_star.as_array(), p.as_array(), g.as_array(),
+            )[0]
+            assert abs(pair_score - scan.max_score) <= 1e-12
+            if mode == "strict":
+                assert pair in appendix_certificate(p_star, p).pair_partitions
 
     def test_clamp_mode_with_pstar_zero(self):
         p_star = ProbabilityVector([0.7, 0.3, 0.0])
