@@ -49,6 +49,19 @@ CACHE_MAX_N = 10
 KEEP_DETAILS_MAX = 10_000
 
 
+def _grow(prefix: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every RGS prefix one label longer, in lexicographic order, with its running maximum.
+
+    A prefix whose largest label is m has m + 2 children: the labels 0..m+1.
+    """
+    counts = mx.astype(np.int64) + 2
+    offsets = np.cumsum(counts) - counts
+    total = int(offsets[-1] + counts[-1])
+    col = (np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)).astype(np.int8)
+    prefix = np.concatenate([np.repeat(prefix, counts, axis=0), col.reshape(-1, 1)], axis=1)
+    return prefix, np.maximum(np.repeat(mx, counts), col)
+
+
 def _expand_chunks(
     prefix: np.ndarray, maxes: np.ndarray, n: int, chunk_rows: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -64,19 +77,7 @@ def _expand_chunks(
         block, mx = stack.pop()
         depth = block.shape[1]
         while depth < n:
-            counts = mx.astype(np.int64) + 2
-            offsets = np.cumsum(counts) - counts
-            total = int(offsets[-1] + counts[-1])
-            block = np.concatenate(
-                [
-                    np.repeat(block, counts, axis=0),
-                    (np.arange(total, dtype=np.int64) - np.repeat(offsets, counts))
-                    .astype(np.int8)
-                    .reshape(-1, 1),
-                ],
-                axis=1,
-            )
-            mx = np.maximum(np.repeat(mx, counts), block[:, -1])
+            block, mx = _grow(block, mx)
             depth += 1
             if block.shape[0] > chunk_rows:
                 pieces = range(0, block.shape[0], chunk_rows)
@@ -498,12 +499,7 @@ def _frontier(n: int, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     prefix = np.zeros((1, 1), dtype=np.int8)
     mx = np.zeros(1, dtype=np.int8)
     while prefix.shape[1] < n - 1 and prefix.shape[0] < min_rows:
-        counts = mx.astype(np.int64) + 2
-        offsets = np.cumsum(counts) - counts
-        total = int(offsets[-1] + counts[-1])
-        col = (np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)).astype(np.int8)
-        prefix = np.concatenate([np.repeat(prefix, counts, axis=0), col.reshape(-1, 1)], axis=1)
-        mx = np.maximum(np.repeat(mx, counts), col)
+        prefix, mx = _grow(prefix, mx)
     return prefix, mx
 
 

@@ -1,8 +1,11 @@
 """Command-line surface: JSON/CSV/table reports and Monte-Carlo sweeps.
 
-Every report is a JSON object on stdout carrying its subcommand name and a
-determinism tag ("bitwise" single-threaded, "tolerance" with --parallel);
-the shapes are pinned by schemas/report.schema.json at the repo root.
+Each subcommand handler returns a result object or a dict; ``run_command``
+alone turns it into a report (``inacc.core.JsonReport``'s JSON form), puts
+the subcommand name first, adds the determinism tag ("bitwise"
+single-threaded, "tolerance" with --parallel), and refuses --format csv
+outside CSV_COMMANDS, whose handlers stream their CSV rows themselves.
+The shapes are pinned by schemas/report.schema.json at the repo root.
 Exit codes: 0 success, 1 domain errors (reported as JSON), 2 usage errors.
 
 The sweep samples (p*, p) pairs from a symmetric Dirichlet, records how
@@ -17,7 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -37,6 +42,7 @@ from .construct import (
 from .core import (
     TOL_NUM,
     InaccError,
+    JsonReport,
     OutOfRange,
     ProbabilityVector,
     PStarHasZero,
@@ -44,6 +50,7 @@ from .core import (
     SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
+    _json_value,
 )
 from .degrees import _class_multiplicities, achievable_degrees, degree, realize_degree
 from .monotonicity import (
@@ -67,6 +74,8 @@ SWEEP_MAX_N = 10
 MAX_JSON_ROWS = 115_973
 
 ENV_SEED = "INACC_SEED"
+#: the subcommands with a --format csv table; the rest refuse it
+CSV_COMMANDS = ("partitions", "verify")
 
 
 class UsageError(Exception):
@@ -155,15 +164,16 @@ def _resolve_decision(args) -> tuple[ProbabilityVector, ProbabilityVector, Utili
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_SEED}: cannot parse {env!r} as an integer") from exc
-    return 0
+    source, text = "--seed", args.seed
+    if text is None:
+        source, text = ENV_SEED, os.environ.get(ENV_SEED, "0")
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise UsageError(f"{source}: cannot parse {text!r} as an integer") from exc
+    if seed < 0:
+        raise UsageError(f"{source}: seeds are nonnegative, got {seed}")
+    return seed
 
 
 def _max_outcomes(args) -> int:
@@ -173,6 +183,11 @@ def _max_outcomes(args) -> int:
             f"--max-n: raising the guard above {DEFAULT_MAX_OUTCOMES} needs --ack-large"
         )
     return limit
+
+
+def _scan_options(args) -> dict:
+    """The worker count and resource guard every exhaustive scan takes."""
+    return {"workers": args.parallel, "max_outcomes": _max_outcomes(args)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +301,7 @@ def _refuse_long_listing(rows: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(JsonReport):
     """Aggregates of a seeded Dirichlet sweep; violations must stay zero."""
 
     n: int
@@ -299,22 +314,6 @@ class SweepSummary:
     theorem_violations: int
     constructed: int
     construct_degenerate: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "blind_spot_frequency": self.blind_spot_frequency,
-            "degree_histogram": {
-                str(k): self.degree_histogram[k] for k in sorted(self.degree_histogram)
-            },
-            "multiplicity_collisions": self.multiplicity_collisions,
-            "theorem_violations": self.theorem_violations,
-            "constructed": self.constructed,
-            "construct_degenerate": self.construct_degenerate,
-        }
 
 
 def sweep(
@@ -343,8 +342,9 @@ def sweep(
         raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
     if samples < 1:
         raise OutOfRange(f"need samples >= 1, got {samples}")
-    if dirichlet_alpha <= 0.0:
-        raise OutOfRange(f"need alpha > 0, got {dirichlet_alpha}")
+    if not 0.0 < dirichlet_alpha < math.inf:
+        finite = "" if math.isfinite(dirichlet_alpha) else "a finite "
+        raise OutOfRange(f"need {finite}alpha > 0, got {dirichlet_alpha}")
     rng = np.random.default_rng(seed)
     alpha_vec = np.full(n, dirichlet_alpha)
     members = 0
@@ -397,85 +397,70 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (return a report dict, or None if output was streamed)
+# subcommand handlers (return a result object or a dict, or None once the
+# CSV rows are streamed)
 
 
-def _require_csv_support(args, supported: bool) -> None:
-    if args.format == "csv" and not supported:
-        raise UsageError("--format: csv is only available for partitions and verify")
+@dataclass(frozen=True)
+class _ListedPartition(JsonReport):
+    """One row of a JSON partitions listing."""
+
+    rgs: SetPartition
+    blocks: str
+    block_count: int
 
 
 def _cmd_partitions(args) -> dict | None:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit: need a count >= 0, got {args.limit}")
     n = args.n
     count = proper_nontrivial_count(n)  # raises TooSmall / OutOfRange
+    limit = count if args.limit is None else min(args.limit, count)
+    rows = itertools.islice(enumerate_proper_nontrivial(n), limit)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["rgs", "block_count"])
-        emitted = 0
-        for pi in enumerate_proper_nontrivial(n):
-            writer.writerow([str(pi), pi.block_count])
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
+        writer.writerows([str(pi), pi.block_count] for pi in rows)
         return None
-    report = {"command": "partitions", "n": n, "count": count}
+    report = {"n": n, "count": count}
     if not args.count:
-        limit = args.limit if args.limit is not None else count
-        _refuse_long_listing(min(limit, count), f"partitions --n {n}")
-        listing = []
-        for pi in enumerate_proper_nontrivial(n):
-            if len(listing) >= limit:
-                break
-            listing.append(
-                {"rgs": str(pi), "blocks": pi.format_blocks(), "block_count": pi.block_count}
-            )
-        report["partitions"] = listing
+        _refuse_long_listing(limit, f"partitions --n {n}")
+        report["partitions"] = [
+            _ListedPartition(pi, pi.format_blocks(), pi.block_count) for pi in rows
+        ]
     return report
 
 
 def _cmd_posterior(args) -> dict:
-    _require_csv_support(args, False)
     p_star, p = _resolve_measures(args)
     pi = _parse_partition(args.partition, "--partition")
-    q = jeffrey_posterior(p_star, p, pi)
     return {
-        "command": "posterior",
-        "partition": str(pi),
+        "partition": pi,
         "blocks": pi.format_blocks(),
-        "q": list(q.weights),
+        "q": jeffrey_posterior(p_star, p, pi),
     }
 
 
 def _cmd_blindspot(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    res = in_blind_spot(p_star, p)
+    res = in_blind_spot(*_resolve_measures(args))
     return {
-        "command": "blindspot",
         "member": res.member,
-        "witness": str(res.witness) if res.witness is not None else None,
-        "ratio": list(res.ratio.values),
+        "witness": res.witness,
+        "ratio": res.ratio.values,
         "injective": res.ratio.injective,
     }
 
 
-def _cmd_construct(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    built = construct_inaccessible_decision(
-        p_star,
-        p,
+def _cmd_construct(args) -> JsonReport:
+    return construct_inaccessible_decision(
+        *_resolve_measures(args),
         eps_fraction=args.eps_frac,
         mode="clamp" if args.clamp else "strict",
-        workers=args.parallel,
-        max_outcomes=_max_outcomes(args),
+        **_scan_options(args),
     )
-    report = built.to_json_dict()
-    report["command"] = "construct"
-    return report
 
 
-def _cmd_verify(args) -> dict | None:
+def _cmd_verify(args) -> JsonReport | None:
     p_star, p, d = _resolve_decision(args)
     if args.format == "csv":
         n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
@@ -493,110 +478,64 @@ def _cmd_verify(args) -> dict | None:
     if args.full:
         n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
         _refuse_long_listing(proper_nontrivial_count(n), "verify --full")
-    report = verify_inaccessibility(
-        p_star,
-        p,
-        d,
-        workers=args.parallel,
-        max_outcomes=_max_outcomes(args),
-        keep_partitions=True if args.full else None,
+    return verify_inaccessibility(
+        p_star, p, d, keep_partitions=True if args.full else None, **_scan_options(args)
     )
-    out = report.to_json_dict()
-    out["command"] = "verify"
-    return out
 
 
 def _cmd_degree(args) -> dict:
-    _require_csv_support(args, False)
     p_star, p, d = _resolve_decision(args)
-    deg = degree(p_star, p, d, workers=args.parallel, max_outcomes=_max_outcomes(args))
     return {
-        "command": "degree",
-        "degree": deg,
+        "degree": degree(p_star, p, d, **_scan_options(args)),
         "partition_count": proper_nontrivial_count(p.n),
     }
 
 
-def _cmd_spectrum(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    spectrum = achievable_degrees(
-        p_star,
-        p,
+def _cmd_spectrum(args) -> JsonReport:
+    return achievable_degrees(
+        *_resolve_measures(args),
         eta_fraction=args.eta_frac,
         seed=_resolve_seed(args),
-        workers=args.parallel,
-        max_outcomes=_max_outcomes(args),
+        **_scan_options(args),
     )
-    report = spectrum.to_json_dict()
-    report["command"] = "spectrum"
-    return report
 
 
 def _cmd_realize(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
     realized = realize_degree(
-        p_star,
-        p,
+        *_resolve_measures(args),
         args.k,
         eta_fraction=args.eta_frac,
         seed=_resolve_seed(args),
-        workers=args.parallel,
-        max_outcomes=_max_outcomes(args),
+        **_scan_options(args),
     )
     return {
-        "command": "realize",
         "k": realized.k,
         "c": realized.c,
-        "d": list(realized.d.values),
+        "d": realized.d,
         "report": realized.report.to_json_dict(include_partitions=False),
     }
 
 
-def _cmd_monotonicity(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p, d = _resolve_decision(args)
-    check = check_monotonicity(
-        p_star, p, d, workers=args.parallel, max_outcomes=_max_outcomes(args)
-    )
-    report = check.to_json_dict()
-    report["command"] = "monotonicity"
-    return report
+def _cmd_monotonicity(args) -> JsonReport:
+    return check_monotonicity(*_resolve_decision(args), **_scan_options(args))
 
 
-def _cmd_certificate(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p = _resolve_measures(args)
-    cert = appendix_certificate(p_star, p)
-    report = cert.to_json_dict()
-    report["command"] = "certificate"
-    return report
+def _cmd_certificate(args) -> JsonReport:
+    return appendix_certificate(*_resolve_measures(args))
 
 
-def _cmd_epsilon(args) -> dict:
-    _require_csv_support(args, False)
-    p_star, p, d = _resolve_decision(args)
-    check = epsilon_mixture_check(
-        p_star, p, d, args.eps, workers=args.parallel, max_outcomes=_max_outcomes(args)
-    )
-    report = check.to_json_dict()
-    report["command"] = "epsilon"
-    return report
+def _cmd_epsilon(args) -> JsonReport:
+    return epsilon_mixture_check(*_resolve_decision(args), args.eps, **_scan_options(args))
 
 
-def _cmd_sweep(args) -> dict:
-    _require_csv_support(args, False)
-    summary = sweep(
+def _cmd_sweep(args) -> JsonReport:
+    return sweep(
         n=args.n,
         samples=args.samples,
         seed=_resolve_seed(args),
         dirichlet_alpha=args.alpha,
         workers=args.parallel,
     )
-    report = summary.to_json_dict()
-    report["command"] = "sweep"
-    return report
 
 
 _HANDLERS = {
@@ -643,7 +582,9 @@ def run_command(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        report = _HANDLERS[args.command](args)
+        if args.format == "csv" and args.command not in CSV_COMMANDS:
+            raise UsageError(f"--format: csv is only available for {' and '.join(CSV_COMMANDS)}")
+        result = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -654,8 +595,12 @@ def run_command(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(error, indent=2, sort_keys=True))
         return 1
-    if report is not None:
-        report["determinism"] = "bitwise" if args.parallel <= 1 else "tolerance"
+    if result is not None:
+        report = {
+            "command": args.command,
+            **_json_value(result),
+            "determinism": "bitwise" if args.parallel <= 1 else "tolerance",
+        }
         if args.format == "table":
             print(_render_table(report))
         else:

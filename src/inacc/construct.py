@@ -25,6 +25,7 @@ import numpy as np
 from . import _scan
 from .core import (
     TOL_NUM,
+    JsonReport,
     NotInBlindSpot,
     OutOfRange,
     PriorHasZero,
@@ -148,7 +149,7 @@ def posterior_gap_decomposition(
 
 
 @dataclass(frozen=True)
-class InaccessibilityReport:
+class InaccessibilityReport(JsonReport):
     """Exhaustive classification of E_{q_Pi}[d] over all of P.
 
     Scores within TOL_NUM of zero count as zero: they land in the
@@ -205,19 +206,10 @@ class InaccessibilityReport:
         return self.degree == self.partition_count
 
     def to_json_dict(self, include_partitions: bool | None = None) -> dict:
-        out = {
-            "n": self.n,
-            "partition_count": self.partition_count,
-            "degree": self.degree,
-            "strong": self.strong,
-            "inaccessible": self.inaccessible,
-            "e_pstar": self.e_pstar,
-            "e_p": self.e_p,
-            "max_score": self.max_score,
-            "min_score": self.min_score,
-            "argmax_partition": str(self.argmax_partition) if self.argmax_partition else None,
-        }
+        out = super().to_json_dict()
+        out["inaccessible"] = self.inaccessible
         keep = self._chunks is not None if include_partitions is None else include_partitions
+        out["per_partition"] = None
         if keep and self._chunks is not None:
             out["per_partition"] = [
                 {
@@ -229,8 +221,6 @@ class InaccessibilityReport:
                 for labels, scores in self._chunks
                 for row, score in zip(labels.tolist(), scores.tolist())
             ]
-        else:
-            out["per_partition"] = None
         return out
 
 
@@ -301,7 +291,7 @@ def verify_inaccessibility(
 
 
 @dataclass(frozen=True)
-class ConstructedDecision:
+class ConstructedDecision(JsonReport):
     """Output of the witness construction, with its verification report."""
 
     d: UtilityFunction
@@ -313,21 +303,9 @@ class ConstructedDecision:
     eps_fraction: float
     report: InaccessibilityReport
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": list(self.d.values),
-            "f1": list(self.f1.values),
-            "f2": list(self.f2.values),
-            "M": self.M,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "eps_fraction": self.eps_fraction,
-            "report": self.report.to_json_dict(),
-        }
-
 
 def _adjacent_pair_margin(
-    p_star: ProbabilityVector, p: ProbabilityVector, g: UtilityFunction
+    r: tuple[float, ...], p: ProbabilityVector, g: UtilityFunction
 ) -> tuple[float, tuple[int, int]]:
     """(Delta, (i, j)): the least adjacent-pair cost f and the 0-based pair attaining it.
 
@@ -338,7 +316,6 @@ def _adjacent_pair_margin(
     least of these n - 1 costs is the gap of the best partition.
     """
     pw, gv = p.weights, g.values
-    r = [ps / pi for ps, pi in zip(p_star.weights, pw)]
     order = sorted(range(len(r)), key=r.__getitem__)
     costs = [
         pw[i] * pw[j] / (pw[i] + pw[j]) * (r[j] - r[i]) * (gv[j] - gv[i])
@@ -398,7 +375,7 @@ def construct_inaccessible_decision(
             f"ratio p*/p is not injective (witness {bs.witness}); nothing to construct"
         )
     g = log_density_ratio(p_star, p, mode=mode)
-    delta, _ = _adjacent_pair_margin(p_star, p, g)
+    delta, _ = _adjacent_pair_margin(bs.ratio.values, p, g)
     M = expectation(g, p_star) - delta
     epsilon = eps_fraction * delta
     if min(delta, epsilon, delta - epsilon) <= TOL_NUM:

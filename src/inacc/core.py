@@ -7,12 +7,15 @@ tolerances defined here instead of exact comparison, because the log-ratio
 scores are irrational and exactness is unrecoverable anyway.
 
 All types are immutable after construction and every operation is pure.
+Reports become JSON through one rule, ``JsonReport``: vectors become their
+weights or values, partitions their RGS strings, tuples lists, and dict
+keys strings in sorted key order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -196,3 +199,35 @@ def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:
     if len(ns) != 1:
         raise DimensionMismatch(f"mixed outcome counts {sorted(ns)}")
     return ns.pop()
+
+
+class JsonReport:
+    """Mixin for report dataclasses: the JSON form of every public field."""
+
+    def to_json_dict(self) -> dict:
+        return {
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if not f.name.startswith("_")
+        }
+
+
+def _json_value(value):
+    """The JSON form of one report value; TypeError for a value without one."""
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int
+        return value
+    if isinstance(value, ProbabilityVector):
+        return list(value.weights)
+    if isinstance(value, UtilityFunction):
+        return list(value.values)
+    if isinstance(value, JsonReport):
+        return value.to_json_dict()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(value[k]) for k in sorted(value)}
+    from .partitions import SetPartition  # partitions imports this module
+
+    if isinstance(value, SetPartition):
+        return str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}: {value!r}")

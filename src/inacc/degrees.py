@@ -20,6 +20,7 @@ from . import _scan
 from .core import (
     TOL_NUM,
     TOL_SEP,
+    JsonReport,
     NotAchievable,
     NotInBlindSpot,
     OutOfRange,
@@ -223,14 +224,14 @@ def perturbed_score(
 
 
 @dataclass(frozen=True)
-class SpectrumClass:
+class SpectrumClass(JsonReport):
     posterior: ProbabilityVector
     multiplicity: int
     score: float  # E_q[g_eta]
 
 
 @dataclass(frozen=True)
-class DegreeSpectrum:
+class DegreeSpectrum(JsonReport):
     """Posterior classes ordered by perturbed score, with cumulative sums.
 
     ``achievable`` is {0} plus every cumulative sum K_1 < ... < K_L; when
@@ -256,25 +257,6 @@ class DegreeSpectrum:
     @property
     def partition_count(self) -> int:
         return self.cumulative[-1] if self.cumulative else 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": [
-                {
-                    "posterior": list(c.posterior.weights),
-                    "multiplicity": c.multiplicity,
-                    "score": c.score,
-                }
-                for c in self.classes
-            ],
-            "cumulative": list(self.cumulative),
-            "achievable": list(self.achievable),
-            "eta": self.eta,
-            "u": list(self.u.values),
-            "seed": self.seed,
-            "g_eta": list(self.g_eta.values),
-            "e_pstar_score": self.e_pstar_score,
-        }
 
 
 def achievable_degrees(

@@ -22,6 +22,7 @@ import numpy as np
 from . import _scan
 from .core import (
     TOL_NUM,
+    JsonReport,
     NotInjective,
     OutOfRange,
     PriorHasZero,
@@ -43,7 +44,7 @@ from .partitions import SetPartition
 
 
 @dataclass(frozen=True)
-class MonotonicityCheck:
+class MonotonicityCheck(JsonReport):
     """Exhaustive hypothesis check plus the theorem's conclusion."""
 
     hypotheses_hold: bool  # E_{p*}[d] > 0 and every E_{q_Pi}[d] <= 0
@@ -51,15 +52,6 @@ class MonotonicityCheck:
     e_pstar: float
     e_p: float
     max_posterior_score: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hypotheses_hold": self.hypotheses_hold,
-            "conclusion_holds": self.conclusion_holds,
-            "e_pstar": self.e_pstar,
-            "e_p": self.e_p,
-            "max_posterior_score": self.max_posterior_score,
-        }
 
 
 def check_monotonicity(
@@ -102,7 +94,7 @@ def _monotonicity_of_report(report: InaccessibilityReport) -> MonotonicityCheck:
 
 
 @dataclass(frozen=True)
-class AppendixCertificate:
+class AppendixCertificate(JsonReport):
     """All intermediate quantities of the convexity decomposition.
 
     Outcomes are sorted so that p/p* increases; in that ordering
@@ -122,19 +114,6 @@ class AppendixCertificate:
     telescoping_residual: float
     qm_shift_residual: float
     pair_partitions: tuple[SetPartition, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "S": list(self.S),
-            "A": list(self.A),
-            "t": list(self.t),
-            "t_sum": self.t_sum,
-            "decomposition_residual": self.decomposition_residual,
-            "telescoping_residual": self.telescoping_residual,
-            "qm_shift_residual": self.qm_shift_residual,
-            "pair_partitions": [str(pi) for pi in self.pair_partitions],
-        }
 
 
 def appendix_certificate(
@@ -225,7 +204,7 @@ def appendix_certificate(
 
 
 @dataclass(frozen=True)
-class EpsilonMixtureCheck:
+class EpsilonMixtureCheck(JsonReport):
     """Residuals of the mixture identities, exhaustive over partitions."""
 
     epsilon: float
@@ -236,18 +215,6 @@ class EpsilonMixtureCheck:
     max_mixture_residual: float  # |q_eps - ((1-eps) q + eps p)|_inf
     max_posterior_residual: float  # |E_{q_eps}[d_eps] - (1-eps) E_q[d]|
     global_residual: float  # |E_{p_eps}[d_eps] - (1-eps) E_{p*}[d]|
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "p_eps": list(self.p_eps.weights),
-            "d_eps": list(self.d_eps.values),
-            "identities_hold": self.identities_hold,
-            "partition_count": self.partition_count,
-            "max_mixture_residual": self.max_mixture_residual,
-            "max_posterior_residual": self.max_posterior_residual,
-            "global_residual": self.global_residual,
-        }
 
 
 def epsilon_mixture_check(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -206,11 +207,47 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "OutOfRange"
 
-    def test_csv_unsupported(self, capsys):
-        code = run_command(
-            ["blindspot", "--pstar", PSTAR, "--p", P, "--format", "csv"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["posterior", "--pstar", PSTAR, "--p", P, "--partition", "0,0,1"],
+            ["blindspot", "--pstar", PSTAR, "--p", P],
+            ["construct", "--pstar", PSTAR, "--p", P],
+            ["degree", "--pstar", PSTAR, "--p", P, "--d", "1,-1,0"],
+            ["spectrum", "--pstar", PSTAR, "--p", P],
+            ["realize", "--pstar", PSTAR, "--p", P, "--k", "1"],
+            ["monotonicity", "--pstar", PSTAR, "--p", P, "--d", "1,-1,0"],
+            ["certificate", "--pstar", PSTAR, "--p", P],
+            ["epsilon", "--pstar", PSTAR, "--p", P, "--d", "1,-1,0", "--eps", "0.5"],
+            ["sweep", "--n", "3", "--samples", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_unsupported(self, capsys, argv):
+        assert run_command([*argv, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "csv is only available for partitions and verify" in captured.err
+
+    def test_negative_limit(self, capsys):
+        for fmt in ("json", "csv"):
+            code = run_command(["partitions", "--n", "4", "--limit", "-1", "--format", fmt])
+            assert code == 2
+            assert "--limit" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys, monkeypatch):
+        assert run_command(["sweep", "--n", "3", "--samples", "1", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("INACC_SEED", "-3")
+        assert run_command(["spectrum", "--pstar", PSTAR, "--p", P]) == 2
+        assert "INACC_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_sweep_alpha_not_finite(self, capsys, alpha):
+        report = run_json(
+            capsys, ["sweep", "--n", "3", "--samples", "1", "--alpha", alpha], expect_code=1
         )
-        assert code == 2
+        assert report["error"]["type"] == "OutOfRange"
 
 
 class TestFormats:
@@ -231,12 +268,22 @@ class TestFormats:
         assert rows[0] == ["rgs", "block_count"]
         assert len(rows) == 14
 
+    @pytest.mark.parametrize("limit", [0, 5, 20])
+    def test_partitions_limit_agrees_across_formats(self, capsys, limit):
+        argv = ["partitions", "--n", "4", "--limit", str(limit)]
+        listing = run_json(capsys, argv)["partitions"]
+        assert run_command([*argv, "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(listing) == min(limit, 13)
+        assert [row[0] for row in rows[1:]] == [p["rgs"] for p in listing]
+
     def test_table(self, capsys):
         code = run_command(
             ["degree", "--pstar", PSTAR, "--p", P, "--d", "1,1,1", "--format", "table"]
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == "command: degree"
         assert "degree: 0" in out
 
 
@@ -322,5 +369,6 @@ class TestSweepFunction:
             sweep(n=2, samples=1)
         with pytest.raises(OutOfRange):
             sweep(n=3, samples=0)
-        with pytest.raises(OutOfRange):
-            sweep(n=3, samples=1, dirichlet_alpha=0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange):
+                sweep(n=3, samples=1, dirichlet_alpha=alpha)

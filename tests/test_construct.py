@@ -213,12 +213,13 @@ class TestConstruction:
                 weights = list(p_star.weights)
                 weights[int(rng.integers(n))] = 0.0
                 p_star = ProbabilityVector(x / math.fsum(weights) for x in weights)
-            if not radon_nikodym(p_star, p).injective:
+            ratio = radon_nikodym(p_star, p)
+            if not ratio.injective:
                 continue
             done += 1
             g = log_density_ratio(p_star, p, mode=mode)
             scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
-            delta, (i, j) = _adjacent_pair_margin(p_star, p, g)
+            delta, (i, j) = _adjacent_pair_margin(ratio.values, p, g)
             e_star = expectation(g, p_star)
             assert abs((e_star - delta) - scan.max_score) <= 1e-12
             assert abs(delta - (e_star - scan.max_score)) <= 1e-12

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from inacc import (
     ProbabilityVector,
     TooSmall,
     UtilityFunction,
+    SetPartition,
     expectation,
 )
+from inacc.core import _json_value
 
 
 def weights(n=3, positive=False):
@@ -115,3 +118,21 @@ class TestExpectation:
     def test_constant_property(self, q, c):
         f = UtilityFunction([c] * q.n)
         assert expectation(f, q) == pytest.approx(c, abs=1e-9, rel=1e-9)
+
+
+class TestJsonValue:
+    def test_maps_library_types(self):
+        value = {
+            2: ProbabilityVector([0.5, 0.25, 0.25]),
+            1: (UtilityFunction([1, -1, 0]), SetPartition([0, 0, 1]), None),
+        }
+        assert _json_value(value) == {
+            "1": [[1.0, -1.0, 0.0], "0,0,1", None],
+            "2": [0.5, 0.25, 0.25],
+        }
+        assert list(_json_value(value)) == ["1", "2"]
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object()])
+    def test_refuses_values_without_a_json_form(self, value):
+        with pytest.raises(TypeError):
+            _json_value(value)
