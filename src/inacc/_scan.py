@@ -236,26 +236,26 @@ class ScoreScan:
     max_score: float
     min_score: float
     argmax_rgs: tuple[int, ...]
-    num_le: int  # scores <= +tol: inaccessible under the tie rule
-    num_lt: int  # scores <  -tol: strictly negative
+    num_le: int  # scores <= +TOL_NUM: inaccessible under the tie rule
+    num_lt: int  # scores <  -TOL_NUM: strictly negative
 
     @classmethod
-    def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]], tol: float) -> "ScoreScan":
-        return cls(*_fold_stats(chunks, tol))
+    def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> "ScoreScan":
+        return cls(*_fold_stats(chunks))
 
 
 _EMPTY = (0, -np.inf, np.inf, (), 0, 0)
 
 
-def _score_stats(labels: np.ndarray, scores: np.ndarray, tol: float) -> tuple:
+def _score_stats(labels: np.ndarray, scores: np.ndarray) -> tuple:
     i = int(np.argmax(scores))
     return (
         int(scores.size),
         float(scores[i]),
         float(scores.min()),
         tuple(int(x) for x in labels[i]),
-        int((scores <= tol).sum()),
-        int((scores < -tol).sum()),
+        int((scores <= TOL_NUM).sum()),
+        int((scores < -TOL_NUM).sum()),
     )
 
 
@@ -272,16 +272,16 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], hi, min(a[2], b[2]), arg, a[4] + b[4], a[5] + b[5])
 
 
-def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]], tol: float) -> tuple:
+def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
     """Aggregates of (labels, scores) chunks given in enumeration order."""
-    stats = (_score_stats(labels, scores, tol) for labels, scores in chunks)
+    stats = (_score_stats(labels, scores) for labels, scores in chunks)
     return functools.reduce(_merge_stats, stats, _EMPTY)
 
 
 def _score_worker(args: tuple) -> tuple:
-    prefix, maxes, n, chunk_rows, pstar, p, d, tol = args
+    prefix, maxes, n, chunk_rows, pstar, p, d = args
     chunks = _label_chunks(n, chunk_rows, prefix, maxes)
-    return _fold_stats(((lb, chunk_scores(lb, pstar, p, d)) for lb in chunks), tol)
+    return _fold_stats((lb, chunk_scores(lb, pstar, p, d)) for lb in chunks)
 
 
 def score_scan(
@@ -289,14 +289,11 @@ def score_scan(
     pstar: np.ndarray,
     p: np.ndarray,
     d: np.ndarray,
-    tol: float = TOL_NUM,
     workers: int = 1,
     chunk_rows: int = CHUNK_ROWS,
 ) -> ScoreScan:
     """Scan E_{q_Pi}[d] over all proper non-trivial partitions of {1..n}."""
-    return ScoreScan(
-        *_reduce(_score_worker, (pstar, p, d, tol), _merge_stats, n, workers, chunk_rows)
-    )
+    return ScoreScan(*_reduce(_score_worker, (pstar, p, d), _merge_stats, n, workers, chunk_rows))
 
 
 def iter_scored_chunks(

@@ -6,7 +6,8 @@ the subcommand name first, adds the determinism tag ("bitwise"
 single-threaded, "tolerance" with --parallel), and refuses --format csv
 outside CSV_COMMANDS, whose handlers stream their CSV rows themselves.
 The shapes are pinned by schemas/report.schema.json at the repo root.
-Exit codes: 0 success, 1 domain errors (reported as JSON), 2 usage errors.
+Exit codes: 0 success, 1 domain errors (reported as JSON), 2 usage errors,
+141 when stdout is a pipe its reader closed (``main`` only).
 
 The sweep samples (p*, p) pairs from a symmetric Dirichlet, records how
 often the pair lands in the blind spot, runs the construction plus the
@@ -35,12 +36,13 @@ from .conditioning import in_blind_spot, jeffrey_posterior, radon_nikodym
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
     MAX_SCAN_OUTCOMES,
+    ROW_FIELDS,
     _check_scan_inputs,
     construct_inaccessible_decision,
+    partition_rows,
     verify_inaccessibility,
 )
 from .core import (
-    TOL_NUM,
     InaccError,
     JsonReport,
     OutOfRange,
@@ -51,6 +53,7 @@ from .core import (
     TheoremViolation,
     UtilityFunction,
     _json_value,
+    require_seed,
 )
 from .degrees import _class_multiplicities, achievable_degrees, degree, realize_degree
 from .monotonicity import (
@@ -86,20 +89,28 @@ class UsageError(Exception):
 # argument parsing
 
 
-def _parse_probability(text: str, flag: str) -> ProbabilityVector:
-    try:
-        if text.startswith("uniform:"):
-            return ProbabilityVector.uniform(int(text.split(":", 1)[1]))
-        return ProbabilityVector(float(tok) for tok in text.split(","))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"{flag}: cannot parse {text!r} ({exc})") from exc
+#: per vector input: its --context key, the type it builds, and where it may come from
+_INPUTS = {
+    "pstar": ("p_star", ProbabilityVector, "a --context file"),
+    "p": ("p", ProbabilityVector, "a --context file"),
+    "d": ("d", UtilityFunction, "d / f1,f2 in --context"),
+}
 
 
-def _parse_utility(text: str, flag: str) -> UtilityFunction:
+def _vector(make, value, source: str, shown: str):
+    """make(value), where text is "uniform:N" (probability vectors) or comma-separated numbers.
+
+    A flag's text and a --context value (text or a JSON list) both come
+    here; a malformed one is a UsageError "<source>: cannot parse <shown>".
+    """
     try:
-        return UtilityFunction(float(tok) for tok in text.split(","))
+        if isinstance(value, str):
+            if make is ProbabilityVector and value.startswith("uniform:"):
+                return ProbabilityVector.uniform(int(value.split(":", 1)[1]))
+            value = [float(tok) for tok in value.split(",")]
+        return make(value)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"{flag}: cannot parse {text!r} ({exc})") from exc
+        raise UsageError(f"{source}: cannot parse {shown} ({exc})") from exc
 
 
 def _parse_partition(text: str, flag: str) -> SetPartition:
@@ -122,45 +133,34 @@ def _load_context(path: str | None) -> dict:
     return raw
 
 
-def _context_value(ctx: dict, key: str, make):
-    try:
-        return make(ctx[key])
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"--context: cannot parse {key!r} ({exc})") from exc
+def _inputs(args, *names: str) -> list:
+    """p*, p, then ``names`` (keys of ``_INPUTS``), each from its flag or else from --context.
 
-
-def _resolve_measures(
-    args, ctx: dict | None = None
-) -> tuple[ProbabilityVector, ProbabilityVector]:
-    if ctx is None:
-        ctx = _load_context(args.context)
-    if args.pstar is not None:
-        p_star = _parse_probability(args.pstar, "--pstar")
-    elif "p_star" in ctx:
-        p_star = _context_value(ctx, "p_star", ProbabilityVector)
-    else:
-        raise UsageError("--pstar: missing (give the flag or a --context file)")
-    if args.p is not None:
-        p = _parse_probability(args.p, "--p")
-    elif "p" in ctx:
-        p = _context_value(ctx, "p", ProbabilityVector)
-    else:
-        raise UsageError("--p: missing (give the flag or a --context file)")
-    return p_star, p
-
-
-def _resolve_decision(args) -> tuple[ProbabilityVector, ProbabilityVector, UtilityFunction]:
-    """p*, p and d from the flags, falling back on one read of --context."""
+    d may also come from the context as f1 - f2.  A context ``n`` must
+    equal the outcome count of every vector taken from the file.
+    """
     ctx = _load_context(args.context)
-    p_star, p = _resolve_measures(args, ctx)
-    if args.d is not None:
-        return p_star, p, _parse_utility(args.d, "--d")
-    if "d" in ctx:
-        return p_star, p, _context_value(ctx, "d", UtilityFunction)
-    if "f1" in ctx and "f2" in ctx:
-        f1 = _context_value(ctx, "f1", UtilityFunction)
-        return p_star, p, f1.minus(_context_value(ctx, "f2", UtilityFunction))
-    raise UsageError("--d: missing (give the flag or d / f1,f2 in --context)")
+
+    def from_context(key, make):
+        value = _vector(make, ctx[key], "--context", repr(key))
+        if "n" in ctx and ctx["n"] != value.n:
+            raise UsageError(f"--context: 'n' is {ctx['n']!r}, but {key!r} has {value.n} outcomes")
+        return value
+
+    out = []
+    for name in ("pstar", "p", *names):
+        key, make, where = _INPUTS[name]
+        text = getattr(args, name)
+        if text is not None:
+            out.append(_vector(make, text, f"--{name}", repr(text)))
+        elif key in ctx:
+            out.append(from_context(key, make))
+        elif name == "d" and "f1" in ctx and "f2" in ctx:
+            f1 = from_context("f1", make)
+            out.append(f1.minus(from_context("f2", make)))
+        else:
+            raise UsageError(f"--{name}: missing (give the flag or {where})")
+    return out
 
 
 def _resolve_seed(args) -> int:
@@ -218,6 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     measures.add_argument("--pstar", help="target measure, e.g. 0.5,0.3,0.2")
     measures.add_argument("--p", help="credence, e.g. 0.333,0.333,0.334 or uniform:3")
 
+    decision = argparse.ArgumentParser(add_help=False, parents=[measures])
+    decision.add_argument("--d", help="advantage function, e.g. 0.3,-0.1,-0.5")
+
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
         "--seed", type=int, default=None,
@@ -244,12 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-frac", type=float, default=0.5)
     sp.add_argument("--clamp", action="store_true", help="clamp log-ratio where p* is zero")
 
-    sp = sub.add_parser("verify", parents=[common, measures], help="exhaustive inaccessibility report")
-    sp.add_argument("--d", help="advantage function, e.g. 0.3,-0.1,-0.5")
+    sp = sub.add_parser("verify", parents=[common, decision], help="exhaustive inaccessibility report")
     sp.add_argument("--full", action="store_true", help="keep per-partition details")
 
-    sp = sub.add_parser("degree", parents=[common, measures], help="degree of inaccessibility of d")
-    sp.add_argument("--d")
+    sub.add_parser("degree", parents=[common, decision], help="degree of inaccessibility of d")
 
     sp = sub.add_parser("spectrum", parents=[common, measures, seeded], help="achievable degree spectrum")
     sp.add_argument("--eta-frac", type=float, default=0.5)
@@ -258,13 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eta-frac", type=float, default=0.5)
 
-    sp = sub.add_parser("monotonicity", parents=[common, measures], help="informed-decision monotonicity check")
-    sp.add_argument("--d")
+    sub.add_parser("monotonicity", parents=[common, decision], help="informed-decision monotonicity check")
 
-    sp = sub.add_parser("certificate", parents=[common, measures], help="decomposition certificate")
+    sub.add_parser("certificate", parents=[common, measures], help="decomposition certificate")
 
-    sp = sub.add_parser("epsilon", parents=[common, measures], help="mixture-identity check")
-    sp.add_argument("--d")
+    sp = sub.add_parser("epsilon", parents=[common, decision], help="mixture-identity check")
     sp.add_argument("--eps", type=float, required=True)
 
     sp = sub.add_parser("sweep", parents=[common, seeded], help="Monte-Carlo sweep over the simplex")
@@ -272,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--alpha", type=float, default=1.0, help="symmetric Dirichlet parameter")
 
-    # vectors like "-1,-0.5,2" must parse as values, not option strings;
-    # no option here starts with a digit, so widening the matcher is safe
-    matcher = re.compile(r"^-\d")
+    # vectors like "-1,-0.5,2", "-.5,1,0" and numbers like "-inf" must parse as
+    # values, not option strings; no option here starts with a digit, a dot,
+    # "inf" or "nan", so widening the matcher is safe
+    matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     ap._negative_number_matcher = matcher
     for child in sub.choices.values():
         child._negative_number_matcher = matcher
@@ -345,6 +345,7 @@ def sweep(
     if not 0.0 < dirichlet_alpha < math.inf:
         finite = "" if math.isfinite(dirichlet_alpha) else "a finite "
         raise OutOfRange(f"need {finite}alpha > 0, got {dirichlet_alpha}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     alpha_vec = np.full(n, dirichlet_alpha)
     members = 0
@@ -432,7 +433,7 @@ def _cmd_partitions(args) -> dict | None:
 
 
 def _cmd_posterior(args) -> dict:
-    p_star, p = _resolve_measures(args)
+    p_star, p = _inputs(args)
     pi = _parse_partition(args.partition, "--partition")
     return {
         "partition": pi,
@@ -442,7 +443,7 @@ def _cmd_posterior(args) -> dict:
 
 
 def _cmd_blindspot(args) -> dict:
-    res = in_blind_spot(*_resolve_measures(args))
+    res = in_blind_spot(*_inputs(args))
     return {
         "member": res.member,
         "witness": res.witness,
@@ -453,7 +454,7 @@ def _cmd_blindspot(args) -> dict:
 
 def _cmd_construct(args) -> JsonReport:
     return construct_inaccessible_decision(
-        *_resolve_measures(args),
+        *_inputs(args),
         eps_fraction=args.eps_frac,
         mode="clamp" if args.clamp else "strict",
         **_scan_options(args),
@@ -461,19 +462,13 @@ def _cmd_construct(args) -> JsonReport:
 
 
 def _cmd_verify(args) -> JsonReport | None:
-    p_star, p, d = _resolve_decision(args)
+    p_star, p, d = _inputs(args, "d")
     if args.format == "csv":
         n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
+        chunks = _scan.iter_scored_chunks(n, p_star.as_array(), p.as_array(), d.as_array())
         writer = csv.writer(sys.stdout)
-        writer.writerow(["rgs", "block_count", "expectation", "in_inaccessible_set"])
-        for labels, scores in _scan.iter_scored_chunks(
-            n, p_star.as_array(), p.as_array(), d.as_array()
-        ):
-            for row, score in zip(labels, scores):
-                rgs = ",".join(str(int(x)) for x in row)
-                writer.writerow(
-                    [rgs, int(row.max()) + 1, repr(float(score)), score <= TOL_NUM]
-                )
+        writer.writerow(ROW_FIELDS)
+        writer.writerows(partition_rows(chunks))
         return None
     if args.full:
         n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
@@ -484,7 +479,7 @@ def _cmd_verify(args) -> JsonReport | None:
 
 
 def _cmd_degree(args) -> dict:
-    p_star, p, d = _resolve_decision(args)
+    p_star, p, d = _inputs(args, "d")
     return {
         "degree": degree(p_star, p, d, **_scan_options(args)),
         "partition_count": proper_nontrivial_count(p.n),
@@ -493,7 +488,7 @@ def _cmd_degree(args) -> dict:
 
 def _cmd_spectrum(args) -> JsonReport:
     return achievable_degrees(
-        *_resolve_measures(args),
+        *_inputs(args),
         eta_fraction=args.eta_frac,
         seed=_resolve_seed(args),
         **_scan_options(args),
@@ -502,7 +497,7 @@ def _cmd_spectrum(args) -> JsonReport:
 
 def _cmd_realize(args) -> dict:
     realized = realize_degree(
-        *_resolve_measures(args),
+        *_inputs(args),
         args.k,
         eta_fraction=args.eta_frac,
         seed=_resolve_seed(args),
@@ -517,15 +512,15 @@ def _cmd_realize(args) -> dict:
 
 
 def _cmd_monotonicity(args) -> JsonReport:
-    return check_monotonicity(*_resolve_decision(args), **_scan_options(args))
+    return check_monotonicity(*_inputs(args, "d"), **_scan_options(args))
 
 
 def _cmd_certificate(args) -> JsonReport:
-    return appendix_certificate(*_resolve_measures(args))
+    return appendix_certificate(*_inputs(args))
 
 
 def _cmd_epsilon(args) -> JsonReport:
-    return epsilon_mixture_check(*_resolve_decision(args), args.eps, **_scan_options(args))
+    return epsilon_mixture_check(*_inputs(args, "d"), args.eps, **_scan_options(args))
 
 
 def _cmd_sweep(args) -> JsonReport:
@@ -609,7 +604,15 @@ def run_command(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe ("| head"): send the interpreter's final flush to
+        # devnull, and exit as a process killed by SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,25 +16,26 @@ from dataclasses import dataclass
 from .core import (
     TOL_NUM,
     DimensionMismatch,
-    PriorHasZero,
     ProbabilityVector,
     VerificationFailed,
-    require_same_n,
+    require_pair,
 )
 from .partitions import SetPartition
 
 
 @dataclass(frozen=True)
 class RadonNikodymRatio:
-    """Componentwise density ratio p*(i)/p(i) with an injectivity verdict.
+    """Componentwise density ratio p*(i)/p(i), its order and an injectivity verdict.
 
-    ``injective`` is decided by sorting the values and requiring every
-    adjacent gap to exceed ``TOL_NUM`` (absolute, on the ratio scale);
-    near-ties are deliberately declared equal so borderline inputs fail
-    fast instead of feeding the construction with vanishing margins.
+    ``order`` is the stable argsort of the values (0-based, ties in outcome
+    order).  ``injective`` requires every gap between neighbours in that
+    order to exceed ``TOL_NUM`` (absolute, on the ratio scale); near-ties
+    are deliberately declared equal so borderline inputs fail fast instead
+    of feeding the construction with vanishing margins.
     """
 
     values: tuple[float, ...]
+    order: tuple[int, ...]
     injective: bool
 
     @property
@@ -42,29 +43,22 @@ class RadonNikodymRatio:
         return len(self.values)
 
 
-def _require_positive_prior(p: ProbabilityVector) -> None:
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
-
-
 def radon_nikodym(p_star: ProbabilityVector, p: ProbabilityVector) -> RadonNikodymRatio:
     """Ratio r(i) = p*(i)/p(i); requires p strictly positive."""
-    require_same_n(p_star, p)
-    _require_positive_prior(p)
+    n = require_pair(p_star, p)
     values = tuple(ps / pi for ps, pi in zip(p_star.weights, p.weights))
-    ordered = sorted(values)
-    injective = all(b - a > TOL_NUM for a, b in zip(ordered, ordered[1:]))
-    return RadonNikodymRatio(values=values, injective=injective)
+    order = tuple(sorted(range(n), key=values.__getitem__))
+    injective = all(values[j] - values[i] > TOL_NUM for i, j in zip(order, order[1:]))
+    return RadonNikodymRatio(values=values, order=order, injective=injective)
 
 
 def jeffrey_posterior(
     p_star: ProbabilityVector, p: ProbabilityVector, partition: SetPartition
 ) -> ProbabilityVector:
     """Jeffrey posterior q_Pi(i) = p*(B) p(i) / p(B) for i in B in Pi."""
-    n = require_same_n(p_star, p)
+    n = require_pair(p_star, p)
     if partition.n != n:
         raise DimensionMismatch(f"partition over {partition.n} outcomes, measures over {n}")
-    _require_positive_prior(p)
     pstar_mass = [0.0] * partition.block_count
     p_mass = [0.0] * partition.block_count
     for i, lbl in enumerate(partition.rgs):
@@ -109,8 +103,8 @@ def in_blind_spot(p_star: ProbabilityVector, p: ProbabilityVector) -> BlindSpotR
     ratio = radon_nikodym(p_star, p)
     if ratio.injective:
         return BlindSpotResult(member=True, witness=None, ratio=ratio)
-    order = sorted(range(p.n), key=lambda i: ratio.values[i])
-    gaps = [ratio.values[b] - ratio.values[a] for a, b in zip(order, order[1:])]
+    r, order = ratio.values, ratio.order
+    gaps = [r[j] - r[i] for i, j in zip(order, order[1:])]
     k = gaps.index(min(gaps))
     pair = (order[k], order[k + 1])
     witness = SetPartition.from_blocks(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .core import (
     JsonReport,
     NotInBlindSpot,
     OutOfRange,
-    PriorHasZero,
     ProbabilityVector,
     PStarHasZero,
     RefusedTooLarge,
@@ -36,9 +35,10 @@ from .core import (
     UtilityFunction,
     VerificationFailed,
     expectation,
+    require_pair,
     require_same_n,
 )
-from .conditioning import in_blind_spot, jeffrey_posterior
+from .conditioning import RadonNikodymRatio, in_blind_spot, jeffrey_posterior
 from .partitions import SetPartition, proper_nontrivial_count
 
 #: exhaustive scans refuse outcome counts above this unless overridden
@@ -61,9 +61,7 @@ def log_density_ratio(
     real utility.  In clamp mode those entries are floored at -CLAMP_FLOOR;
     callers that hand out certificates must re-verify afterwards.
     """
-    require_same_n(p_star, p)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
+    require_pair(p_star, p)
     if mode == "strict":
         if not p_star.strictly_positive:
             raise PStarHasZero("p* has a zero weight; use clamp mode or fix the input")
@@ -122,9 +120,7 @@ def posterior_gap_decomposition(
     The two sides are computed independently and must agree within
     TOL_NUM; a mismatch means the implementation is broken, not the input.
     """
-    require_same_n(p_star, p)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
+    require_pair(p_star, p)
     if not p_star.strictly_positive:
         raise PStarHasZero("gap decomposition needs strictly positive p*")
     g = log_density_ratio(p_star, p)
@@ -211,17 +207,20 @@ class InaccessibilityReport(JsonReport):
         keep = self._chunks is not None if include_partitions is None else include_partitions
         out["per_partition"] = None
         if keep and self._chunks is not None:
-            out["per_partition"] = [
-                {
-                    "rgs": ",".join(map(str, row)),
-                    "block_count": max(row) + 1,
-                    "expectation": score,
-                    "in_inaccessible_set": score <= TOL_NUM,
-                }
-                for labels, scores in self._chunks
-                for row, score in zip(labels.tolist(), scores.tolist())
-            ]
+            rows = partition_rows(self._chunks)
+            out["per_partition"] = [dict(zip(ROW_FIELDS, row)) for row in rows]
         return out
+
+
+#: the columns of a per-partition row, in JSON ``per_partition`` and ``verify --format csv``
+ROW_FIELDS = ("rgs", "block_count", "expectation", "in_inaccessible_set")
+
+
+def partition_rows(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple]:
+    """One ROW_FIELDS tuple of plain Python values per row of the (labels, scores) chunks."""
+    for labels, scores in chunks:
+        for row, score in zip(labels.tolist(), scores.tolist()):
+            yield ",".join(map(str, row)), max(row) + 1, score, score <= TOL_NUM
 
 
 def _check_scan_inputs(
@@ -236,9 +235,7 @@ def _check_scan_inputs(
     within the resource guard, which no max_outcomes lifts past
     MAX_SCAN_OUTCOMES.
     """
-    n = require_same_n(p_star, p, *utilities)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
+    n = require_pair(p_star, p, *utilities)
     limit = min(max_outcomes, MAX_SCAN_OUTCOMES)
     if n > limit:
         raise RefusedTooLarge(
@@ -271,9 +268,9 @@ def verify_inaccessibility(
     chunks = None
     if keep_partitions:
         chunks = tuple(_scan.iter_scored_chunks(n, ps, pw, dw))
-        scan = _scan.ScoreScan.of_chunks(chunks, TOL_NUM)
+        scan = _scan.ScoreScan.of_chunks(chunks)
     else:
-        scan = _scan.score_scan(n, ps, pw, dw, tol=TOL_NUM, workers=workers)
+        scan = _scan.score_scan(n, ps, pw, dw, workers=workers)
     if scan.count != total:
         raise VerificationFailed(f"scan saw {scan.count} partitions, expected {total}")
     return InaccessibilityReport(
@@ -305,18 +302,17 @@ class ConstructedDecision(JsonReport):
 
 
 def _adjacent_pair_margin(
-    r: tuple[float, ...], p: ProbabilityVector, g: UtilityFunction
+    ratio: RadonNikodymRatio, p: ProbabilityVector, g: UtilityFunction
 ) -> tuple[float, tuple[int, int]]:
     """(Delta, (i, j)): the least adjacent-pair cost f and the 0-based pair attaining it.
 
-    Outcomes are taken in increasing order of r = p*/p, and
+    Outcomes are taken in ``ratio.order``, increasing r = p*/p, and
     f(i, j) = p_i p_j / (p_i + p_j) (r_j - r_i)(g_j - g_i) is the score
     gap E_{p*}[g] - E_{q_Pi}[g] of the partition whose only non-singleton
     block is {i, j}.  See ``construct_inaccessible_decision`` for why the
     least of these n - 1 costs is the gap of the best partition.
     """
-    pw, gv = p.weights, g.values
-    order = sorted(range(len(r)), key=r.__getitem__)
+    pw, gv, r, order = p.weights, g.values, ratio.values, ratio.order
     costs = [
         pw[i] * pw[j] / (pw[i] + pw[j]) * (r[j] - r[i]) * (gv[j] - gv[i])
         for i, j in zip(order, order[1:])
@@ -375,7 +371,7 @@ def construct_inaccessible_decision(
             f"ratio p*/p is not injective (witness {bs.witness}); nothing to construct"
         )
     g = log_density_ratio(p_star, p, mode=mode)
-    delta, _ = _adjacent_pair_margin(bs.ratio.values, p, g)
+    delta, _ = _adjacent_pair_margin(bs.ratio, p, g)
     M = expectation(g, p_star) - delta
     epsilon = eps_fraction * delta
     if min(delta, epsilon, delta - epsilon) <= TOL_NUM:

@@ -201,6 +201,22 @@ def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:
     return ns.pop()
 
 
+def require_pair(
+    p_star: ProbabilityVector, p: ProbabilityVector, *utilities: UtilityFunction
+) -> int:
+    """Common outcome count of p*, p and any utilities; DimensionMismatch, then PriorHasZero."""
+    n = require_same_n(p_star, p, *utilities)
+    if not p.strictly_positive:
+        raise PriorHasZero("credence p must be strictly positive")
+    return n
+
+
+def require_seed(seed: int) -> None:
+    """OutOfRange unless seed is a nonnegative integer, as numpy's generators need."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise OutOfRange(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 class JsonReport:
     """Mixin for report dataclasses: the JSON form of every public field."""
 

@@ -32,6 +32,7 @@ from .core import (
     VerificationFailed,
     expectation,
     require_same_n,
+    require_seed,
 )
 from .conditioning import radon_nikodym
 from .construct import (
@@ -147,17 +148,28 @@ def find_separating_direction(
     """
     if not classes:
         raise OutOfRange("need at least one posterior class")
-    reps = np.asarray([c.posterior.weights for c in classes], dtype=np.float64)
+    require_seed(seed)
+    reps = _class_matrix(classes)
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         u = rng.uniform(-1.0, 1.0, reps.shape[1])
-        vals = np.sort(reps @ u)
-        if len(vals) == 1 or float(np.min(np.diff(vals))) > TOL_SEP:
+        if _separated(reps @ u):
             return UtilityFunction(u)
     raise SeparationFailed(
         f"no separating direction after {max_attempts} attempts; "
         "classes are (numerically) coincident"
     )
+
+
+def _class_matrix(classes: Sequence[PosteriorClass], *measures) -> np.ndarray:
+    """The class posteriors as rows; DimensionMismatch unless they and ``measures`` share n."""
+    require_same_n(*measures, *(c.posterior for c in classes))
+    return np.asarray([c.posterior.weights for c in classes], dtype=np.float64)
+
+
+def _separated(scores: np.ndarray) -> bool:
+    """True when the scores are pairwise more than TOL_SEP apart."""
+    return scores.size <= 1 or float(np.min(np.diff(np.sort(scores)))) > TOL_SEP
 
 
 @dataclass(frozen=True)
@@ -187,7 +199,7 @@ def perturbed_score(
     posterior score strictly below E_{p*}[g_eta].  eta_fraction = 0 is
     honored literally (no perturbation) and only the checks remain.
     """
-    n = require_same_n(p_star, p, u)
+    require_same_n(p_star, p, u)
     if not 0.0 <= eta_fraction < 1.0:
         raise OutOfRange(f"eta_fraction must lie in [0,1), got {eta_fraction}")
     if not radon_nikodym(p_star, p).injective:
@@ -197,7 +209,7 @@ def perturbed_score(
             p_star, p, workers=workers, max_outcomes=max_outcomes
         )
     g = log_density_ratio(p_star, p)
-    reps = np.asarray([c.posterior.weights for c in classes], dtype=np.float64)
+    reps = _class_matrix(classes, p)
     g_arr = g.as_array()
     u_arr = u.as_array()
     g_scores = reps @ g_arr
@@ -210,10 +222,9 @@ def perturbed_score(
     eta = 0.0 if scale <= TOL_NUM else eta_fraction * delta / (2.0 * scale)
     for _ in range(MAX_SEPARATION_ATTEMPTS):
         candidate = g_arr + eta * u_arr
-        class_scores = np.sort(reps @ candidate)
-        distinct = len(class_scores) == 1 or float(np.min(np.diff(class_scores))) > TOL_SEP
-        margin = float(np.dot(p_star.as_array(), candidate) - class_scores[-1])
-        if distinct and margin > TOL_NUM:
+        class_scores = reps @ candidate
+        margin = float(np.dot(p_star.as_array(), candidate) - class_scores.max())
+        if _separated(class_scores) and margin > TOL_NUM:
             return PerturbedScore(
                 g_eta=UtilityFunction(candidate), eta=eta, delta=delta, scale=scale
             )

@@ -25,13 +25,12 @@ from .core import (
     JsonReport,
     NotInjective,
     OutOfRange,
-    PriorHasZero,
     ProbabilityVector,
     PStarHasZero,
     TheoremViolation,
     UtilityFunction,
     expectation,
-    require_same_n,
+    require_pair,
 )
 from .conditioning import jeffrey_posterior
 from .construct import (
@@ -125,9 +124,7 @@ def appendix_certificate(
     injective (ties abort with NotInjective; no perturbation is applied).
     Invariant failures raise TheoremViolation.
     """
-    n = require_same_n(p_star, p)
-    if not p.strictly_positive:
-        raise PriorHasZero("credence p must be strictly positive")
+    n = require_pair(p_star, p)
     if not p_star.strictly_positive:
         raise PStarHasZero("certificate needs strictly positive p*")
     ratio = [pi / ps for pi, ps in zip(p.weights, p_star.weights)]

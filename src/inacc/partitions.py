@@ -38,7 +38,10 @@ class SetPartition:
     block_count: int
 
     def __init__(self, rgs: Iterable[int]):
-        r = tuple(int(x) for x in rgs)
+        raw = tuple(rgs)
+        r = tuple(int(x) for x in raw)
+        if r != raw:
+            raise OutOfRange(f"rgs labels must be integers, got {raw}")
         n = len(r)
         if n < MIN_OUTCOMES:
             raise TooSmall(f"partition of {n} outcomes; need >= {MIN_OUTCOMES}")
@@ -68,24 +71,16 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        """Build from blocks of 1-based labels; encoding is canonicalized."""
+        """Canonical partition of 1-based blocks: labelled by smallest member, empty ones ignored."""
         groups = [sorted(int(i) for i in b) for b in blocks]
         members = sorted(i for b in groups for i in b)
         n = len(members)
         if members != list(range(1, n + 1)):
             raise OutOfRange(f"blocks must partition 1..n, got {groups}")
-        label_of: dict[int, int] = {}
-        for j, b in enumerate(groups):
-            for i in b:
-                label_of[i] = j
-        # relabel in first-use order to restore canonical form
-        seen: dict[int, int] = {}
-        rgs = []
-        for i in range(1, n + 1):
-            raw = label_of[i]
-            if raw not in seen:
-                seen[raw] = len(seen)
-            rgs.append(seen[raw])
+        rgs = [0] * n
+        for label, block in enumerate(sorted(filter(None, groups))):
+            for i in block:
+                rgs[i - 1] = label
         return cls(rgs)
 
     @classmethod
@@ -163,13 +158,8 @@ def adjacent_pair_partition(m: int, n: int) -> SetPartition:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
     if not 1 <= m <= n - 1:
         raise OutOfRange(f"need 1 <= m <= {n - 1}, got {m}")
-    rgs = []
-    label = 0
-    for i in range(1, n + 1):
-        rgs.append(label)
-        if i != m:  # outcome m shares its label with m+1
-            label += 1
-    return SetPartition(rgs)
+    singletons = [[i] for i in range(1, n + 1) if i not in (m, m + 1)]
+    return SetPartition.from_blocks([[m, m + 1], *singletons])
 
 
 def level_set_partition(
@@ -181,26 +171,15 @@ def level_set_partition(
     ``NotProper`` signal: a constant r gives one block, an injective r
     gives n singletons.
     """
-    n = r.n
-    order = sorted(range(n), key=lambda i: r.values[i])
-    label_by_index = [0] * n
-    label = 0
-    for pos in range(1, n):
-        prev_i, cur_i = order[pos - 1], order[pos]
-        if r.values[cur_i] - r.values[prev_i] > tol:
-            label += 1
-        label_by_index[cur_i] = label
-    label_by_index[order[0]] = 0
-    m = label + 1
-    if m == 1:
+    n, v = r.n, r.values
+    order = sorted(range(n), key=v.__getitem__)
+    blocks = [[order[0] + 1]]
+    for i, j in zip(order, order[1:]):
+        if v[j] - v[i] > tol:
+            blocks.append([])
+        blocks[-1].append(j + 1)
+    if len(blocks) == 1:
         return NotProper(block_count=1, reason="all values equal: single block")
-    if m == n:
+    if len(blocks) == n:
         return NotProper(block_count=n, reason="all values distinct: n singletons")
-    # canonicalize labels to first-use order
-    seen: dict[int, int] = {}
-    rgs = []
-    for lbl in label_by_index:
-        if lbl not in seen:
-            seen[lbl] = len(seen)
-        rgs.append(seen[lbl])
-    return SetPartition(rgs)
+    return SetPartition.from_blocks(blocks)

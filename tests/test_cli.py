@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -10,9 +13,8 @@ import pytest
 from inacc.cli import run_command, sweep
 from inacc import OutOfRange
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schemas" / "report.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 PSTAR = "0.5,0.3,0.2"
@@ -242,12 +244,45 @@ class TestExitCodes:
         assert run_command(["spectrum", "--pstar", PSTAR, "--p", P]) == 2
         assert "INACC_SEED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_sweep_alpha_not_finite(self, capsys, alpha):
         report = run_json(
             capsys, ["sweep", "--n", "3", "--samples", "1", "--alpha", alpha], expect_code=1
         )
         assert report["error"]["type"] == "OutOfRange"
+
+    def test_negative_vector_starting_with_a_dot(self, capsys):
+        argv = ["degree", "--pstar", PSTAR, "--p", P]
+        spaced = run_json(capsys, [*argv, "--d", "-.5,1,0"])
+        assert spaced == run_json(capsys, [*argv, "--d=-.5,1,0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partitions", "--n", "10", "--format", "csv"],
+            ["verify", "--pstar", "uniform:10", "--p", "uniform:10", "--d", "1" + ",0" * 9,
+             "--format", "csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "inacc.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"rgs,block_count")
+            proc.stdout.readline()
+            proc.stdout.close()  # as "| head -2" does
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestFormats:
@@ -260,6 +295,17 @@ class TestFormats:
         assert rows[0] == ["rgs", "block_count", "expectation", "in_inaccessible_set"]
         assert len(rows) == 4
         assert rows[1][0] == "0,0,1"
+
+    def test_json_and_csv_rows_agree(self, capsys):
+        argv = ["verify", "--pstar", "0.3,0.25,0.2,0.15,0.1", "--p", "0.1,0.15,0.2,0.25,0.3",
+                "--d", "0.4,-0.2,0.1,-0.3,0.05"]
+        rows = run_json(capsys, [*argv, "--full"])["per_partition"]
+        assert run_command([*argv, "--format", "csv"]) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        header = table[0]
+        assert header == ["rgs", "block_count", "expectation", "in_inaccessible_set"]
+        assert len(rows) == 50
+        assert table[1:] == [[str(row[key]) for key in header] for row in rows]
 
     def test_partitions_csv(self, capsys):
         code = run_command(["partitions", "--n", "4", "--format", "csv"])
@@ -318,6 +364,8 @@ class TestContextFile:
         [
             {"p_star": 5, "p": [1 / 3] * 3, "d": [1, -1, 0]},
             {"p_star": [0.5, 0.3, 0.2], "p": [1 / 3] * 3, "d": "abc"},
+            {"n": 4, "p_star": [0.5, 0.3, 0.2], "p": [1 / 3] * 3, "d": [1, -1, 0]},
+            {"n": "3", "p_star": [0.5, 0.3, 0.2], "p": [1 / 3] * 3, "d": [1, -1, 0]},
         ],
     )
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, ctx):
@@ -325,6 +373,16 @@ class TestContextFile:
         path.write_text(json.dumps(ctx))
         assert run_command(["verify", "--context", str(path)]) == 2
         assert "--context" in capsys.readouterr().err
+
+    def test_text_forms(self, capsys, tmp_path):
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps({"p_star": PSTAR, "p": P, "d": "1,-1,0"}))
+        from_text = run_json(capsys, ["verify", "--context", str(path)])
+        from_flags = run_json(capsys, ["verify", "--pstar", PSTAR, "--p", P, "--d", "1,-1,0"])
+        assert from_text == from_flags
+        path.write_text(json.dumps({"p_star": PSTAR, "p": "uniform:x", "d": "1,-1,0"}))
+        assert run_command(["verify", "--context", str(path)]) == 2
+        assert "--context: cannot parse 'p'" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert run_command(["degree", "--context", "/nonexistent.json"]) == 2
@@ -372,3 +430,6 @@ class TestSweepFunction:
         for alpha in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(OutOfRange):
                 sweep(n=3, samples=1, dirichlet_alpha=alpha)
+        for seed in (-1, 1.5):
+            with pytest.raises(OutOfRange):
+                sweep(n=3, samples=1, seed=seed)

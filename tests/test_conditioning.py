@@ -91,6 +91,13 @@ class TestRadonNikodym:
         assert r.values == pytest.approx((1.2, 1.2, 0.6), abs=1e-12)
         assert not r.injective
 
+    def test_order_is_a_stable_argsort(self):
+        assert radon_nikodym(PSTAR3, UNIFORM3).order == (2, 1, 0)
+        # ratios 0.8, 1.6, 0.8, 0.8: tied outcomes keep their index order
+        tied = radon_nikodym(ProbabilityVector([0.2, 0.4, 0.2, 0.2]), ProbabilityVector.uniform(4))
+        assert tied.order == (0, 2, 3, 1)
+        assert not tied.injective
+
     def test_near_tie_declared_equal(self):
         p_star = ProbabilityVector([0.4, 0.4 + 1e-13, 0.2 - 1e-13])
         assert not radon_nikodym(p_star, UNIFORM3).injective

@@ -219,7 +219,7 @@ class TestConstruction:
             done += 1
             g = log_density_ratio(p_star, p, mode=mode)
             scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
-            delta, (i, j) = _adjacent_pair_margin(ratio.values, p, g)
+            delta, (i, j) = _adjacent_pair_margin(ratio, p, g)
             e_star = expectation(g, p_star)
             assert abs((e_star - delta) - scan.max_score) <= 1e-12
             assert abs(delta - (e_star - scan.max_score)) <= 1e-12

@@ -9,13 +9,14 @@ from inacc import (
     DimensionMismatch,
     NonFiniteUtility,
     NotAProbability,
+    PriorHasZero,
     ProbabilityVector,
     TooSmall,
     UtilityFunction,
     SetPartition,
     expectation,
 )
-from inacc.core import _json_value
+from inacc.core import _json_value, require_pair
 
 
 def weights(n=3, positive=False):
@@ -118,6 +119,21 @@ class TestExpectation:
     def test_constant_property(self, q, c):
         f = UtilityFunction([c] * q.n)
         assert expectation(f, q) == pytest.approx(c, abs=1e-9, rel=1e-9)
+
+
+class TestRequirePair:
+    def test_error_order(self):
+        zero = ProbabilityVector([0.5, 0.5, 0.0])
+        uniform = ProbabilityVector.uniform(3)
+        # a mismatch is reported before a zero in the credence
+        with pytest.raises(DimensionMismatch):
+            require_pair(ProbabilityVector.uniform(4), zero)
+        with pytest.raises(DimensionMismatch):
+            require_pair(uniform, zero, UtilityFunction([1, 0, 0, 0]))
+        with pytest.raises(PriorHasZero):
+            require_pair(uniform, zero, UtilityFunction([1, 0, 0]))
+        # a zero in p* is the caller's business
+        assert require_pair(zero, uniform, UtilityFunction([1, 0, 0])) == 3
 
 
 class TestJsonValue:

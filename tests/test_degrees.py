@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from inacc import (
+    DimensionMismatch,
     NotAchievable,
     NotInBlindSpot,
+    OutOfRange,
     ProbabilityVector,
     RefusedTooLarge,
     SeparationFailed,
@@ -142,6 +144,21 @@ class TestSeparatingDirection:
         dup = PosteriorClass(posterior=PSTAR3, multiplicity=1)
         with pytest.raises(SeparationFailed):
             find_separating_direction([dup, dup], max_attempts=8)
+
+    def test_classes_of_another_outcome_count(self):
+        three = PosteriorClass(posterior=PSTAR3, multiplicity=1)
+        four = PosteriorClass(posterior=ProbabilityVector.uniform(4), multiplicity=1)
+        with pytest.raises(DimensionMismatch):
+            find_separating_direction([three, four])
+        with pytest.raises(DimensionMismatch):
+            perturbed_score(PSTAR3, UNIFORM3, UtilityFunction([1, 0, 0]), classes=[four])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(OutOfRange):
+            find_separating_direction(posterior_classes(PSTAR3, UNIFORM3), seed=seed)
+        with pytest.raises(OutOfRange):
+            realize_degree(PSTAR3, UNIFORM3, 1, seed=seed)
 
 
 class TestPerturbedScore:

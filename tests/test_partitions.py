@@ -93,6 +93,17 @@ class TestSetPartition:
         with pytest.raises(OutOfRange):
             SetPartition([0, 1, 2])  # finest
 
+    def test_rejects_non_integer_labels(self):
+        with pytest.raises(OutOfRange):
+            SetPartition([0, 0, 1.7])
+        assert SetPartition([0, 0, 1.0]).rgs == (0, 0, 1)
+
+    def test_from_blocks_unsorted_and_empty(self):
+        # blocks are labelled by their smallest member; empty ones are dropped
+        pi = SetPartition.from_blocks([[5, 3], [], [4, 1], [2]])
+        assert pi.rgs == (0, 1, 2, 0, 2)
+        assert pi.blocks() == ((1, 4), (2,), (3, 5))
+
     def test_parse_rgs(self):
         assert SetPartition.parse("0,0,1").blocks() == ((1, 2), (3,))
 
