@@ -25,6 +25,12 @@ equal the single-threaded ones.
 The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
 all in array operations (no Python loop per bucket or class).
+
+The kernels also take measures with a leading sample axis, shaped
+(S, n): the subset tables become (S, 2^n), scores (S, rows) and
+posteriors (S, rows, n), and each sample's row is bitwise the one the
+1-D call gives.  The sweep answers a batch of samples this way with one
+score pass and one class pass.
 """
 
 from __future__ import annotations
@@ -155,8 +161,13 @@ def _subset_bits(n: int) -> np.ndarray:
 
 
 def _subset_sums(vecs: np.ndarray) -> np.ndarray:
-    """out[..., S] = sum of vecs[..., i] over the outcomes i in S, for all 2^n subsets S."""
-    return vecs @ _subset_bits(vecs.shape[-1]).T
+    """out[..., S] = sum of vecs[..., i] over the outcomes i in S, for all 2^n subsets S.
+
+    Stacked vectors go through one 2-D matmul: a 3-D stack may take a
+    different BLAS path and differ from the unstacked rows in the last bit.
+    """
+    n = vecs.shape[-1]
+    return (vecs.reshape(-1, n) @ _subset_bits(n).T).reshape(*vecs.shape[:-1], 1 << n)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -166,7 +177,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _ratio_table(pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """R(S) = p*(S)/p(S) over all subsets S; 0 where p(S) = 0."""
+    """R(S) = p*(S)/p(S) over all subsets S; 0 where p(S) = 0 (per sample for (S, n) inputs)."""
     num, den = _subset_sums(np.array([pstar, p]))
     return _ratio(num, den)
 
@@ -202,10 +213,14 @@ def chunk_scores(
     label does not increase.  The block sum is taken once per group, on
     the shared prefix; each row then moves outcome n from nowhere into its
     block m: total - W[m] + W[m | bit(n-1)].
+
+    Measures of shape (S, n) give (S, rows) scores, each sample's row equal
+    bit for bit to the call with that sample alone: the block sums reduce a
+    2-D (S * groups, n) array, as the single call does.
     """
     rows, n = labels.shape
     if rows == 0:
-        return np.zeros(0)
+        return np.zeros(pstar.shape[:-1] + (0,))
     table = _score_table(pstar, p, d)
     last = labels[:, -1].astype(np.intp)
     head = np.empty(rows, dtype=bool)
@@ -213,15 +228,18 @@ def chunk_scores(
     np.less_equal(last[1:], last[:-1], out=head[1:])
     group = np.add.accumulate(head, dtype=np.intp) - 1
     masks, _ = _block_masks(labels[head, :-1], n)
-    total = table[masks].reshape(-1, n).sum(axis=1)
+    total = table[..., masks].reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
     own = masks[group * n + last]
-    return total[group] - table[own] + table[own | (1 << (n - 1))]
+    return total[..., group] - table[..., own] + table[..., own | (1 << (n - 1))]
 
 
 def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Jeffrey posterior q_Pi(i) = p*(B(i)) p(i) / p(B(i)) for every row."""
+    """Jeffrey posterior q_Pi(i) = p*(B(i)) p(i) / p(B(i)) for every row.
+
+    Measures of shape (S, n) give (S, rows, n) posteriors, one per sample.
+    """
     masks, index = _block_masks(labels, labels.shape[1])
-    return _ratio_table(pstar, p)[masks[index]] * p
+    return _ratio_table(pstar, p)[..., masks[index]] * p[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +329,36 @@ def iter_scored_chunks(
 def _class_chunk(acc: list, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> None:
     """Append (keys, reps, counts) for one chunk: its posteriors bucketed on a 1e-12 grid.
 
-    keys are sorted and distinct, reps holds the posterior of the first row
-    in each bucket and counts the rows per bucket.
+    keys are distinct, reps holds the posterior of the first row in each
+    bucket and counts the rows per bucket.  With (S, n) measures each
+    posterior leads with its sample index, so no bucket mixes samples.
     """
     q = chunk_posteriors(labels, pstar, p)
+    if q.ndim == 3:
+        samples, rows, n = q.shape
+        sample = np.repeat(np.arange(samples, dtype=float), rows)
+        q = np.column_stack((sample, q.reshape(-1, n)))
     rounded = np.round(q, 12) + 0.0  # normalize -0.0 so equal keys compare equal
-    keys, first, counts = np.unique(rounded, axis=0, return_index=True, return_counts=True)
-    acc.append((keys, q[first], counts))
+    order, starts = _runs(rounded)
+    counts = np.diff(np.append(starts, order.size))
+    acc.append((rounded[order[starts]], q[order[starts]], counts))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): rows of ``keys`` stably sorted by their bytes, and where each run begins.
+
+    keys[order[starts]] are the distinct rows, each at its first
+    occurrence.  Sorting one bytes field per row is several times faster
+    than a lexsort over the columns; the order is not numeric, and no
+    caller needs it to be.
+    """
+    keys = np.ascontiguousarray(keys)
+    raw = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    order = np.argsort(raw, kind="stable")
+    ranked = raw[order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(head)
 
 
 def _class_worker(args: tuple) -> list:
@@ -334,15 +375,43 @@ def class_scan(
     p: np.ndarray,
     workers: int = 1,
     chunk_rows: int = CHUNK_ROWS,
-) -> list[tuple[tuple[float, ...], int]]:
+) -> list[tuple[tuple[float, ...], int]] | np.ndarray:
     """Distinct Jeffrey posteriors with multiplicities, lexicographic order.
 
     Posteriors are bucketed on a 1e-12 grid first, then buckets whose
     representatives sit within ``TOL_DEDUP`` in max-norm are merged, so
     sub-tolerance collisions count as genuine multiplicity.
+
+    Measures of shape (S, n) answer S samples in one pass and return the
+    largest multiplicity of each sample, an (S,) int array: the largest
+    count of the classes the call with that sample alone would list.  The
+    buckets and the linkage carry the sample index as a first coordinate,
+    and samples lie at least 1 apart in it, so no class spans two samples.
     """
     parts = _reduce(_class_worker, (pstar, p), operator.add, n, workers, chunk_rows)
-    return _merge_within_tolerance(parts, chunk_rows)
+    if pstar.ndim == 1:
+        return _merge_within_tolerance(parts, chunk_rows)
+    reps, counts = _fold_buckets(parts)
+    root = _single_linkage(reps, TOL_DEDUP, chunk_rows)
+    largest = np.zeros(pstar.shape[0], dtype=np.int64)
+    sizes = np.bincount(root, weights=counts).astype(np.int64)[root]
+    np.maximum.at(largest, reps[:, 0].astype(np.intp), sizes)
+    return largest
+
+
+def _fold_buckets(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, counts) of the distinct buckets in ``parts``.
+
+    A bucket keeps the representative of the first part that has it.  A
+    single part (every scan of cached labels) has distinct keys already
+    and skips the fold.
+    """
+    if len(parts) == 1:
+        _, reps, counts = parts[0]
+        return reps, counts
+    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
+    order, starts = _runs(keys)
+    return reps[order[starts]], np.add.reduceat(counts[order], starts)
 
 
 def _merge_within_tolerance(
@@ -350,20 +419,12 @@ def _merge_within_tolerance(
 ) -> list[tuple[tuple[float, ...], int]]:
     """Single-linkage classes of the buckets in ``parts``, in max-norm <= TOL_DEDUP.
 
-    A bucket keeps the representative of the first part that has it.  Each
-    class is labelled by its lexicographically first representative and
-    counts the rows of all its buckets.  A single part (every scan of
-    cached labels) has sorted, distinct keys already and skips the fold.
+    Each class is labelled by its lexicographically first representative
+    and counts the rows of all its buckets (see ``_fold_buckets``).
     """
     if not parts:
         return []
-    if len(parts) == 1:
-        _, reps, counts = parts[0]
-    else:
-        keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        counts = np.bincount(inverse.ravel(), weights=counts).astype(np.int64)
-        reps = reps[first]
+    reps, counts = _fold_buckets(parts)
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]
     root = _single_linkage(reps, TOL_DEDUP, chunk_rows)

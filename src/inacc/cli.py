@@ -38,11 +38,14 @@ from .construct import (
     MAX_SCAN_OUTCOMES,
     ROW_FIELDS,
     _check_scan_inputs,
+    _closed_form,
+    _require_sound,
     construct_inaccessible_decision,
     partition_rows,
     verify_inaccessibility,
 )
 from .core import (
+    TOL_NUM,
     InaccError,
     JsonReport,
     OutOfRange,
@@ -53,11 +56,12 @@ from .core import (
     TheoremViolation,
     UtilityFunction,
     _json_value,
+    expectation,
     require_seed,
 )
-from .degrees import _class_multiplicities, achievable_degrees, degree, realize_degree
+from .degrees import achievable_degrees, degree, realize_degree
 from .monotonicity import (
-    _monotonicity_of_report,
+    _theorem_verdict,
     appendix_certificate,
     check_monotonicity,
     epsilon_mixture_check,
@@ -209,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ack-large", action="store_true",
         help="acknowledge the memory/time cost of raising --max-n",
     )
-    common.add_argument(
+
+    measures = argparse.ArgumentParser(add_help=False)
+    measures.add_argument(
         "--context", metavar="FILE",
         help="JSON file with keys {n, p_star, p, f1, f2 | d}",
     )
-
-    measures = argparse.ArgumentParser(add_help=False)
     measures.add_argument("--pstar", help="target measure, e.g. 0.5,0.3,0.2")
     measures.add_argument("--p", help="credence, e.g. 0.333,0.333,0.334 or uniform:3")
 
@@ -321,7 +325,6 @@ def sweep(
     samples: int,
     seed: int = 0,
     dirichlet_alpha: float = 1.0,
-    workers: int = 1,
 ) -> SweepSummary:
     """Sample (p*, p) pairs i.i.d. and exercise the whole pipeline on each.
 
@@ -331,12 +334,17 @@ def sweep(
     degree recorded; blind-spot pairs additionally run the construction
     and the monotonicity check.
 
-    Each sample makes one exhaustive pass per question: a score pass for
-    the degree, a class pass for the multiplicity collisions, and, for a
-    blind-spot pair, the score pass that re-verifies the constructed d.
-    The monotonicity check reads that re-verification report, which is
-    the exhaustive report ``check_monotonicity`` would compute for the
-    same d.
+    Samples are drawn one at a time, and each gets its ratio p*/p once and,
+    for a blind-spot pair, construct's closed-form d (no scan).  They are
+    answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2)) samples,
+    1,310 at n = 5 and one at n = 10.  A batch makes one score pass over
+    the random and the constructed d's stacked on a sample axis, and one
+    class pass over its pairs.  The score pass gives every degree and the
+    exhaustive re-verification of every constructed d, which goes through
+    construct's soundness test and the theorem rule of
+    ``check_monotonicity``; the class pass finds the samples whose
+    posterior classes collide.  The counts are those of the public
+    functions run on each sample in turn.
     """
     if not 3 <= n <= SWEEP_MAX_N:
         raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
@@ -348,41 +356,51 @@ def sweep(
     require_seed(seed)
     rng = np.random.default_rng(seed)
     alpha_vec = np.full(n, dirichlet_alpha)
-    members = 0
+    batch = max(1, _scan.CHUNK_ROWS // proper_nontrivial_count(n))
+    members = collisions = violations = constructed = degenerate = 0
     histogram: dict[int, int] = {}
-    collisions = 0
-    violations = 0
-    constructed = 0
-    degenerate = 0
-    for _ in range(samples):
-        p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
-        while True:
-            raw = rng.dirichlet(alpha_vec)
-            if raw.min() >= DIRICHLET_FLOOR:
-                break
-        p = ProbabilityVector(raw)
-        member = radon_nikodym(p_star, p).injective
-        members += member
-
-        d_random = UtilityFunction(rng.uniform(-1.0, 1.0, n))
-        deg = degree(p_star, p, d_random, workers=workers)
-        histogram[deg] = histogram.get(deg, 0) + 1
-
-        classes = _class_multiplicities(p_star, p, workers=workers)
-        if any(count > 1 for _, count in classes):
-            collisions += 1
-
-        if member:
-            try:
-                built = construct_inaccessible_decision(p_star, p, workers=workers)
-            except (SeparationBelowTolerance, PStarHasZero):
-                degenerate += 1
-            else:
-                constructed += 1
+    for start in range(0, samples, batch):
+        size = min(batch, samples - start)
+        pairs, decisions, built = [], [], []
+        for _ in range(size):
+            p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
+            while True:
+                raw = rng.dirichlet(alpha_vec)
+                if raw.min() >= DIRICHLET_FLOOR:
+                    break
+            p = ProbabilityVector(raw)
+            ratio = radon_nikodym(p_star, p)
+            members += ratio.injective
+            pairs.append((p_star.weights, p.weights))
+            decisions.append(rng.uniform(-1.0, 1.0, n))
+            if ratio.injective:
                 try:
-                    _monotonicity_of_report(built.report)
-                except TheoremViolation:
-                    violations += 1
+                    # construct's defaults: eps_fraction 0.5, strict mode
+                    d, _, delta, epsilon = _closed_form(p_star, p, ratio, 0.5, "strict")
+                except (SeparationBelowTolerance, PStarHasZero):
+                    degenerate += 1
+                else:
+                    built.append((p_star, p, d, delta, epsilon))
+        pairs += [(p_star.weights, p.weights) for p_star, p, *_ in built]
+        decisions += [d.values for _, _, d, *_ in built]
+        ps, pw = np.array(pairs).transpose(1, 0, 2)
+        chunks = _scan.iter_scored_chunks(n, ps, pw, np.array(decisions))
+        scores = np.concatenate([s for _, s in chunks], axis=-1)
+        for deg in (scores[:size] <= TOL_NUM).sum(axis=1).tolist():
+            histogram[deg] = histogram.get(deg, 0) + 1
+
+        collisions += int((_scan.class_scan(n, ps[:size], pw[:size]) > 1).sum())
+
+        checked = scores[size:]
+        verdicts = zip((checked < -TOL_NUM).all(axis=1).tolist(), checked.max(axis=1).tolist())
+        for (p_star, p, d, delta, epsilon), (strong, top) in zip(built, verdicts):
+            e_pstar = expectation(d, p_star)
+            _require_sound(strong, e_pstar, top, delta, epsilon, "strict")
+            constructed += 1
+            try:
+                _theorem_verdict(e_pstar, expectation(d, p), top <= TOL_NUM, top)
+            except TheoremViolation:
+                violations += 1
     return SweepSummary(
         n=n,
         samples=samples,
@@ -529,7 +547,6 @@ def _cmd_sweep(args) -> JsonReport:
         samples=args.samples,
         seed=_resolve_seed(args),
         dirichlet_alpha=args.alpha,
-        workers=args.parallel,
     )
 
 

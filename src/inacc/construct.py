@@ -370,30 +370,11 @@ def construct_inaccessible_decision(
         raise NotInBlindSpot(
             f"ratio p*/p is not injective (witness {bs.witness}); nothing to construct"
         )
-    g = log_density_ratio(p_star, p, mode=mode)
-    delta, _ = _adjacent_pair_margin(bs.ratio, p, g)
-    M = expectation(g, p_star) - delta
-    epsilon = eps_fraction * delta
-    if min(delta, epsilon, delta - epsilon) <= TOL_NUM:
-        raise SeparationBelowTolerance(
-            f"margins (delta={delta!r}, eps={epsilon!r}) within tolerance of zero"
-        )
-    d = g.shifted(M + epsilon)
+    d, M, delta, epsilon = _closed_form(p_star, p, bs.ratio, eps_fraction, mode)
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes
     )
-    sound = (
-        report.strong
-        and report.e_pstar > 0.0
-        and abs(report.max_score + epsilon) <= TOL_NUM
-        and abs(report.e_pstar - (delta - epsilon)) <= TOL_NUM
-    )
-    if not sound:
-        if mode == "clamp":
-            raise PStarHasZero(
-                "clamped construction failed exhaustive re-verification"
-            )
-        raise VerificationFailed("constructed decision failed re-verification")
+    _require_sound(report.strong, report.e_pstar, report.max_score, delta, epsilon, mode)
     return ConstructedDecision(
         d=d,
         f1=d,
@@ -404,3 +385,49 @@ def construct_inaccessible_decision(
         eps_fraction=eps_fraction,
         report=report,
     )
+
+
+def _closed_form(
+    p_star: ProbabilityVector,
+    p: ProbabilityVector,
+    ratio: RadonNikodymRatio,
+    eps_fraction: float,
+    mode: ZeroMode,
+) -> tuple[UtilityFunction, float, float, float]:
+    """(d, M, Delta, eps) of the construction for an injective ``ratio``, without a scan.
+
+    Raises PStarHasZero (strict mode, a zero in p*) and
+    SeparationBelowTolerance as ``construct_inaccessible_decision`` does.
+    """
+    g = log_density_ratio(p_star, p, mode=mode)
+    delta, _ = _adjacent_pair_margin(ratio, p, g)
+    M = expectation(g, p_star) - delta
+    epsilon = eps_fraction * delta
+    if min(delta, epsilon, delta - epsilon) <= TOL_NUM:
+        raise SeparationBelowTolerance(
+            f"margins (delta={delta!r}, eps={epsilon!r}) within tolerance of zero"
+        )
+    return g.shifted(M + epsilon), M, delta, epsilon
+
+
+def _require_sound(
+    strong: bool, e_pstar: float, max_score: float, delta: float, epsilon: float, mode: ZeroMode
+) -> None:
+    """The re-verification test of a constructed d, from its exhaustive scan's verdicts.
+
+    d must be strongly inaccessible with E_{p*}[d] = Delta - eps > 0 and a
+    posterior maximum of exactly -eps (within TOL_NUM), which also checks
+    the closed form against the scan.
+    """
+    sound = (
+        strong
+        and e_pstar > 0.0
+        and abs(max_score + epsilon) <= TOL_NUM
+        and abs(e_pstar - (delta - epsilon)) <= TOL_NUM
+    )
+    if not sound:
+        if mode == "clamp":
+            raise PStarHasZero(
+                "clamped construction failed exhaustive re-verification"
+            )
+        raise VerificationFailed("constructed decision failed re-verification")

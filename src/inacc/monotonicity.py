@@ -35,7 +35,6 @@ from .core import (
 from .conditioning import jeffrey_posterior
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
-    InaccessibilityReport,
     _check_scan_inputs,
     verify_inaccessibility,
 )
@@ -71,18 +70,9 @@ def check_monotonicity(
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
-    return _monotonicity_of_report(report)
-
-
-def _monotonicity_of_report(report: InaccessibilityReport) -> MonotonicityCheck:
-    """The theorem check read off an exhaustive report of d (see check_monotonicity)."""
-    hypotheses = report.e_pstar > 0.0 and report.inaccessible
-    conclusion = report.e_p < 0.0
-    if hypotheses and not conclusion:
-        raise TheoremViolation(
-            f"inaccessible decision with E_p[d] = {report.e_p!r} >= 0 "
-            f"(E_p*[d] = {report.e_pstar!r}, max posterior score = {report.max_score!r})"
-        )
+    hypotheses, conclusion = _theorem_verdict(
+        report.e_pstar, report.e_p, report.inaccessible, report.max_score
+    )
     return MonotonicityCheck(
         hypotheses_hold=hypotheses,
         conclusion_holds=conclusion,
@@ -90,6 +80,20 @@ def _monotonicity_of_report(report: InaccessibilityReport) -> MonotonicityCheck:
         e_p=report.e_p,
         max_posterior_score=report.max_score,
     )
+
+
+def _theorem_verdict(
+    e_pstar: float, e_p: float, inaccessible: bool, max_score: float
+) -> tuple[bool, bool]:
+    """(hypotheses, conclusion) of the theorem for d; TheoremViolation when only the first holds."""
+    hypotheses = e_pstar > 0.0 and inaccessible
+    conclusion = e_p < 0.0
+    if hypotheses and not conclusion:
+        raise TheoremViolation(
+            f"inaccessible decision with E_p[d] = {e_p!r} >= 0 "
+            f"(E_p*[d] = {e_pstar!r}, max posterior score = {max_score!r})"
+        )
+    return hypotheses, conclusion
 
 
 @dataclass(frozen=True)

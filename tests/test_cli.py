@@ -387,6 +387,14 @@ class TestContextFile:
     def test_missing_file(self, capsys):
         assert run_command(["degree", "--context", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["partitions", "--n", "3", "--count"], ["sweep", "--n", "3", "--samples", "1"]]
+    )
+    def test_commands_without_measures_refuse_it(self, capsys, argv):
+        # they read no vectors, so a context file would be silently ignored
+        assert run_command([*argv, "--context", "/nonexistent.json"]) == 2
+        assert "--context" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys):

@@ -59,6 +59,38 @@ def bincount_posteriors(labels, pstar, p):
     return np.take_along_axis(block_ratio(labels, pstar, p), labels.astype(np.intp), axis=1) * p
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("samples", [1, 2, 8, 37])
+def test_sample_axis_is_bitwise_the_single_call(n, samples):
+    # a stacked call must not reach another BLAS path or another reduction order
+    rng = np.random.default_rng([n, samples])
+    pstar = rng.dirichlet(np.ones(n), samples)
+    p = rng.dirichlet(np.ones(n), samples)
+    d = rng.uniform(-1.0, 1.0, (samples, n))
+    pstar[0, 0] = 0.0  # a zero in p*, and a p* no longer normalised
+    labels = _scan.cached_labels(n)[-8192:]  # a contiguous run keeps (S, rows, n) small
+    scores = _scan.chunk_scores(labels, pstar, p, d)
+    posteriors = _scan.chunk_posteriors(labels, pstar, p)
+    assert scores.shape == (samples, labels.shape[0])
+    assert posteriors.shape == (samples, *labels.shape)
+    for s in range(samples):
+        assert np.array_equal(scores[s], _scan.chunk_scores(labels, pstar[s], p[s], d[s]))
+        assert np.array_equal(posteriors[s], _scan.chunk_posteriors(labels, pstar[s], p[s]))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_batched_class_scan_gives_each_largest_multiplicity(n):
+    rng = np.random.default_rng(30 + n)
+    p = rng.dirichlet(np.ones(n), 5)
+    pstar = rng.dirichlet(np.full(n, 0.05), 5)  # zeros in p*: shared posteriors
+    pstar[1] = p[1]  # every partition in one class
+    pstar[2] = rng.dirichlet(np.ones(n))  # generic: one class per partition
+    largest = _scan.class_scan(n, pstar, p)
+    expected = [max(count for _, count in _scan.class_scan(n, ps, pw)) for ps, pw in zip(pstar, p)]
+    assert largest.tolist() == expected
+    assert expected[1] == bell_number(n) - 2 and expected[2] == 1
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_case(n):
     """(p*, p, d, oracle posteriors) for a seeded pair; rows in cached-label order."""

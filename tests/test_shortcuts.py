@@ -1,9 +1,10 @@
 """Shortcuts pinned to the public paths they stand in for.
 
-The sweep reads its monotonicity verdict off construct's re-verification
-report and its collisions off the class multiplicities; reports keep
-their per-partition details as the scan's arrays.  Each must give what
-the public, object-building pipeline gives.
+The sweep answers a batch of samples with one score pass (degrees,
+construct's re-verification, the monotonicity verdict) and one class
+pass (collisions); reports keep their per-partition details as the
+scan's arrays.  Each must give what the public, object-building
+pipeline gives.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from inacc import (
     SetPartition,
     TheoremViolation,
     UtilityFunction,
+    bell_number,
     check_monotonicity,
     construct_inaccessible_decision,
     degree,
@@ -30,16 +32,16 @@ from inacc.cli import DIRICHLET_FLOOR, SweepSummary, sweep
 from conftest import random_positive_pair
 
 
-def replay_sweep(n, samples, seed):
+def replay_sweep(n, samples, seed, alpha=1.0):
     """The sweep's rng draws, run through the public functions one by one."""
     rng = np.random.default_rng(seed)
-    alpha = np.full(n, 1.0)
+    alpha_vec = np.full(n, alpha)
     members = collisions = violations = constructed = degenerate = 0
     histogram = {}
     for _ in range(samples):
-        p_star = ProbabilityVector(rng.dirichlet(alpha))
+        p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
         while True:
-            raw = rng.dirichlet(alpha)
+            raw = rng.dirichlet(alpha_vec)
             if raw.min() >= DIRICHLET_FLOOR:
                 break
         p = ProbabilityVector(raw)
@@ -64,7 +66,7 @@ def replay_sweep(n, samples, seed):
         n=n,
         samples=samples,
         seed=seed,
-        alpha=1.0,
+        alpha=alpha,
         blind_spot_frequency=members / samples,
         degree_histogram=histogram,
         multiplicity_collisions=collisions,
@@ -78,6 +80,22 @@ def replay_sweep(n, samples, seed):
 def test_sweep_matches_public_pipeline(n):
     seed = 600 + n
     assert sweep(n=n, samples=50, seed=seed) == replay_sweep(n, 50, seed)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sweep_matches_public_pipeline_with_collisions(n):
+    # a sparse Dirichlet puts zeros in p*: shared posteriors and degenerate constructions
+    seed = 600 + n
+    summary = sweep(n=n, samples=50, seed=seed, dirichlet_alpha=0.05)
+    assert summary == replay_sweep(n, 50, seed, alpha=0.05)
+    assert summary.multiplicity_collisions > 0
+    assert summary.construct_degenerate > 0
+
+
+def test_sweep_matches_public_pipeline_across_batches():
+    n, samples, seed = 7, 80, 607
+    assert samples > _scan.CHUNK_ROWS // (bell_number(n) - 2)  # two batches
+    assert sweep(n=n, samples=samples, seed=seed) == replay_sweep(n, samples, seed)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
