@@ -228,9 +228,12 @@ def chunk_scores(
     np.less_equal(last[1:], last[:-1], out=head[1:])
     group = np.add.accumulate(head, dtype=np.intp) - 1
     masks, _ = _block_masks(labels[head, :-1], n)
-    total = table[..., masks].reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
+    # take(axis=-1) gathers along the subset axis of a 1-D or (S, 2^n) table; it is
+    # about twice as fast as an Ellipsis index on the 1-D one
+    total = table.take(masks, axis=-1).reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
     own = masks[group * n + last]
-    return total[..., group] - table[..., own] + table[..., own | (1 << (n - 1))]
+    moved = table.take(own | (1 << (n - 1)), axis=-1)
+    return total.take(group, axis=-1) - table.take(own, axis=-1) + moved
 
 
 def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -239,7 +242,7 @@ def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np
     Measures of shape (S, n) give (S, rows, n) posteriors, one per sample.
     """
     masks, index = _block_masks(labels, labels.shape[1])
-    return _ratio_table(pstar, p)[..., masks[index]] * p[..., None, :]
+    return _ratio_table(pstar, p).take(masks[index], axis=-1) * p[..., None, :]
 
 
 # ---------------------------------------------------------------------------
