@@ -132,6 +132,10 @@ ERROR_CASES = [
     ["certificate", "--pstar", "0.6,0.4,0", "--p", P],
     ["epsilon", *PAIR, "--d", D, "--eps", "1"],
     ["sweep", "--n", "3"],
+    # scan flags are refused where no scan runs
+    ["sweep", "--n", "3", "--samples", "2", "--parallel", "2"],
+    ["partitions", "--n", "3", "--count", "--parallel", "2"],
+    ["certificate", *PAIR, "--max-n", "14"],
 ]
 
 #: (file name, JSON content or raw text, argv after --context <file>)

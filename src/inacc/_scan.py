@@ -22,6 +22,12 @@ pool and folds the parts in submission order.  Each row's score and
 posterior do not depend on where chunk edges fall, so parallel results
 equal the single-threaded ones.
 
+Scores have one fold, shared by the score and epsilon scans:
+``_score_stats`` reduces a chunk along its last axis and ``_merge_stats``
+merges two parts elementwise, keeping the earlier witness on a tie.
+Parts arrive in enumeration order, so the witness is the
+lexicographically smallest row that attains the max.
+
 The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
 all in array operations (no Python loop per bucket or class).
@@ -30,7 +36,8 @@ The kernels also take measures with a leading sample axis, shaped
 (S, n): the subset tables become (S, 2^n), scores (S, rows) and
 posteriors (S, rows, n), and each sample's row is bitwise the one the
 1-D call gives.  The sweep answers a batch of samples this way with one
-score pass and one class pass.
+``score_scan``, whose fields then hold one entry per sample, and one
+class pass.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ def _label_chunks(
 
 
 def _reduce(
-    worker: Callable, common: tuple, merge: Callable, n: int, workers: int, chunk_rows: int
+    worker: Callable, common: tuple, merge: Callable, n: int, workers: int, chunk_rows=CHUNK_ROWS
 ):
     """Run worker((prefix, maxes, n, chunk_rows) + common) over the whole enumeration.
 
@@ -251,7 +258,11 @@ def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np
 
 @dataclass
 class ScoreScan:
-    """Aggregates of E_{q_Pi}[d] over the full enumeration."""
+    """Aggregates of E_{q_Pi}[d] over the full enumeration.
+
+    A scan of (S, n) measures holds a list with one entry per sample in
+    every field but ``count``, which all samples share.
+    """
 
     count: int
     max_score: float
@@ -261,42 +272,52 @@ class ScoreScan:
     num_lt: int  # scores <  -TOL_NUM: strictly negative
 
     @classmethod
+    def of_stats(cls, stats: tuple) -> "ScoreScan":
+        """From merged ``_score_stats``: Python scalars, or per-sample lists."""
+        count, hi, lo, arg, le, lt = stats
+        rgs = tuple(arg.tolist()) if arg.ndim == 1 else list(map(tuple, arg.tolist()))
+        return cls(count, hi.tolist(), lo.tolist(), rgs, le.tolist(), lt.tolist())
+
+    @classmethod
     def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> "ScoreScan":
-        return cls(*_fold_stats(chunks))
-
-
-_EMPTY = (0, -np.inf, np.inf, (), 0, 0)
+        return cls.of_stats(_fold_stats(chunks))
 
 
 def _score_stats(labels: np.ndarray, scores: np.ndarray) -> tuple:
-    i = int(np.argmax(scores))
+    """(count, max, min, argmax labels, #<= TOL_NUM, #< -TOL_NUM) along the last axis.
+
+    The argmax is the first row that attains the max, so in enumeration
+    order the lexicographically smallest witness.
+    """
+    rows = scores.shape[-1]
+    i = np.argmax(scores, axis=-1)
     return (
-        int(scores.size),
-        float(scores[i]),
-        float(scores.min()),
-        tuple(int(x) for x in labels[i]),
-        int((scores <= TOL_NUM).sum()),
-        int((scores < -TOL_NUM).sum()),
+        rows,
+        # the entry at the argmax rather than max(): a zero max keeps the sign of its first row
+        scores.reshape(-1, rows)[np.arange(i.size), i.ravel()].reshape(i.shape),
+        scores.min(axis=-1),
+        labels[i],
+        (scores <= TOL_NUM).sum(axis=-1),
+        (scores < -TOL_NUM).sum(axis=-1),
     )
 
 
 def _merge_stats(a: tuple, b: tuple) -> tuple:
-    if a[0] == 0:
-        return b
-    if b[0] == 0:
-        return a
-    # ties broken toward the lexicographically smaller witness
-    if (b[1], [-x for x in b[3]]) > (a[1], [-x for x in a[3]]):
-        hi, arg = b[1], b[3]
-    else:
-        hi, arg = a[1], a[3]
-    return (a[0] + b[0], hi, min(a[2], b[2]), arg, a[4] + b[4], a[5] + b[5])
+    """Stats of the rows of ``a`` followed by those of ``b``; a tie keeps ``a``."""
+    up = b[1] > a[1]
+    return (
+        a[0] + b[0],
+        np.where(up, b[1], a[1]),
+        np.where(b[2] < a[2], b[2], a[2]),
+        np.where(up[..., None], b[3], a[3]),
+        a[4] + b[4],
+        a[5] + b[5],
+    )
 
 
 def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
-    """Aggregates of (labels, scores) chunks given in enumeration order."""
-    stats = (_score_stats(labels, scores) for labels, scores in chunks)
-    return functools.reduce(_merge_stats, stats, _EMPTY)
+    """Stats of (labels, scores) chunks given in enumeration order."""
+    return functools.reduce(_merge_stats, (_score_stats(lb, scores) for lb, scores in chunks))
 
 
 def _score_worker(args: tuple) -> tuple:
@@ -306,22 +327,20 @@ def _score_worker(args: tuple) -> tuple:
 
 
 def score_scan(
-    n: int,
-    pstar: np.ndarray,
-    p: np.ndarray,
-    d: np.ndarray,
-    workers: int = 1,
-    chunk_rows: int = CHUNK_ROWS,
+    n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray, workers: int = 1
 ) -> ScoreScan:
-    """Scan E_{q_Pi}[d] over all proper non-trivial partitions of {1..n}."""
-    return ScoreScan(*_reduce(_score_worker, (pstar, p, d), _merge_stats, n, workers, chunk_rows))
+    """Scan E_{q_Pi}[d] over all proper non-trivial partitions of {1..n}.
+
+    Measures of shape (S, n) scan S samples in one pass (see ``ScoreScan``).
+    """
+    return ScoreScan.of_stats(_reduce(_score_worker, (pstar, p, d), _merge_stats, n, workers))
 
 
 def iter_scored_chunks(
-    n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray, chunk_rows: int = CHUNK_ROWS
+    n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(labels, scores) per chunk, single-threaded, for per-partition details."""
-    for labels in _label_chunks(n, chunk_rows):
+    for labels in _label_chunks(n, CHUNK_ROWS):
         yield labels, chunk_scores(labels, pstar, p, d)
 
 
@@ -498,24 +517,14 @@ def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 # mixture-identity scan
 
 
-def _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps) -> tuple[int, float]:
-    score = chunk_scores(labels, pstar, p, d)
-    score_eps = chunk_scores(labels, p_eps, p, d_eps)
-    return labels.shape[0], float(np.abs(score_eps - (1.0 - eps) * score).max())
-
-
-def _epsilon_worker(args: tuple) -> tuple[int, float]:
+def _epsilon_worker(args: tuple) -> tuple:
+    """Stats of E_{q_eps}[d_eps] - (1-eps) E_q[d] per row: two kernel calls per row."""
     prefix, maxes, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps = args
-    count, expect = 0, 0.0
-    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
-        c, e = _epsilon_chunk(labels, pstar, p, p_eps, d, d_eps, eps)
-        count += c
-        expect = max(expect, e)
-    return count, expect
-
-
-def _merge_epsilon(a: tuple[int, float], b: tuple[int, float]) -> tuple[int, float]:
-    return a[0] + b[0], max(a[1], b[1])
+    chunks = _label_chunks(n, chunk_rows, prefix, maxes)
+    return _fold_stats(
+        (lb, chunk_scores(lb, p_eps, p, d_eps) - (1.0 - eps) * chunk_scores(lb, pstar, p, d))
+        for lb in chunks
+    )
 
 
 def _mixture_residual(
@@ -543,12 +552,12 @@ def epsilon_scan(
     d_eps: np.ndarray,
     eps: float,
     workers: int = 1,
-    chunk_rows: int = CHUNK_ROWS,
 ) -> tuple[int, float, float]:
     """(count, max mixture residual, max expectation residual) over all Pi."""
     common = (pstar, p, p_eps, d, d_eps, eps)
-    count, expect = _reduce(_epsilon_worker, common, _merge_epsilon, n, workers, chunk_rows)
-    return count, _mixture_residual(n, pstar, p, p_eps, eps), expect
+    scan = ScoreScan.of_stats(_reduce(_epsilon_worker, common, _merge_stats, n, workers))
+    expect = max(abs(scan.max_score), abs(scan.min_score))
+    return scan.count, _mixture_residual(n, pstar, p, p_eps, eps), expect
 
 
 # ---------------------------------------------------------------------------

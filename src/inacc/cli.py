@@ -3,7 +3,8 @@
 Each subcommand handler returns a result object or a dict; ``run_command``
 alone turns it into a report (``inacc.core.JsonReport``'s JSON form), puts
 the subcommand name first, adds the determinism tag ("bitwise"
-single-threaded, "tolerance" with --parallel), and refuses --format csv
+single-threaded, "tolerance" with --parallel, which only the scanning
+subcommands take), and refuses --format csv
 outside CSV_COMMANDS, whose handlers stream their CSV rows themselves.
 The shapes are pinned by schemas/report.schema.json at the repo root.
 Exit codes: 0 success, 1 domain errors (reported as JSON), 2 usage errors,
@@ -45,7 +46,6 @@ from .construct import (
     verify_inaccessibility,
 )
 from .core import (
-    TOL_NUM,
     InaccError,
     JsonReport,
     OutOfRange,
@@ -200,16 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table", "csv"), default="json",
         help="report format (csv only for per-partition tables)",
     )
-    common.add_argument(
+
+    scanning = argparse.ArgumentParser(add_help=False, parents=[common])
+    scanning.add_argument(
         "--parallel", type=int, default=1, metavar="N",
         help="worker processes for partition scans (default 1)",
     )
-    common.add_argument(
+    scanning.add_argument(
         "--max-n", type=int, default=DEFAULT_MAX_OUTCOMES, metavar="N",
         help=f"resource guard for exhaustive scans (default {DEFAULT_MAX_OUTCOMES}; "
         f"never above {MAX_SCAN_OUTCOMES}, whatever N)",
     )
-    common.add_argument(
+    scanning.add_argument(
         "--ack-large", action="store_true",
         help="acknowledge the memory/time cost of raising --max-n",
     )
@@ -247,27 +249,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("blindspot", parents=[common, measures], help="blind-spot membership and witness")
 
-    sp = sub.add_parser("construct", parents=[common, measures], help="build a strongly inaccessible decision")
+    sp = sub.add_parser("construct", parents=[scanning, measures], help="build a strongly inaccessible decision")
     sp.add_argument("--eps-frac", type=float, default=0.5)
     sp.add_argument("--clamp", action="store_true", help="clamp log-ratio where p* is zero")
 
-    sp = sub.add_parser("verify", parents=[common, decision], help="exhaustive inaccessibility report")
+    sp = sub.add_parser("verify", parents=[scanning, decision], help="exhaustive inaccessibility report")
     sp.add_argument("--full", action="store_true", help="keep per-partition details")
 
-    sub.add_parser("degree", parents=[common, decision], help="degree of inaccessibility of d")
+    sub.add_parser("degree", parents=[scanning, decision], help="degree of inaccessibility of d")
 
-    sp = sub.add_parser("spectrum", parents=[common, measures, seeded], help="achievable degree spectrum")
+    sp = sub.add_parser("spectrum", parents=[scanning, measures, seeded], help="achievable degree spectrum")
     sp.add_argument("--eta-frac", type=float, default=0.5)
 
-    sp = sub.add_parser("realize", parents=[common, measures, seeded], help="realize a degree exactly")
+    sp = sub.add_parser("realize", parents=[scanning, measures, seeded], help="realize a degree exactly")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eta-frac", type=float, default=0.5)
 
-    sub.add_parser("monotonicity", parents=[common, decision], help="informed-decision monotonicity check")
+    sub.add_parser("monotonicity", parents=[scanning, decision], help="informed-decision monotonicity check")
 
     sub.add_parser("certificate", parents=[common, measures], help="decomposition certificate")
 
-    sp = sub.add_parser("epsilon", parents=[common, decision], help="mixture-identity check")
+    sp = sub.add_parser("epsilon", parents=[scanning, decision], help="mixture-identity check")
     sp.add_argument("--eps", type=float, required=True)
 
     sp = sub.add_parser("sweep", parents=[common, seeded], help="Monte-Carlo sweep over the simplex")
@@ -337,11 +339,12 @@ def sweep(
     Samples are drawn one at a time, and each gets its ratio p*/p once and,
     for a blind-spot pair, construct's closed-form d (no scan).  They are
     answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2)) samples,
-    1,310 at n = 5 and one at n = 10.  A batch makes one score pass over
-    the random and the constructed d's stacked on a sample axis, and one
-    class pass over its pairs.  The score pass gives every degree and the
-    exhaustive re-verification of every constructed d, which goes through
-    construct's soundness test and the theorem rule of
+    1,310 at n = 5 and one at n = 10.  A batch makes one ``score_scan``
+    over the random and the constructed d's stacked on a sample axis, and
+    one class pass over its pairs.  The scan's per-sample counts give
+    every degree (``num_le``) and re-verify every constructed d, strong
+    when ``num_lt`` is the count and inaccessible when ``num_le`` is,
+    through construct's soundness test and the theorem rule of
     ``check_monotonicity``; the class pass finds the samples whose
     posterior classes collide.  The counts are those of the public
     functions run on each sample in turn.
@@ -384,21 +387,19 @@ def sweep(
         pairs += [(p_star.weights, p.weights) for p_star, p, *_ in built]
         decisions += [d.values for _, _, d, *_ in built]
         ps, pw = np.array(pairs).transpose(1, 0, 2)
-        chunks = _scan.iter_scored_chunks(n, ps, pw, np.array(decisions))
-        scores = np.concatenate([s for _, s in chunks], axis=-1)
-        for deg in (scores[:size] <= TOL_NUM).sum(axis=1).tolist():
+        scan = _scan.score_scan(n, ps, pw, np.array(decisions))
+        for deg in scan.num_le[:size]:
             histogram[deg] = histogram.get(deg, 0) + 1
 
         collisions += int((_scan.class_scan(n, ps[:size], pw[:size]) > 1).sum())
 
-        checked = scores[size:]
-        verdicts = zip((checked < -TOL_NUM).all(axis=1).tolist(), checked.max(axis=1).tolist())
-        for (p_star, p, d, delta, epsilon), (strong, top) in zip(built, verdicts):
+        checked = zip(scan.num_lt[size:], scan.num_le[size:], scan.max_score[size:])
+        for (p_star, p, d, delta, epsilon), (num_lt, num_le, top) in zip(built, checked):
             e_pstar = expectation(d, p_star)
-            _require_sound(strong, e_pstar, top, delta, epsilon, "strict")
+            _require_sound(num_lt == scan.count, e_pstar, top, delta, epsilon, "strict")
             constructed += 1
             try:
-                _theorem_verdict(e_pstar, expectation(d, p), top <= TOL_NUM, top)
+                _theorem_verdict(e_pstar, expectation(d, p), num_le == scan.count, top)
             except TheoremViolation:
                 violations += 1
     return SweepSummary(
@@ -611,7 +612,7 @@ def run_command(argv: list[str] | None = None) -> int:
         report = {
             "command": args.command,
             **_json_value(result),
-            "determinism": "bitwise" if args.parallel <= 1 else "tolerance",
+            "determinism": "bitwise" if getattr(args, "parallel", 1) <= 1 else "tolerance",
         }
         if args.format == "table":
             print(_render_table(report))

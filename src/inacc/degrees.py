@@ -100,26 +100,6 @@ def posterior_classes(
     Dedup radius is TOL_DEDUP in max-norm; output is ordered
     lexicographically by posterior weights for reproducibility.
     """
-    return tuple(
-        PosteriorClass(posterior=ProbabilityVector(rep), multiplicity=count)
-        for rep, count in _class_multiplicities(
-            p_star, p, workers=workers, max_outcomes=max_outcomes
-        )
-    )
-
-
-def _class_multiplicities(
-    p_star: ProbabilityVector,
-    p: ProbabilityVector,
-    *,
-    workers: int = 1,
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-) -> list[tuple[tuple[float, ...], int]]:
-    """(posterior weights, multiplicity) per class, as ``posterior_classes`` orders them.
-
-    Same input checks, refusal above MAX_CLASS_OUTCOMES and multiplicity
-    sum check as ``posterior_classes``, without an object per class.
-    """
     n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
     if n > MAX_CLASS_OUTCOMES:
         raise RefusedTooLarge(
@@ -131,7 +111,10 @@ def _class_multiplicities(
     expected = proper_nontrivial_count(n)
     if total != expected:
         raise VerificationFailed(f"multiplicities sum to {total}, expected {expected}")
-    return classes
+    return tuple(
+        PosteriorClass(posterior=ProbabilityVector(rep), multiplicity=count)
+        for rep, count in classes
+    )
 
 
 def find_separating_direction(

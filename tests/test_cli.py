@@ -122,6 +122,20 @@ class TestSubcommands:
         assert report["determinism"] == "tolerance"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partitions", "--n", "3", "--count"],
+            ["posterior", "--pstar", PSTAR, "--p", P, "--partition", "0,0,1"],
+            ["blindspot", "--pstar", PSTAR, "--p", P],
+            ["certificate", "--pstar", PSTAR, "--p", P],
+            ["sweep", "--n", "3", "--samples", "2"],
+        ],
+    )
+    def test_commands_without_scans_are_bitwise(self, capsys, argv):
+        assert run_json(capsys, argv)["determinism"] == "bitwise"
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
         assert run_command(["partitions", "--bogus"]) == 2
@@ -170,6 +184,20 @@ class TestExitCodes:
             expect_code=1,
         )
         assert report["error"]["type"] == "RefusedTooLarge"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "3", "--samples", "2", "--parallel", "2"],
+            ["partitions", "--n", "3", "--count", "--parallel", "2"],
+            ["certificate", "--pstar", PSTAR, "--p", P, "--max-n", "14"],
+            ["blindspot", "--pstar", PSTAR, "--p", P, "--ack-large"],
+        ],
+    )
+    def test_scan_flags_only_on_scanning_commands(self, capsys, argv):
+        # these start no scan, so a worker count or a guard would be ignored
+        assert run_command(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "p, d, error",

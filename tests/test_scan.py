@@ -78,6 +78,54 @@ def test_sample_axis_is_bitwise_the_single_call(n, samples):
         assert np.array_equal(posteriors[s], _scan.chunk_posteriors(labels, pstar[s], p[s]))
 
 
+def assert_batched_scan_is_each_single_scan(n, samples, workers):
+    rng = np.random.default_rng([n, samples, workers])
+    pstar = rng.dirichlet(np.ones(n), samples)
+    p = rng.dirichlet(np.ones(n), samples)
+    d = rng.uniform(-1.0, 1.0, (samples, n))
+    d[1:2] = 0.0  # the second sample scores exactly 0.0 everywhere: all ties
+    batched = _scan.score_scan(n, pstar, p, d, workers=workers)
+    assert batched.count == bell_number(n) - 2
+    for field in ("max_score", "min_score", "argmax_rgs", "num_le", "num_lt"):
+        assert len(getattr(batched, field)) == samples
+    for s in range(samples):
+        single = _scan.score_scan(n, pstar[s], p[s], d[s], workers=workers)
+        assert single == _scan.ScoreScan(
+            batched.count,
+            batched.max_score[s],
+            batched.min_score[s],
+            batched.argmax_rgs[s],
+            batched.num_le[s],
+            batched.num_lt[s],
+        )
+
+
+@pytest.mark.parametrize("samples", [1, 2, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_batched_score_scan_is_each_single_scan(n, samples):
+    assert_batched_scan_is_each_single_scan(n, samples, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("samples", [1, 2, 8])
+def test_batched_score_scan_streams_and_pools_like_single_scans(samples, workers):
+    # n = 11 streams several chunks, and with two workers merges pool parts
+    assert_batched_scan_is_each_single_scan(11, samples, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exact_ties_keep_the_first_witness(workers):
+    # d = 0 scores every partition exactly 0.0, so every chunk and every pool
+    # part ties at the max; the ordered merge keeps the first row overall
+    n = 11
+    p_star, p = random_positive_pair(np.random.default_rng(11), n)
+    scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), np.zeros(n), workers=workers)
+    assert scan.argmax_rgs == (0,) * (n - 1) + (1,)
+    assert scan.max_score == scan.min_score == 0.0
+    assert scan.num_le == scan.count == bell_number(n) - 2
+    assert scan.num_lt == 0
+
+
 @pytest.mark.parametrize("n", [4, 7])
 def test_batched_class_scan_gives_each_largest_multiplicity(n):
     rng = np.random.default_rng(30 + n)
