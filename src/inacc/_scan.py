@@ -36,8 +36,14 @@ The kernels also take measures with a leading sample axis, shaped
 (S, n): the subset tables become (S, 2^n), scores (S, rows) and
 posteriors (S, rows, n), and each sample's row is bitwise the one the
 1-D call gives.  The sweep answers a batch of samples this way with one
-``score_scan``, whose fields then hold one entry per sample, and one
-class pass.
+``score_scan``, whose fields then hold one entry per sample.
+
+``certify_singletons`` proves from the subset table alone that a
+sample's posterior classes are all singletons: distinct partitions put
+some outcome i in different blocks B, B', so their posteriors differ at
+i by |R(B) - R(B')| p_i, and the certificate checks that every such gap
+exceeds TOL_DEDUP.  The sweep runs the class pass only on the samples it
+does not certify.
 """
 
 from __future__ import annotations
@@ -346,6 +352,33 @@ def iter_scored_chunks(
 
 # ---------------------------------------------------------------------------
 # posterior class scan (dedup with multiplicities)
+
+
+@functools.lru_cache(maxsize=4)
+def _blocks_holding(n: int) -> np.ndarray:
+    """blocks[i]: the nonempty proper subsets that hold outcome i, as subset indices (read-only)."""
+    subsets = np.arange(1, (1 << n) - 1)
+    blocks = np.stack([subsets[(subsets >> i) & 1 == 1] for i in range(n)])
+    blocks.setflags(write=False)
+    return blocks
+
+
+def certify_singletons(n: int, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """True where every posterior class provably has multiplicity 1, per sample of (S, n) measures.
+
+    q_Pi(i) = R(B) p_i for the block B of Pi that holds i, and two
+    distinct partitions put some outcome i in different blocks B != B'.
+    A sample is certified when, for every i, the floats fl(R(B) p_i) over
+    the nonempty proper subsets B holding i (the values
+    ``chunk_posteriors`` gives) sit pairwise more than TOL_DEDUP apart.
+    Then any two posteriors differ by more than TOL_DEDUP, so they fall
+    in different 1e-12 buckets and single linkage joins none: ``class_scan``
+    would count every class once.  One sort of n (2^(n-1) - 1) values
+    per sample; measures of shape (n,) give a 0-d answer.
+    """
+    q = _ratio_table(pstar, p)[..., _blocks_holding(n)] * p[..., None]
+    gaps = np.diff(np.sort(q, axis=-1), axis=-1)
+    return (gaps > TOL_DEDUP).all(axis=(-2, -1))
 
 
 def _class_chunk(acc: list, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> None:

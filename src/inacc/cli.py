@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scan
-from .conditioning import in_blind_spot, jeffrey_posterior, radon_nikodym
+from .conditioning import in_blind_spot, jeffrey_posterior, ratio_order
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
+    MAX_JSON_ROWS,
     MAX_SCAN_OUTCOMES,
     ROW_FIELDS,
     _check_scan_inputs,
@@ -50,18 +51,15 @@ from .core import (
     JsonReport,
     OutOfRange,
     ProbabilityVector,
-    PStarHasZero,
     RefusedTooLarge,
-    SeparationBelowTolerance,
-    TheoremViolation,
     UtilityFunction,
+    _expectations,
     _json_value,
-    expectation,
     require_seed,
 )
 from .degrees import achievable_degrees, degree, realize_degree
 from .monotonicity import (
-    _theorem_verdict,
+    _theorem_parts,
     appendix_certificate,
     check_monotonicity,
     epsilon_mixture_check,
@@ -76,9 +74,6 @@ from .partitions import (
 DIRICHLET_FLOOR = 1e-6
 #: sweeps stay in this outcome range; larger spaces are not desk scale
 SWEEP_MAX_N = 10
-#: JSON listings of partitions stop here (Bell(10) - 2 rows); longer ones
-#: go through --format csv, which streams, or a --limit / --count
-MAX_JSON_ROWS = 115_973
 
 ENV_SEED = "INACC_SEED"
 #: the subcommands with a --format csv table; the rest refuse it
@@ -295,6 +290,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _refuse_long_listing(rows: int, what: str) -> None:
+    """JSON listings stop at MAX_JSON_ROWS; longer ones go through --format csv, --limit or --count."""
     if rows > MAX_JSON_ROWS:
         raise RefusedTooLarge(
             f"{what} would list {rows} partitions in JSON (limit {MAX_JSON_ROWS}); "
@@ -336,18 +332,21 @@ def sweep(
     degree recorded; blind-spot pairs additionally run the construction
     and the monotonicity check.
 
-    Samples are drawn one at a time, and each gets its ratio p*/p once and,
-    for a blind-spot pair, construct's closed-form d (no scan).  They are
-    answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2)) samples,
-    1,310 at n = 5 and one at n = 10.  A batch makes one ``score_scan``
-    over the random and the constructed d's stacked on a sample axis, and
-    one class pass over its pairs.  The scan's per-sample counts give
-    every degree (``num_le``) and re-verify every constructed d, strong
-    when ``num_lt`` is the count and inaccessible when ``num_le`` is,
-    through construct's soundness test and the theorem rule of
-    ``check_monotonicity``; the class pass finds the samples whose
-    posterior classes collide.  The counts are those of the public
-    functions run on each sample in turn.
+    Samples are drawn one at a time, each through ``ProbabilityVector``,
+    and answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2))
+    samples, 1,310 at n = 5 and one at n = 10, with array operations on
+    the batch's (S, n) arrays.  The ratio rule of ``radon_nikodym`` and
+    construct's closed form run once per batch, row for row as the
+    one-pair calls run them.  One ``score_scan`` over the random and the
+    constructed d's stacked on a sample axis gives every degree
+    (``num_le``) and re-verifies every constructed d, strong when
+    ``num_lt`` is the count and inaccessible when ``num_le`` is, through
+    construct's soundness test and the theorem rule of
+    ``check_monotonicity``.  A sample collides when some posterior class
+    has multiplicity above 1; ``certify_singletons`` rules that out for
+    most samples (distinct posteriors differ at some outcome by the gap
+    between two subset ratios), and one class pass answers the rest.  The
+    counts are those of the public functions run on each sample in turn.
     """
     if not 3 <= n <= SWEEP_MAX_N:
         raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
@@ -363,45 +362,51 @@ def sweep(
     members = collisions = violations = constructed = degenerate = 0
     histogram: dict[int, int] = {}
     for start in range(0, samples, batch):
-        size = min(batch, samples - start)
-        pairs, decisions, built = [], [], []
-        for _ in range(size):
+        draws = []
+        for _ in range(min(batch, samples - start)):
             p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
             while True:
                 raw = rng.dirichlet(alpha_vec)
                 if raw.min() >= DIRICHLET_FLOOR:
                     break
             p = ProbabilityVector(raw)
-            ratio = radon_nikodym(p_star, p)
-            members += ratio.injective
-            pairs.append((p_star.weights, p.weights))
-            decisions.append(rng.uniform(-1.0, 1.0, n))
-            if ratio.injective:
-                try:
-                    # construct's defaults: eps_fraction 0.5, strict mode
-                    d, _, delta, epsilon = _closed_form(p_star, p, ratio, 0.5, "strict")
-                except (SeparationBelowTolerance, PStarHasZero):
-                    degenerate += 1
-                else:
-                    built.append((p_star, p, d, delta, epsilon))
-        pairs += [(p_star.weights, p.weights) for p_star, p, *_ in built]
-        decisions += [d.values for _, _, d, *_ in built]
-        ps, pw = np.array(pairs).transpose(1, 0, 2)
-        scan = _scan.score_scan(n, ps, pw, np.array(decisions))
+            draws.append((p_star.weights, p.weights, rng.uniform(-1.0, 1.0, n)))
+        ps, pw, decisions = (np.array(column) for column in zip(*draws))
+        size = len(draws)
+
+        r = ps / pw
+        order, injective = ratio_order(r)
+        members += int(injective.sum())
+        # construct's defaults: eps_fraction 0.5, strict mode
+        idx = np.flatnonzero(injective)
+        d, _, delta, epsilon, zero, thin = _closed_form(
+            ps[idx], pw[idx], r[idx], order[idx], 0.5, "strict"
+        )
+        sound = ~(zero | thin)
+        degenerate += idx.size - int(sound.sum())
+        idx, d, delta, epsilon = idx[sound], d[sound], delta[sound], epsilon[sound]
+
+        scan = _scan.score_scan(
+            n, np.concatenate([ps, ps[idx]]), np.concatenate([pw, pw[idx]]),
+            np.concatenate([decisions, d]),
+        )
         for deg in scan.num_le[:size]:
             histogram[deg] = histogram.get(deg, 0) + 1
 
-        collisions += int((_scan.class_scan(n, ps[:size], pw[:size]) > 1).sum())
+        uncertified = np.flatnonzero(~_scan.certify_singletons(n, ps, pw))
+        if uncertified.size:
+            largest = _scan.class_scan(n, ps[uncertified], pw[uncertified])
+            collisions += int((largest > 1).sum())
 
-        checked = zip(scan.num_lt[size:], scan.num_le[size:], scan.max_score[size:])
-        for (p_star, p, d, delta, epsilon), (num_lt, num_le, top) in zip(built, checked):
-            e_pstar = expectation(d, p_star)
-            _require_sound(num_lt == scan.count, e_pstar, top, delta, epsilon, "strict")
-            constructed += 1
-            try:
-                _theorem_verdict(e_pstar, expectation(d, p), num_le == scan.count, top)
-            except TheoremViolation:
-                violations += 1
+        num_lt, num_le, top = (
+            np.array(field[size:]) for field in (scan.num_lt, scan.num_le, scan.max_score)
+        )
+        e_pstar = _expectations(d, ps[idx])
+        _require_sound(num_lt == scan.count, e_pstar, top, delta, epsilon, "strict")
+        constructed += idx.size
+        e_p = _expectations(d, pw[idx])
+        hypotheses, conclusion = _theorem_parts(e_pstar, e_p, num_le == scan.count)
+        violations += int((hypotheses & ~conclusion).sum())
     return SweepSummary(
         n=n,
         samples=samples,

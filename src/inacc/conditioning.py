@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     TOL_NUM,
     DimensionMismatch,
@@ -43,13 +45,26 @@ class RadonNikodymRatio:
         return len(self.values)
 
 
+def ratio_order(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, injective) of ratio rows r, shaped (n,) or (S, n).
+
+    ``order`` is the stable argsort along the last axis, and ``injective``
+    holds where every gap between neighbours in that order exceeds
+    ``TOL_NUM``: the rule of ``RadonNikodymRatio``, once per row.
+    """
+    order = np.argsort(r, axis=-1, kind="stable")
+    gaps = np.diff(np.take_along_axis(r, order, axis=-1), axis=-1)
+    return order, (gaps > TOL_NUM).all(axis=-1)
+
+
 def radon_nikodym(p_star: ProbabilityVector, p: ProbabilityVector) -> RadonNikodymRatio:
     """Ratio r(i) = p*(i)/p(i); requires p strictly positive."""
-    n = require_pair(p_star, p)
-    values = tuple(ps / pi for ps, pi in zip(p_star.weights, p.weights))
-    order = tuple(sorted(range(n), key=values.__getitem__))
-    injective = all(values[j] - values[i] > TOL_NUM for i, j in zip(order, order[1:]))
-    return RadonNikodymRatio(values=values, order=order, injective=injective)
+    require_pair(p_star, p)
+    r = p_star.as_array() / p.as_array()
+    order, injective = ratio_order(r)
+    return RadonNikodymRatio(
+        values=tuple(r.tolist()), order=tuple(order.tolist()), injective=bool(injective)
+    )
 
 
 def jeffrey_posterior(

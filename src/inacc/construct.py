@@ -34,11 +34,12 @@ from .core import (
     SeparationBelowTolerance,
     UtilityFunction,
     VerificationFailed,
+    _expectations,
     expectation,
     require_pair,
     require_same_n,
 )
-from .conditioning import RadonNikodymRatio, in_blind_spot, jeffrey_posterior
+from .conditioning import in_blind_spot, jeffrey_posterior
 from .partitions import SetPartition, proper_nontrivial_count
 
 #: exhaustive scans refuse outcome counts above this unless overridden
@@ -46,8 +47,13 @@ DEFAULT_MAX_OUTCOMES = 13
 #: no override reaches past this: Bell(16) ~ 1.05e10 rows is about 20 min of
 #: scanning, Bell(17) over two hours, and the 2^n subset tables grow with n
 MAX_SCAN_OUTCOMES = 16
+#: per-partition details are kept, and listed in JSON, up to this many rows
+#: (Bell(10) - 2); at n = 13 they would hold about 0.58 GB
+MAX_JSON_ROWS = 115_973
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0
+
+_PSTAR_ZERO = "p* has a zero weight; use clamp mode or fix the input"
 
 ZeroMode = Literal["strict", "clamp"]
 
@@ -62,17 +68,21 @@ def log_density_ratio(
     callers that hand out certificates must re-verify afterwards.
     """
     require_pair(p_star, p)
-    if mode == "strict":
-        if not p_star.strictly_positive:
-            raise PStarHasZero("p* has a zero weight; use clamp mode or fix the input")
-        return UtilityFunction(
-            math.log(ps / pi) for ps, pi in zip(p_star.weights, p.weights)
-        )
-    values = [
-        math.log(ps / pi) if ps > 0.0 else -CLAMP_FLOOR
-        for ps, pi in zip(p_star.weights, p.weights)
-    ]
-    return UtilityFunction(max(v, -CLAMP_FLOOR) for v in values)
+    if mode == "strict" and not p_star.strictly_positive:
+        raise PStarHasZero(_PSTAR_ZERO)
+    return UtilityFunction(_log_ratio(p_star.as_array() / p.as_array(), mode).tolist())
+
+
+def _log_ratio(r: np.ndarray, mode: ZeroMode) -> np.ndarray:
+    """ln r elementwise, with -CLAMP_FLOOR where r is 0 and, in clamp mode, as a floor.
+
+    Logs come from math.log, one entry at a time: np.log differs from it
+    in the last bit on some inputs, and constructions are pinned to it.
+    Strict callers reject a zero in p* (a zero in r) themselves.
+    """
+    flat = [math.log(x) if x > 0.0 else -CLAMP_FLOOR for x in r.ravel().tolist()]
+    g = np.array(flat).reshape(r.shape)
+    return np.maximum(g, -CLAMP_FLOOR) if mode == "clamp" else g
 
 
 def kl_divergence(q1: ProbabilityVector, q2: ProbabilityVector) -> float:
@@ -258,12 +268,18 @@ def verify_inaccessibility(
 
     ``keep_partitions`` controls whether per-partition details are stored:
     None (default) keeps them only when the enumeration is small.  Kept
-    details come from one single-threaded pass, whatever ``workers`` is.
+    details come from one single-threaded pass, whatever ``workers`` is,
+    and are refused (RefusedTooLarge) above MAX_JSON_ROWS partitions.
     """
     n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
     total = proper_nontrivial_count(n)
     if keep_partitions is None:
         keep_partitions = total <= _scan.KEEP_DETAILS_MAX
+    if keep_partitions and total > MAX_JSON_ROWS:
+        raise RefusedTooLarge(
+            f"keeping the details of {total} partitions refused (limit {MAX_JSON_ROWS}); "
+            "pass keep_partitions=False for the counts and extrema"
+        )
     ps, pw, dw = p_star.as_array(), p.as_array(), d.as_array()
     chunks = None
     if keep_partitions:
@@ -302,23 +318,24 @@ class ConstructedDecision(JsonReport):
 
 
 def _adjacent_pair_margin(
-    ratio: RadonNikodymRatio, p: ProbabilityVector, g: UtilityFunction
-) -> tuple[float, tuple[int, int]]:
-    """(Delta, (i, j)): the least adjacent-pair cost f and the 0-based pair attaining it.
+    r: np.ndarray, order: np.ndarray, p: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta, pairs) per row of (S, n) arrays: the least adjacent-pair cost f and its pair.
 
-    Outcomes are taken in ``ratio.order``, increasing r = p*/p, and
+    Outcomes are taken in ``order``, increasing r = p*/p, and
     f(i, j) = p_i p_j / (p_i + p_j) (r_j - r_i)(g_j - g_i) is the score
     gap E_{p*}[g] - E_{q_Pi}[g] of the partition whose only non-singleton
     block is {i, j}.  See ``construct_inaccessible_decision`` for why the
-    least of these n - 1 costs is the gap of the best partition.
+    least of these n - 1 costs is the gap of the best partition.  pairs
+    holds the 0-based (i, j) of the first least cost, shaped (S, 2).
     """
-    pw, gv, r, order = p.weights, g.values, ratio.values, ratio.order
-    costs = [
-        pw[i] * pw[j] / (pw[i] + pw[j]) * (r[j] - r[i]) * (gv[j] - gv[i])
-        for i, j in zip(order, order[1:])
-    ]
-    k = min(range(len(costs)), key=costs.__getitem__)
-    return costs[k], (order[k], order[k + 1])
+    rows = np.arange(order.shape[0])
+    rs, ps, gs = (x[rows[:, None], order] for x in (r, p, g))
+    a, b = ps[:, :-1], ps[:, 1:]
+    costs = a * b / (a + b) * (rs[:, 1:] - rs[:, :-1]) * (gs[:, 1:] - gs[:, :-1])
+    k = costs.argmin(axis=-1)
+    pairs = np.stack([order[rows, k], order[rows, k + 1]], axis=-1)
+    return costs[rows, k], pairs
 
 
 def construct_inaccessible_decision(
@@ -370,7 +387,18 @@ def construct_inaccessible_decision(
         raise NotInBlindSpot(
             f"ratio p*/p is not injective (witness {bs.witness}); nothing to construct"
         )
-    d, M, delta, epsilon = _closed_form(p_star, p, bs.ratio, eps_fraction, mode)
+    r, order = np.array([bs.ratio.values]), np.array([bs.ratio.order])
+    ps, pw = p_star.as_array()[None], p.as_array()[None]
+    d, M, delta, epsilon, zero, thin = (
+        x[0].tolist() for x in _closed_form(ps, pw, r, order, eps_fraction, mode)
+    )
+    if zero:
+        raise PStarHasZero(_PSTAR_ZERO)
+    if thin:
+        raise SeparationBelowTolerance(
+            f"margins (delta={delta!r}, eps={epsilon!r}) within tolerance of zero"
+        )
+    d = UtilityFunction(d)
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes
     )
@@ -388,32 +416,35 @@ def construct_inaccessible_decision(
 
 
 def _closed_form(
-    p_star: ProbabilityVector,
-    p: ProbabilityVector,
-    ratio: RadonNikodymRatio,
+    pstar: np.ndarray,
+    p: np.ndarray,
+    r: np.ndarray,
+    order: np.ndarray,
     eps_fraction: float,
     mode: ZeroMode,
-) -> tuple[UtilityFunction, float, float, float]:
-    """(d, M, Delta, eps) of the construction for an injective ``ratio``, without a scan.
+) -> tuple[np.ndarray, ...]:
+    """(d, M, Delta, eps, zero, thin) of the construction per row of (S, n) arrays, without a scan.
 
-    Raises PStarHasZero (strict mode, a zero in p*) and
-    SeparationBelowTolerance as ``construct_inaccessible_decision`` does.
+    Each row needs an injective ratio r = p*/p and ``order``, its ratio
+    order.  ``zero`` marks the rows that strict mode refuses (a zero in
+    p*) and ``thin`` those whose Delta, eps or Delta - eps lies within
+    TOL_NUM of zero; ``construct_inaccessible_decision`` raises
+    PStarHasZero and SeparationBelowTolerance for them, in that order.
+    Every row is computed as the one-row call computes it.
     """
-    g = log_density_ratio(p_star, p, mode=mode)
-    delta, _ = _adjacent_pair_margin(ratio, p, g)
-    M = expectation(g, p_star) - delta
+    g = _log_ratio(r, mode)
+    delta, _ = _adjacent_pair_margin(r, order, p, g)
+    M = _expectations(g, pstar) - delta
     epsilon = eps_fraction * delta
-    if min(delta, epsilon, delta - epsilon) <= TOL_NUM:
-        raise SeparationBelowTolerance(
-            f"margins (delta={delta!r}, eps={epsilon!r}) within tolerance of zero"
-        )
-    return g.shifted(M + epsilon), M, delta, epsilon
+    thin = np.minimum(np.minimum(delta, epsilon), delta - epsilon) <= TOL_NUM
+    zero = (pstar <= 0.0).any(axis=-1) & (mode == "strict")
+    return g - (M + epsilon)[:, None], M, delta, epsilon, zero, thin
 
 
-def _require_sound(
-    strong: bool, e_pstar: float, max_score: float, delta: float, epsilon: float, mode: ZeroMode
-) -> None:
+def _require_sound(strong, e_pstar, max_score, delta, epsilon, mode: ZeroMode) -> None:
     """The re-verification test of a constructed d, from its exhaustive scan's verdicts.
+
+    Takes scalars for one d or arrays for several, and raises if any fails.
 
     d must be strongly inaccessible with E_{p*}[d] = Delta - eps > 0 and a
     posterior maximum of exactly -eps (within TOL_NUM), which also checks
@@ -421,11 +452,11 @@ def _require_sound(
     """
     sound = (
         strong
-        and e_pstar > 0.0
-        and abs(max_score + epsilon) <= TOL_NUM
-        and abs(e_pstar - (delta - epsilon)) <= TOL_NUM
+        & (e_pstar > 0.0)
+        & (abs(max_score + epsilon) <= TOL_NUM)
+        & (abs(e_pstar - (delta - epsilon)) <= TOL_NUM)
     )
-    if not sound:
+    if not np.all(sound):
         if mode == "clamp":
             raise PStarHasZero(
                 "clamped construction failed exhaustive re-verification"

@@ -102,7 +102,7 @@ class TheoremViolation(InaccError):
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,9 @@ class ProbabilityVector:
         w = _as_float_tuple(weights)
         if len(w) < MIN_OUTCOMES:
             raise TooSmall(f"need at least {MIN_OUTCOMES} outcomes, got {len(w)}")
-        if any(not math.isfinite(x) for x in w):
+        if not all(map(math.isfinite, w)):
             raise NotAProbability("weights must be finite")
-        if any(x < 0.0 for x in w):
+        if min(w) < 0.0:
             raise NotAProbability(f"negative weight in {w}")
         total = math.fsum(w)
         if abs(total - 1.0) > TOL_NORM:
@@ -161,7 +161,7 @@ class UtilityFunction:
 
     def __init__(self, values: Iterable[float]):
         v = _as_float_tuple(values)
-        if any(not math.isfinite(x) for x in v):
+        if not all(map(math.isfinite, v)):
             raise NonFiniteUtility(f"non-finite utility in {v}")
         object.__setattr__(self, "values", v)
 
@@ -191,6 +191,11 @@ def expectation(f: UtilityFunction, q: ProbabilityVector) -> float:
     if f.n != q.n:
         raise DimensionMismatch(f"utility has {f.n} outcomes, measure has {q.n}")
     return math.fsum(fi * qi for fi, qi in zip(f.values, q.weights))
+
+
+def _expectations(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i values[s, i] weights[s, i] for each row s, by math.fsum as ``expectation`` sums."""
+    return np.array([math.fsum(row) for row in (values * weights).tolist()])
 
 
 def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:

@@ -11,6 +11,7 @@ small enough to keep the posterior maximum below E_{p*}[g_eta].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,20 +128,25 @@ def find_separating_direction(
 
     Sampled uniformly from [-1, 1]^n with a seeded generator and verified
     (min gap > TOL_SEP); the hyperplanes where two classes tie are a null
-    set, so a handful of attempts suffices unless classes coincide.
+    set, so a handful of attempts suffices unless classes coincide or are
+    too many for their scores to sit TOL_SEP apart.  SeparationFailed
+    reports the widest smallest gap the attempts reached.
     """
     if not classes:
         raise OutOfRange("need at least one posterior class")
     require_seed(seed)
     reps = _class_matrix(classes)
     rng = np.random.default_rng(seed)
+    best = 0.0
     for _ in range(max_attempts):
         u = rng.uniform(-1.0, 1.0, reps.shape[1])
-        if _separated(reps @ u):
+        gap = _smallest_gap(reps @ u)
+        if gap > TOL_SEP:
             return UtilityFunction(u)
+        best = max(best, gap)
     raise SeparationFailed(
-        f"no separating direction after {max_attempts} attempts; "
-        "classes are (numerically) coincident"
+        f"no separating direction after {max_attempts} attempts: the widest smallest gap "
+        f"between class scores was {best!r}, not above TOL_SEP = {TOL_SEP!r}"
     )
 
 
@@ -150,9 +156,9 @@ def _class_matrix(classes: Sequence[PosteriorClass], *measures) -> np.ndarray:
     return np.asarray([c.posterior.weights for c in classes], dtype=np.float64)
 
 
-def _separated(scores: np.ndarray) -> bool:
-    """True when the scores are pairwise more than TOL_SEP apart."""
-    return scores.size <= 1 or float(np.min(np.diff(np.sort(scores)))) > TOL_SEP
+def _smallest_gap(scores: np.ndarray) -> float:
+    """The least distance between two of the scores; inf for fewer than two."""
+    return float(np.min(np.diff(np.sort(scores)))) if scores.size > 1 else math.inf
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ def perturbed_score(
         candidate = g_arr + eta * u_arr
         class_scores = reps @ candidate
         margin = float(np.dot(p_star.as_array(), candidate) - class_scores.max())
-        if _separated(class_scores) and margin > TOL_NUM:
+        if _smallest_gap(class_scores) > TOL_SEP and margin > TOL_NUM:
             return PerturbedScore(
                 g_eta=UtilityFunction(candidate), eta=eta, delta=delta, scale=scale
             )

@@ -82,12 +82,19 @@ def check_monotonicity(
     )
 
 
+def _theorem_parts(e_pstar, e_p, inaccessible):
+    """(hypotheses, conclusion) of the theorem: E_p*[d] > 0 with d inaccessible, and E_p[d] < 0.
+
+    Scalars give bools; arrays give the two parts elementwise.
+    """
+    return (e_pstar > 0.0) & inaccessible, e_p < 0.0
+
+
 def _theorem_verdict(
     e_pstar: float, e_p: float, inaccessible: bool, max_score: float
 ) -> tuple[bool, bool]:
     """(hypotheses, conclusion) of the theorem for d; TheoremViolation when only the first holds."""
-    hypotheses = e_pstar > 0.0 and inaccessible
-    conclusion = e_p < 0.0
+    hypotheses, conclusion = _theorem_parts(e_pstar, e_p, inaccessible)
     if hypotheses and not conclusion:
         raise TheoremViolation(
             f"inaccessible decision with E_p[d] = {e_p!r} >= 0 "

@@ -25,7 +25,7 @@ from inacc import (
     verify_inaccessibility,
 )
 from inacc import _scan
-from inacc.construct import _adjacent_pair_margin
+from inacc.construct import MAX_JSON_ROWS, _adjacent_pair_margin
 
 from conftest import random_positive_pair
 from oracles import (
@@ -219,7 +219,11 @@ class TestConstruction:
             done += 1
             g = log_density_ratio(p_star, p, mode=mode)
             scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
-            delta, (i, j) = _adjacent_pair_margin(ratio, p, g)
+            delta, pairs = _adjacent_pair_margin(
+                np.array([ratio.values]), np.array([ratio.order]),
+                p.as_array()[None], g.as_array()[None],
+            )
+            delta, (i, j) = float(delta[0]), pairs[0].tolist()
             e_star = expectation(g, p_star)
             assert abs((e_star - delta) - scan.max_score) <= 1e-12
             assert abs(delta - (e_star - scan.max_score)) <= 1e-12
@@ -289,6 +293,21 @@ class TestVerify:
             verify_inaccessibility(
                 p_star, ProbabilityVector.uniform(17), UtilityFunction([0.0] * 17),
                 max_outcomes=17,
+            )
+
+    def test_kept_details_are_refused_before_scanning(self, monkeypatch):
+        # Bell(11) - 2 = 678,568 rows is above MAX_JSON_ROWS, whatever max_outcomes allows
+        def no_scan(*args):
+            raise AssertionError("scanned before refusing")
+
+        monkeypatch.setattr(_scan, "iter_scored_chunks", no_scan)
+        monkeypatch.setattr(_scan, "score_scan", no_scan)
+        raw = [1.2 ** i for i in range(11)]
+        p_star = ProbabilityVector(x / sum(raw) for x in raw)
+        with pytest.raises(RefusedTooLarge, match=str(MAX_JSON_ROWS)):
+            verify_inaccessibility(
+                p_star, ProbabilityVector.uniform(11), UtilityFunction([0.0] * 11),
+                max_outcomes=16, keep_partitions=True,
             )
 
     def test_guard_override(self):

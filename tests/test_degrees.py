@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,17 @@ class TestSeparatingDirection:
         dup = PosteriorClass(posterior=PSTAR3, multiplicity=1)
         with pytest.raises(SeparationFailed):
             find_separating_direction([dup, dup], max_attempts=8)
+
+    def test_failure_reports_the_widest_smallest_gap(self):
+        # two distinct classes 1e-10 apart: every direction leaves them within TOL_SEP
+        near = [
+            PosteriorClass(posterior=ProbabilityVector(w), multiplicity=1)
+            for w in ([0.5, 0.3, 0.2], [0.5 + 1e-10, 0.3 - 1e-10, 0.2])
+        ]
+        with pytest.raises(SeparationFailed, match="not above TOL_SEP = 1e-09") as info:
+            find_separating_direction(near, max_attempts=8)
+        widest = float(re.search(r"was (\S+),", str(info.value)).group(1))
+        assert 0.0 < widest <= 2e-10 * (1 + 1e-6)
 
     def test_classes_of_another_outcome_count(self):
         three = PosteriorClass(posterior=PSTAR3, multiplicity=1)
