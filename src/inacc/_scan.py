@@ -26,7 +26,9 @@ Scores have one fold, shared by the score and epsilon scans:
 ``_score_stats`` reduces a chunk along its last axis and ``_merge_stats``
 merges two parts elementwise, keeping the earlier witness on a tie.
 Parts arrive in enumeration order, so the witness is the
-lexicographically smallest row that attains the max.
+lexicographically smallest row that attains the max.  The TOL_NUM tie
+rule is applied here alone: ``_non_positive`` counts a row into the
+degree, and ``_verdicts`` reads the verdicts off the max.
 
 The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
@@ -259,12 +261,22 @@ def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# score scan (max / min / inaccessible counts)
+# score scan (max / min / degree) and the TOL_NUM tie rule
+
+
+def _non_positive(scores):
+    """The tie rule, elementwise: a score at or below +TOL_NUM counts as <= 0."""
+    return scores <= TOL_NUM
+
+
+def _verdicts(max_score):
+    """(inaccessible, strong) from the max: all scores <= +TOL_NUM, all < -TOL_NUM; elementwise."""
+    return _non_positive(max_score), max_score < -TOL_NUM
 
 
 @dataclass
 class ScoreScan:
-    """Aggregates of E_{q_Pi}[d] over the full enumeration.
+    """Aggregates of E_{q_Pi}[d] over the full enumeration; ``_verdicts(max_score)`` decides d.
 
     A scan of (S, n) measures holds a list with one entry per sample in
     every field but ``count``, which all samples share.
@@ -274,15 +286,14 @@ class ScoreScan:
     max_score: float
     min_score: float
     argmax_rgs: tuple[int, ...]
-    num_le: int  # scores <= +TOL_NUM: inaccessible under the tie rule
-    num_lt: int  # scores <  -TOL_NUM: strictly negative
+    num_le: int  # scores <= +TOL_NUM: the degree
 
     @classmethod
     def of_stats(cls, stats: tuple) -> "ScoreScan":
         """From merged ``_score_stats``: Python scalars, or per-sample lists."""
-        count, hi, lo, arg, le, lt = stats
+        count, hi, lo, arg, le = stats
         rgs = tuple(arg.tolist()) if arg.ndim == 1 else list(map(tuple, arg.tolist()))
-        return cls(count, hi.tolist(), lo.tolist(), rgs, le.tolist(), lt.tolist())
+        return cls(count, hi.tolist(), lo.tolist(), rgs, le.tolist())
 
     @classmethod
     def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> "ScoreScan":
@@ -290,7 +301,7 @@ class ScoreScan:
 
 
 def _score_stats(labels: np.ndarray, scores: np.ndarray) -> tuple:
-    """(count, max, min, argmax labels, #<= TOL_NUM, #< -TOL_NUM) along the last axis.
+    """(count, max, min, argmax labels, degree) along the last axis.
 
     The argmax is the first row that attains the max, so in enumeration
     order the lexicographically smallest witness.
@@ -303,8 +314,7 @@ def _score_stats(labels: np.ndarray, scores: np.ndarray) -> tuple:
         scores.reshape(-1, rows)[np.arange(i.size), i.ravel()].reshape(i.shape),
         scores.min(axis=-1),
         labels[i],
-        (scores <= TOL_NUM).sum(axis=-1),
-        (scores < -TOL_NUM).sum(axis=-1),
+        _non_positive(scores).sum(axis=-1),
     )
 
 
@@ -317,7 +327,6 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
         np.where(b[2] < a[2], b[2], a[2]),
         np.where(up[..., None], b[3], a[3]),
         a[4] + b[4],
-        a[5] + b[5],
     )
 
 

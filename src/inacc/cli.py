@@ -72,6 +72,8 @@ from .partitions import (
 
 #: sampled credences must keep every weight above this floor
 DIRICHLET_FLOOR = 1e-6
+#: credence draws per sample before a sweep gives up on DIRICHLET_FLOOR (about 15 s)
+MAX_CREDENCE_DRAWS = 10**6
 #: sweeps stay in this outcome range; larger spaces are not desk scale
 SWEEP_MAX_N = 10
 
@@ -327,7 +329,9 @@ def sweep(
     """Sample (p*, p) pairs i.i.d. and exercise the whole pipeline on each.
 
     Credences are resampled until every weight clears DIRICHLET_FLOOR, so
-    the standing positivity assumption holds with well-conditioned ratios.
+    the standing positivity assumption holds with well-conditioned ratios;
+    after MAX_CREDENCE_DRAWS draws for one sample the sweep raises
+    OutOfRange (an alpha this small almost never clears the floor).
     For each sample a uniform random advantage function is drawn and its
     degree recorded; blind-spot pairs additionally run the construction
     and the monotonicity check.
@@ -339,9 +343,8 @@ def sweep(
     construct's closed form run once per batch, row for row as the
     one-pair calls run them.  One ``score_scan`` over the random and the
     constructed d's stacked on a sample axis gives every degree
-    (``num_le``) and re-verifies every constructed d, strong when
-    ``num_lt`` is the count and inaccessible when ``num_le`` is, through
-    construct's soundness test and the theorem rule of
+    (``num_le``) and re-verifies every constructed d from its max score,
+    through construct's soundness test and the theorem rule of
     ``check_monotonicity``.  A sample collides when some posterior class
     has multiplicity above 1; ``certify_singletons`` rules that out for
     most samples (distinct posteriors differ at some outcome by the gap
@@ -365,10 +368,16 @@ def sweep(
         draws = []
         for _ in range(min(batch, samples - start)):
             p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
-            while True:
+            for _ in range(MAX_CREDENCE_DRAWS):
                 raw = rng.dirichlet(alpha_vec)
                 if raw.min() >= DIRICHLET_FLOOR:
                     break
+            else:
+                raise OutOfRange(
+                    f"no credence cleared DIRICHLET_FLOOR = {DIRICHLET_FLOOR} in "
+                    f"{MAX_CREDENCE_DRAWS} draws at n = {n}, alpha = {dirichlet_alpha}; "
+                    "use a larger alpha"
+                )
             p = ProbabilityVector(raw)
             draws.append((p_star.weights, p.weights, rng.uniform(-1.0, 1.0, n)))
         ps, pw, decisions = (np.array(column) for column in zip(*draws))
@@ -398,14 +407,12 @@ def sweep(
             largest = _scan.class_scan(n, ps[uncertified], pw[uncertified])
             collisions += int((largest > 1).sum())
 
-        num_lt, num_le, top = (
-            np.array(field[size:]) for field in (scan.num_lt, scan.num_le, scan.max_score)
-        )
+        top = np.array(scan.max_score[size:])
         e_pstar = _expectations(d, ps[idx])
-        _require_sound(num_lt == scan.count, e_pstar, top, delta, epsilon, "strict")
+        _require_sound(e_pstar, top, delta, epsilon, "strict")
         constructed += idx.size
         e_p = _expectations(d, pw[idx])
-        hypotheses, conclusion = _theorem_parts(e_pstar, e_p, num_le == scan.count)
+        hypotheses, conclusion = _theorem_parts(e_pstar, e_p, top)
         violations += int((hypotheses & ~conclusion).sum())
     return SweepSummary(
         n=n,

@@ -159,10 +159,10 @@ class InaccessibilityReport(JsonReport):
     """Exhaustive classification of E_{q_Pi}[d] over all of P.
 
     Scores within TOL_NUM of zero count as zero: they land in the
-    inaccessible set but break strictness.  Per-partition details are kept
-    only for desk-size enumerations (or on request); the counts, extrema
-    and verdicts are always present.  Kept details are the scan's
-    (labels, scores) chunks; ``per_partition`` and ``inaccessible_set``
+    inaccessible set but break strictness.  The verdicts are read off the
+    max and must agree with the degree.  Per-partition details are kept
+    only for desk-size enumerations (or on request).  Kept details are the
+    scan's (labels, scores) chunks; ``per_partition`` and ``inaccessible_set``
     build their SetPartition objects on first read, and the JSON is
     written from the arrays.
     """
@@ -182,11 +182,11 @@ class InaccessibilityReport(JsonReport):
 
     def __post_init__(self):
         if self._chunks is not None:
-            kept = sum(int((scores <= TOL_NUM).sum()) for _, scores in self._chunks)
+            kept = sum(int(_scan._non_positive(scores).sum()) for _, scores in self._chunks)
             if self.degree != kept:
                 raise VerificationFailed("degree disagrees with the stored inaccessible set")
-        if self.strong and self.degree != self.partition_count:
-            raise VerificationFailed("strong verdict requires every partition inaccessible")
+        if self.inaccessible != (self.degree == self.partition_count):
+            raise VerificationFailed("the maximum's verdict disagrees with the degree")
 
     @functools.cached_property
     def per_partition(self) -> tuple[tuple[SetPartition, float], ...] | None:
@@ -202,14 +202,15 @@ class InaccessibilityReport(JsonReport):
     @functools.cached_property
     def inaccessible_set(self) -> tuple[SetPartition, ...] | None:
         """The partitions scoring <= TOL_NUM, or None when details were not kept."""
-        if self.per_partition is None:
+        if self._chunks is None:
             return None
-        return tuple(pi for pi, score in self.per_partition if score <= TOL_NUM)
+        kept = (labels[_scan._non_positive(scores)] for labels, scores in self._chunks)
+        return tuple(SetPartition(row) for rows in kept for row in rows.tolist())
 
     @property
     def inaccessible(self) -> bool:
         """Conditionally inaccessible: every posterior expectation <= 0."""
-        return self.degree == self.partition_count
+        return _scan._verdicts(self.max_score)[0]
 
     def to_json_dict(self, include_partitions: bool | None = None) -> dict:
         out = super().to_json_dict()
@@ -229,8 +230,9 @@ ROW_FIELDS = ("rgs", "block_count", "expectation", "in_inaccessible_set")
 def partition_rows(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple]:
     """One ROW_FIELDS tuple of plain Python values per row of the (labels, scores) chunks."""
     for labels, scores in chunks:
-        for row, score in zip(labels.tolist(), scores.tolist()):
-            yield ",".join(map(str, row)), max(row) + 1, score, score <= TOL_NUM
+        flags = _scan._non_positive(scores).tolist()
+        for row, score, flag in zip(labels.tolist(), scores.tolist(), flags):
+            yield ",".join(map(str, row)), max(row) + 1, score, flag
 
 
 def _check_scan_inputs(
@@ -293,7 +295,7 @@ def verify_inaccessibility(
         n=n,
         partition_count=scan.count,
         degree=scan.num_le,
-        strong=scan.num_lt == scan.count,
+        strong=_scan._verdicts(scan.max_score)[1],
         e_pstar=expectation(d, p_star),
         e_p=expectation(d, p),
         max_score=scan.max_score,
@@ -402,7 +404,7 @@ def construct_inaccessible_decision(
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes
     )
-    _require_sound(report.strong, report.e_pstar, report.max_score, delta, epsilon, mode)
+    _require_sound(report.e_pstar, report.max_score, delta, epsilon, mode)
     return ConstructedDecision(
         d=d,
         f1=d,
@@ -441,8 +443,8 @@ def _closed_form(
     return g - (M + epsilon)[:, None], M, delta, epsilon, zero, thin
 
 
-def _require_sound(strong, e_pstar, max_score, delta, epsilon, mode: ZeroMode) -> None:
-    """The re-verification test of a constructed d, from its exhaustive scan's verdicts.
+def _require_sound(e_pstar, max_score, delta, epsilon, mode: ZeroMode) -> None:
+    """The re-verification test of a constructed d, from its exhaustive scan's maximum.
 
     Takes scalars for one d or arrays for several, and raises if any fails.
 
@@ -451,7 +453,7 @@ def _require_sound(strong, e_pstar, max_score, delta, epsilon, mode: ZeroMode) -
     the closed form against the scan.
     """
     sound = (
-        strong
+        _scan._verdicts(max_score)[1]
         & (e_pstar > 0.0)
         & (abs(max_score + epsilon) <= TOL_NUM)
         & (abs(e_pstar - (delta - epsilon)) <= TOL_NUM)

@@ -15,6 +15,7 @@ keys strings in sorted key order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -209,10 +210,20 @@ def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:
 def require_pair(
     p_star: ProbabilityVector, p: ProbabilityVector, *utilities: UtilityFunction
 ) -> int:
-    """Common outcome count of p*, p and any utilities; DimensionMismatch, then PriorHasZero."""
+    """Common outcome count of p*, p and any utilities; DimensionMismatch, then PriorHasZero.
+
+    p must be strictly positive, and no weight of p may be subnormal: a
+    block ratio p*(B)/p(B) overflows once p(B) falls below about 5e-309.
+    """
     n = require_same_n(p_star, p, *utilities)
     if not p.strictly_positive:
         raise PriorHasZero("credence p must be strictly positive")
+    smallest = min(p.weights)
+    if smallest < sys.float_info.min:
+        raise PriorHasZero(
+            f"credence p has a subnormal weight {smallest!r}, below {sys.float_info.min!r}: "
+            "the ratios p*(B)/p(B) would overflow"
+        )
     return n
 
 

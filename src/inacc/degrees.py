@@ -248,8 +248,7 @@ class DegreeSpectrum(JsonReport):
     e_pstar_score: float  # E_{p*}[g_eta]
 
     def __post_init__(self):
-        scores = [c.score for c in self.classes]
-        if any(b - a <= TOL_NUM for a, b in zip(scores, scores[1:])):
+        if _smallest_gap(np.array([c.score for c in self.classes])) <= TOL_SEP:
             raise VerificationFailed("class scores are not separated")
         if self.cumulative and self.cumulative[-1] != sum(c.multiplicity for c in self.classes):
             raise VerificationFailed("cumulative sums do not match multiplicities")

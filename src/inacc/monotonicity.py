@@ -70,9 +70,12 @@ def check_monotonicity(
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
-    hypotheses, conclusion = _theorem_verdict(
-        report.e_pstar, report.e_p, report.inaccessible, report.max_score
-    )
+    hypotheses, conclusion = _theorem_parts(report.e_pstar, report.e_p, report.max_score)
+    if hypotheses and not conclusion:
+        raise TheoremViolation(
+            f"inaccessible decision with E_p[d] = {report.e_p!r} >= 0 "
+            f"(E_p*[d] = {report.e_pstar!r}, max posterior score = {report.max_score!r})"
+        )
     return MonotonicityCheck(
         hypotheses_hold=hypotheses,
         conclusion_holds=conclusion,
@@ -82,25 +85,12 @@ def check_monotonicity(
     )
 
 
-def _theorem_parts(e_pstar, e_p, inaccessible):
-    """(hypotheses, conclusion) of the theorem: E_p*[d] > 0 with d inaccessible, and E_p[d] < 0.
+def _theorem_parts(e_pstar, e_p, max_score):
+    """(hypotheses, conclusion): E_p*[d] > 0 with d inaccessible by its max score, and E_p[d] < 0.
 
     Scalars give bools; arrays give the two parts elementwise.
     """
-    return (e_pstar > 0.0) & inaccessible, e_p < 0.0
-
-
-def _theorem_verdict(
-    e_pstar: float, e_p: float, inaccessible: bool, max_score: float
-) -> tuple[bool, bool]:
-    """(hypotheses, conclusion) of the theorem for d; TheoremViolation when only the first holds."""
-    hypotheses, conclusion = _theorem_parts(e_pstar, e_p, inaccessible)
-    if hypotheses and not conclusion:
-        raise TheoremViolation(
-            f"inaccessible decision with E_p[d] = {e_p!r} >= 0 "
-            f"(E_p*[d] = {e_pstar!r}, max posterior score = {max_score!r})"
-        )
-    return hypotheses, conclusion
+    return (e_pstar > 0.0) & _scan._verdicts(max_score)[0], e_p < 0.0
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,30 @@ class TestExitCodes:
         assert run_command(["spectrum", "--pstar", PSTAR, "--p", P]) == 2
         assert "INACC_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--d", "1,-1,0.5"],
+            ["posterior", "--partition", "0,1,1"],
+            ["construct"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subnormal_credence_is_refused(self, capsys, argv):
+        # p(B) = 1e-320 overflowed the block ratio p*(B)/p(B): verify printed a NaN
+        # max and min and an Infinity row where the scores are 0.05 and 0.375
+        argv = [*argv, "--pstar", PSTAR, "--p", "1e-320,0.5,0.5"]
+        report = run_json(capsys, argv, expect_code=1)
+        assert report["error"]["type"] == "PriorHasZero"
+        assert "subnormal" in report["error"]["message"]
+
+    def test_smallest_normal_credence_scores_finite(self, capsys):
+        argv = ["verify", "--pstar", PSTAR, "--p", "3e-308,0.5,0.5", "--d", "1,-1,0.5"]
+        report = run_json(capsys, argv)
+        scores = sorted(row["expectation"] for row in report["per_partition"])
+        assert scores == pytest.approx([-0.7, 0.05, 0.375], abs=1e-12)
+        assert report["max_score"] == pytest.approx(0.375, abs=1e-12)
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_sweep_alpha_not_finite(self, capsys, alpha):
         report = run_json(

@@ -39,6 +39,13 @@ class TestJeffreyPosterior:
         with pytest.raises(PriorHasZero):
             jeffrey_posterior(PSTAR3, ProbabilityVector([0.5, 0.5, 0]), SetPartition([0, 0, 1]))
 
+    def test_rejects_subnormal_prior(self):
+        # as a singleton block, p*(B) p(i) / p(B) underflowed to 0 and the
+        # posterior summed to 0.5
+        tiny = ProbabilityVector([5e-324, 0.5, 0.5])
+        with pytest.raises(PriorHasZero, match="subnormal"):
+            jeffrey_posterior(PSTAR3, tiny, SetPartition([0, 1, 1]))
+
     def test_dimension_mismatch(self):
         from inacc import DimensionMismatch
 

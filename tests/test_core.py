@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +135,13 @@ class TestRequirePair:
             require_pair(uniform, zero, UtilityFunction([1, 0, 0]))
         # a zero in p* is the caller's business
         assert require_pair(zero, uniform, UtilityFunction([1, 0, 0])) == 3
+
+    def test_refuses_a_subnormal_credence(self):
+        pstar = ProbabilityVector([0.5, 0.3, 0.2])
+        with pytest.raises(PriorHasZero, match="subnormal"):
+            require_pair(pstar, ProbabilityVector([1e-320, 0.5, 0.5]))
+        smallest = ProbabilityVector([sys.float_info.min, 0.5, 0.5])
+        assert require_pair(pstar, smallest) == 3
 
 
 class TestJsonValue:

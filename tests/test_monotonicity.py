@@ -81,6 +81,7 @@ class TestCheckMonotonicity:
         def doctored(n, pstar, p, d, **kw):
             scan = real(n, pstar, p, d, **kw)
             scan.num_le = scan.count  # pretend every posterior is <= 0
+            scan.max_score = 0.0
             return scan
 
         monkeypatch.setattr(mono._scan, "score_scan", doctored)

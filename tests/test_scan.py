@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from inacc import ProbabilityVector, bell_number, enumerate_proper_nontrivial, posterior_classes
-from inacc import _scan
+from inacc import TOL_NUM, _scan
 
 from conftest import random_positive_pair
 from oracles import (
@@ -86,7 +86,7 @@ def assert_batched_scan_is_each_single_scan(n, samples, workers):
     d[1:2] = 0.0  # the second sample scores exactly 0.0 everywhere: all ties
     batched = _scan.score_scan(n, pstar, p, d, workers=workers)
     assert batched.count == bell_number(n) - 2
-    for field in ("max_score", "min_score", "argmax_rgs", "num_le", "num_lt"):
+    for field in ("max_score", "min_score", "argmax_rgs", "num_le"):
         assert len(getattr(batched, field)) == samples
     for s in range(samples):
         single = _scan.score_scan(n, pstar[s], p[s], d[s], workers=workers)
@@ -96,7 +96,6 @@ def assert_batched_scan_is_each_single_scan(n, samples, workers):
             batched.min_score[s],
             batched.argmax_rgs[s],
             batched.num_le[s],
-            batched.num_lt[s],
         )
 
 
@@ -123,7 +122,53 @@ def test_exact_ties_keep_the_first_witness(workers):
     assert scan.argmax_rgs == (0,) * (n - 1) + (1,)
     assert scan.max_score == scan.min_score == 0.0
     assert scan.num_le == scan.count == bell_number(n) - 2
-    assert scan.num_lt == 0
+    assert _scan._verdicts(scan.max_score) == (True, False)
+
+
+def decision_batch(rng, n, pstar, p):
+    """Random, tied, constant and zero d's for one pair, stacked (S, n).
+
+    Three of them shift a random d so that its max lands on 0 and on
+    +-TOL_NUM, up to rounding: the ties the verdicts must agree on.
+    """
+    d = rng.uniform(-1.0, 1.0, n)
+    top = _scan.score_scan(n, pstar, p, d).max_score
+    return np.array([
+        d,
+        d - top,
+        d - top - TOL_NUM,
+        d - top + TOL_NUM,
+        rng.choice([-1.0, 0.0, 1.0], n),  # tied values
+        np.full(n, -0.5),
+        np.full(n, 0.5),
+        np.full(n, TOL_NUM),
+        np.zeros(n),
+    ])
+
+
+@pytest.mark.parametrize("n, workers", [(n, 1) for n in range(3, 9)] + [(11, 1), (11, 2)])
+def test_verdicts_from_the_max_are_the_counted_verdicts(n, workers):
+    # n <= 8 scans the cached labels; n = 11 streams chunks, and with two workers
+    # merges pool parts
+    rng = np.random.default_rng([n, workers, 12])
+    p_star, p = random_positive_pair(rng, n)
+    ps, pw = p_star.as_array(), p.as_array()
+    d = decision_batch(rng, n, ps, pw)
+    pstar_s, p_s = np.tile(ps, (len(d), 1)), np.tile(pw, (len(d), 1))
+    rows = np.concatenate(
+        [scores for _, scores in _scan.iter_scored_chunks(n, pstar_s, p_s, d)], axis=-1
+    )
+    count = rows.shape[-1]
+    counted = ((rows <= TOL_NUM).sum(axis=-1) == count, (rows < -TOL_NUM).sum(axis=-1) == count)
+    batched = _scan.score_scan(n, pstar_s, p_s, d, workers=workers)
+    inaccessible, strong = _scan._verdicts(np.array(batched.max_score))
+    assert inaccessible.tolist() == counted[0].tolist()
+    assert strong.tolist() == counted[1].tolist()
+    for s in range(len(d)):
+        single = _scan.score_scan(n, ps, pw, d[s], workers=workers)
+        assert _scan._verdicts(single.max_score) == (counted[0][s], counted[1][s])
+    assert counted[0].any() and not counted[0].all()
+    assert counted[1].any() and not counted[1].all()
 
 
 @pytest.mark.parametrize("n", [4, 7])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inacc import ProbabilityVector, _scan, bell_number
+from inacc import OutOfRange, ProbabilityVector, _scan, bell_number, cli
 from inacc.cli import DIRICHLET_FLOOR, sweep
 
 #: (n, samples, seed, alpha, the report's JSON with sorted keys)
@@ -48,6 +48,14 @@ def test_pinned_grid_covers_the_branches():
 def test_sweep_report_is_pinned(n, samples, seed, alpha, text):
     summary = sweep(n=n, samples=samples, seed=seed, dirichlet_alpha=alpha)
     assert json.dumps(summary.to_json_dict(), sort_keys=True) == text
+
+
+def test_credence_redraws_are_capped(monkeypatch):
+    # at n = 8, alpha = 0.01 fewer than one draw in 200,000 clears DIRICHLET_FLOOR;
+    # with no cap this sweep ran for minutes
+    monkeypatch.setattr(cli, "MAX_CREDENCE_DRAWS", 1000)
+    with pytest.raises(OutOfRange, match="1000 draws at n = 8, alpha = 0.01"):
+        sweep(n=8, samples=1, seed=2, dirichlet_alpha=0.01)
 
 
 # ---------------------------------------------------------------------------
