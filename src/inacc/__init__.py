@@ -39,7 +39,6 @@ from .partitions import (
     adjacent_pair_partition,
     bell_number,
     enumerate_proper_nontrivial,
-    level_set_partition,
     proper_nontrivial_count,
 )
 from .conditioning import (
@@ -47,6 +46,7 @@ from .conditioning import (
     RadonNikodymRatio,
     in_blind_spot,
     jeffrey_posterior,
+    level_set_partition,
     posterior_equals_target,
     radon_nikodym,
 )

@@ -384,7 +384,8 @@ def sweep(
         size = len(draws)
 
         r = ps / pw
-        order, injective = ratio_order(r)
+        order, apart = ratio_order(r)
+        injective = apart.all(-1)
         members += int(injective.sum())
         # construct's defaults: eps_fraction 0.5, strict mode
         idx = np.flatnonzero(injective)

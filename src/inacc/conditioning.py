@@ -19,10 +19,11 @@ from .core import (
     TOL_NUM,
     DimensionMismatch,
     ProbabilityVector,
+    UtilityFunction,
     VerificationFailed,
     require_pair,
 )
-from .partitions import SetPartition
+from .partitions import NotProper, SetPartition, pair_partition
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,44 @@ class RadonNikodymRatio:
 
 
 def ratio_order(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, injective) of ratio rows r, shaped (n,) or (S, n).
+    """(order, apart) of ratio or value rows r, shaped (n,) or (S, n).
 
-    ``order`` is the stable argsort along the last axis, and ``injective``
-    holds where every gap between neighbours in that order exceeds
-    ``TOL_NUM``: the rule of ``RadonNikodymRatio``, once per row.
+    ``order`` is the stable argsort along the last axis, and ``apart[..., k]``
+    holds where the k-th gap between neighbours in that order exceeds
+    ``TOL_NUM``.  This is the one sort and the one tie rule: a row is
+    injective when it is apart everywhere (``apart.all(-1)``, the rule of
+    ``RadonNikodymRatio``), and its level sets are the runs the false
+    gaps join.
     """
     order = np.argsort(r, axis=-1, kind="stable")
     gaps = np.diff(np.take_along_axis(r, order, axis=-1), axis=-1)
-    return order, (gaps > TOL_NUM).all(axis=-1)
+    return order, gaps > TOL_NUM
 
 
 def radon_nikodym(p_star: ProbabilityVector, p: ProbabilityVector) -> RadonNikodymRatio:
     """Ratio r(i) = p*(i)/p(i); requires p strictly positive."""
     require_pair(p_star, p)
     r = p_star.as_array() / p.as_array()
-    order, injective = ratio_order(r)
+    order, apart = ratio_order(r)
     return RadonNikodymRatio(
-        values=tuple(r.tolist()), order=tuple(order.tolist()), injective=bool(injective)
+        values=tuple(r.tolist()), order=tuple(order.tolist()), injective=bool(apart.all())
     )
+
+
+def level_set_partition(r: UtilityFunction) -> SetPartition | NotProper:
+    """Group outcomes by equal r-values: a block ends at each gap ``ratio_order`` finds apart.
+
+    Returns the level-set partition when it is proper non-trivial, else a
+    ``NotProper`` signal: a constant r gives one block, an injective r
+    gives n singletons.
+    """
+    order, apart = ratio_order(r.as_array())
+    blocks = np.split(order + 1, np.flatnonzero(apart) + 1)
+    if len(blocks) == 1:
+        return NotProper(block_count=1, reason="all values equal: single block")
+    if len(blocks) == r.n:
+        return NotProper(block_count=r.n, reason="all values distinct: n singletons")
+    return SetPartition.from_blocks(blocks)
 
 
 def jeffrey_posterior(
@@ -118,13 +138,9 @@ def in_blind_spot(p_star: ProbabilityVector, p: ProbabilityVector) -> BlindSpotR
     ratio = radon_nikodym(p_star, p)
     if ratio.injective:
         return BlindSpotResult(member=True, witness=None, ratio=ratio)
-    r, order = ratio.values, ratio.order
-    gaps = [r[j] - r[i] for i, j in zip(order, order[1:])]
-    k = gaps.index(min(gaps))
-    pair = (order[k], order[k + 1])
-    witness = SetPartition.from_blocks(
-        [[i + 1 for i in pair]] + [[i + 1] for i in range(p.n) if i not in pair]
-    )
+    order = np.array(ratio.order)
+    k = int(np.argmin(np.diff(np.array(ratio.values)[order])))
+    witness = pair_partition(order[k], order[k + 1], ratio.n)
     if not posterior_equals_target(p_star, p, witness):
         raise VerificationFailed("blind-spot witness failed the posterior check")
     return BlindSpotResult(member=False, witness=witness, ratio=ratio)

@@ -32,13 +32,13 @@ from .core import (
     expectation,
     require_pair,
 )
-from .conditioning import jeffrey_posterior
+from .conditioning import jeffrey_posterior, ratio_order
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
     _check_scan_inputs,
     verify_inaccessibility,
 )
-from .partitions import SetPartition
+from .partitions import SetPartition, pair_partition
 
 
 @dataclass(frozen=True)
@@ -128,56 +128,38 @@ def appendix_certificate(
     n = require_pair(p_star, p)
     if not p_star.strictly_positive:
         raise PStarHasZero("certificate needs strictly positive p*")
-    ratio = [pi / ps for pi, ps in zip(p.weights, p_star.weights)]
-    order = sorted(range(n), key=lambda i: ratio[i])
-    sorted_ratio = [ratio[i] for i in order]
-    if any(b - a <= TOL_NUM for a, b in zip(sorted_ratio, sorted_ratio[1:])):
+    p_arr, ps_arr = p.as_array(), p_star.as_array()
+    order, apart = ratio_order(p_arr / ps_arr)
+    if not apart.all():
         raise NotInjective("ratio p/p* has ties; certificate needs a strict ordering")
 
-    ps_sorted = np.asarray([p_star.weights[i] for i in order])
-    p_sorted = np.asarray([p.weights[i] for i in order])
+    ps_sorted, p_sorted = ps_arr[order], p_arr[order]
     S = np.cumsum(ps_sorted - p_sorted)[:-1]
 
-    pairs = []
-    posteriors = []
-    A = []
-    for m in range(1, n):
-        blocks = [[order[m - 1] + 1, order[m] + 1]]
-        blocks += [[order[i] + 1] for i in range(n) if i not in (m - 1, m)]
-        pi_m = SetPartition.from_blocks(blocks)
-        q_m = jeffrey_posterior(p_star, p, pi_m)
-        pairs.append(pi_m)
-        posteriors.append(q_m)
-        A.append(q_m.weights[order[m]] - p_star.weights[order[m]])
-    A = np.asarray(A)
+    # row m - 1 is q_m - p*, q_m conditioned on the m-th and (m+1)-th ratio outcomes
+    pairs = [pair_partition(i, j, n) for i, j in zip(order, order[1:])]
+    shifts = np.array([jeffrey_posterior(p_star, p, pi).weights for pi in pairs]) - ps_arr
+    rows = np.arange(n - 1)
+    A = shifts[rows, order[1:]]
     t = S / A
     t_sum = float(t.sum())
 
     # decomposition: p - p* = sum_m t_m (q_m - p*), in original coordinates
-    p_arr, ps_arr = p.as_array(), p_star.as_array()
-    recon = np.zeros(n)
-    for t_m, q_m in zip(t, posteriors):
-        recon += t_m * (q_m.as_array() - ps_arr)
+    recon = (t[:, None] * shifts).sum(axis=0)
     decomposition_residual = float(np.abs((p_arr - ps_arr) - recon).max())
 
     # telescoping: p - p* = sum_m S_m (e_{m+1} - e_m), in sorted coordinates
-    tele = np.zeros(n)
-    for m, s_m in enumerate(S, start=1):
-        tele[m - 1] -= s_m
-        tele[m] += s_m
+    tele = np.concatenate(([0.0], S)) - np.concatenate((S, [0.0]))
     telescoping_residual = float(np.abs((p_sorted - ps_sorted) - tele).max())
 
     # pair shift: q_m - p* = A_m (e_{m+1} - e_m), zero off the pair block
-    qm_shift_residual = 0.0
-    for m, (a_m, q_m) in enumerate(zip(A, posteriors), start=1):
-        diff = q_m.as_array() - ps_arr
-        shift = np.zeros(n)
-        shift[order[m - 1]] = -a_m
-        shift[order[m]] = a_m
-        qm_shift_residual = max(qm_shift_residual, float(np.abs(diff - shift).max()))
+    expected = np.zeros_like(shifts)
+    expected[rows, order[:-1]] = -A
+    expected[rows, order[1:]] = A
+    qm_shift_residual = float(np.abs(shifts - expected).max())
 
     cert = AppendixCertificate(
-        ordering=tuple(i + 1 for i in order),
+        ordering=tuple(int(i) + 1 for i in order),
         S=tuple(float(x) for x in S),
         A=tuple(float(x) for x in A),
         t=tuple(float(x) for x in t),

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from . import _scan
-from .core import (
-    MIN_OUTCOMES,
-    TOL_NUM,
-    OutOfRange,
-    TooSmall,
-    UtilityFunction,
-)
+from .core import MIN_OUTCOMES, OutOfRange, TooSmall
 
 #: Bell-triangle recurrence is exact but quadratic; cap keeps it instant.
 BELL_MAX_N = 25
@@ -148,6 +142,14 @@ def enumerate_proper_nontrivial(n: int) -> Iterator[SetPartition]:
             yield SetPartition(row)
 
 
+def pair_partition(i: int, j: int, n: int) -> SetPartition:
+    """The partition of {1..n} whose only non-singleton block is {i+1, j+1} (0-based i != j)."""
+    i, j = sorted((int(i), int(j)))
+    if not 0 <= i < j < n:
+        raise OutOfRange(f"need two distinct outcomes among 0..{n - 1}, got {i} and {j}")
+    return SetPartition(i if k == j else k - (k > j) for k in range(n))
+
+
 def adjacent_pair_partition(m: int, n: int) -> SetPartition:
     """The partition whose only non-singleton block is {m, m+1}.
 
@@ -158,28 +160,4 @@ def adjacent_pair_partition(m: int, n: int) -> SetPartition:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
     if not 1 <= m <= n - 1:
         raise OutOfRange(f"need 1 <= m <= {n - 1}, got {m}")
-    singletons = [[i] for i in range(1, n + 1) if i not in (m, m + 1)]
-    return SetPartition.from_blocks([[m, m + 1], *singletons])
-
-
-def level_set_partition(
-    r: UtilityFunction, tol: float = TOL_NUM
-) -> Union[SetPartition, NotProper]:
-    """Group outcomes by equal r-values (within ``tol`` on sorted values).
-
-    Returns the level-set partition when it is proper non-trivial, else a
-    ``NotProper`` signal: a constant r gives one block, an injective r
-    gives n singletons.
-    """
-    n, v = r.n, r.values
-    order = sorted(range(n), key=v.__getitem__)
-    blocks = [[order[0] + 1]]
-    for i, j in zip(order, order[1:]):
-        if v[j] - v[i] > tol:
-            blocks.append([])
-        blocks[-1].append(j + 1)
-    if len(blocks) == 1:
-        return NotProper(block_count=1, reason="all values equal: single block")
-    if len(blocks) == n:
-        return NotProper(block_count=n, reason="all values distinct: n singletons")
-    return SetPartition.from_blocks(blocks)
+    return pair_partition(m - 1, m, n)
