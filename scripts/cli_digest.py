@@ -140,6 +140,18 @@ ERROR_CASES = [
     ["verify", "--pstar", PS, "--p", "1e-320,0.5,0.5", "--d", "1,-1,0.5"],
     ["posterior", "--pstar", PS, "--p", "1e-320,0.5,0.5", "--partition", "0,1,1"],
     ["construct", "--pstar", PS, "--p", "1e-320,0.5,0.5"],
+    # certificate margins within TOL_NUM of zero are refused (A_2 = 6.0e-11 here)
+    ["certificate", "--pstar", "0.7590058190734279,0.11522607832880578,0.12576810259776633",
+     "--p", "0.5098790523647087,0.23434057393504928,0.255780373700242"],
+    # a utility above the float maximum / 16 is refused: its scores could overflow
+    ["verify", "--pstar", "0.0004,0.5482,0.2131,0.0047,0.0053,0.2283",
+     "--p", "0.0002,0.4238,0.0476,0.3862,0.0506,0.0916",
+     "--d", ",".join(["1.7976931348623157e308"] * 6)],
+    # a tied pair is refused before its class scan
+    ["spectrum", "--pstar", "0.2,0.2,0.1,0.1,0.1,0.1,0.1,0.1", "--p", "uniform:8"],
+    # the refusal of a long verify --full listing names verify's own flags
+    ["verify", "--pstar", "uniform:11", "--p", "uniform:11", "--d", ",".join(["1"] * 11),
+     "--full"],
 ]
 
 #: (file name, JSON content or raw text, argv after --context <file>)

@@ -291,12 +291,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _refuse_long_listing(rows: int, what: str) -> None:
-    """JSON listings stop at MAX_JSON_ROWS; longer ones go through --format csv, --limit or --count."""
+def _refuse_long_listing(rows: int, what: str, hint: str) -> None:
+    """JSON listings stop at MAX_JSON_ROWS; ``hint`` names the caller's flags for longer ones."""
     if rows > MAX_JSON_ROWS:
         raise RefusedTooLarge(
-            f"{what} would list {rows} partitions in JSON (limit {MAX_JSON_ROWS}); "
-            "use --format csv, --limit or --count"
+            f"{what} would list {rows} partitions in JSON (limit {MAX_JSON_ROWS}); {hint}"
         )
 
 
@@ -457,7 +456,7 @@ def _cmd_partitions(args) -> dict | None:
         return None
     report = {"n": n, "count": count}
     if not args.count:
-        _refuse_long_listing(limit, f"partitions --n {n}")
+        _refuse_long_listing(limit, f"partitions --n {n}", "use --format csv, --limit or --count")
         report["partitions"] = [
             _ListedPartition(pi, pi.format_blocks(), pi.block_count) for pi in rows
         ]
@@ -504,7 +503,9 @@ def _cmd_verify(args) -> JsonReport | None:
         return None
     if args.full:
         n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
-        _refuse_long_listing(proper_nontrivial_count(n), "verify --full")
+        _refuse_long_listing(
+            proper_nontrivial_count(n), "verify --full", "use --format csv, or drop --full"
+        )
     return verify_inaccessibility(
         p_star, p, d, keep_partitions=True if args.full else None, **_scan_options(args)
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal
 
@@ -50,6 +51,11 @@ MAX_SCAN_OUTCOMES = 16
 #: per-partition details are kept, and listed in JSON, up to this many rows
 #: (Bell(10) - 2); at n = 13 they would hold about 0.58 GB
 MAX_JSON_ROWS = 115_973
+#: scans refuse a utility larger than this in magnitude.  A block weight
+#: |W(B)| is at most max|d| p*(B) up to rounding, and a score adds at most
+#: two terms to the total over its blocks, so it stays within 3 max|d|; the
+#: epsilon residual stays within 9 max|d|.  Both are then finite.
+MAX_UTILITY = sys.float_info.max / 16
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0
 
@@ -243,11 +249,18 @@ def _check_scan_inputs(
 ) -> int:
     """The outcome count n, once the inputs pass the checks every scan needs.
 
-    All arguments share n, the credence p is strictly positive, and n is
-    within the resource guard, which no max_outcomes lifts past
-    MAX_SCAN_OUTCOMES.
+    All arguments share n, the credence p is strictly positive, every
+    utility is within MAX_UTILITY in magnitude, and n is within the
+    resource guard, which no max_outcomes lifts past MAX_SCAN_OUTCOMES.
     """
     n = require_pair(p_star, p, *utilities)
+    for d in utilities:
+        top = float(np.abs(d.as_array()).max())
+        if top > MAX_UTILITY:
+            raise OutOfRange(
+                f"utility magnitude {top!r} above {MAX_UTILITY!r} (the float maximum / 16), "
+                "where posterior scores could overflow"
+            )
     limit = min(max_outcomes, MAX_SCAN_OUTCOMES)
     if n > limit:
         raise RefusedTooLarge(

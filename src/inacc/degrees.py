@@ -161,6 +161,12 @@ def _smallest_gap(scores: np.ndarray) -> float:
     return float(np.min(np.diff(np.sort(scores)))) if scores.size > 1 else math.inf
 
 
+def _require_blind_spot(p_star: ProbabilityVector, p: ProbabilityVector) -> None:
+    """NotInBlindSpot unless p*/p is injective; checked before any class scan."""
+    if not radon_nikodym(p_star, p).injective:
+        raise NotInBlindSpot("perturbed score requires an injective ratio p*/p")
+
+
 @dataclass(frozen=True)
 class PerturbedScore:
     """g_eta = g + eta*u with eta small enough to keep the sandwich."""
@@ -191,8 +197,7 @@ def perturbed_score(
     require_same_n(p_star, p, u)
     if not 0.0 <= eta_fraction < 1.0:
         raise OutOfRange(f"eta_fraction must lie in [0,1), got {eta_fraction}")
-    if not radon_nikodym(p_star, p).injective:
-        raise NotInBlindSpot("perturbed score requires an injective ratio p*/p")
+    _require_blind_spot(p_star, p)
     if classes is None:
         classes = posterior_classes(
             p_star, p, workers=workers, max_outcomes=max_outcomes
@@ -273,6 +278,7 @@ def achievable_degrees(
     multiplicity sums; by the initial-segment law these are the only
     degrees any decision with E_{p*}[d] > 0 can have.
     """
+    _require_blind_spot(p_star, p)
     classes = posterior_classes(p_star, p, workers=workers, max_outcomes=max_outcomes)
     u = find_separating_direction(classes, seed=seed)
     ps = perturbed_score(

@@ -27,6 +27,7 @@ from .core import (
     OutOfRange,
     ProbabilityVector,
     PStarHasZero,
+    SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
     expectation,
@@ -123,7 +124,10 @@ def appendix_certificate(
 
     Requires p and p* strictly positive and the reciprocal ratio p/p*
     injective (ties abort with NotInjective; no perturbation is applied).
-    Invariant failures raise TheoremViolation.
+    Every S_m and A_m must exceed TOL_NUM, the rule construct applies to
+    Delta and eps: at smaller margins t_m = S_m / A_m amplifies rounding
+    past the residual bounds, so such pairs raise SeparationBelowTolerance.
+    Invariant failures past that raise TheoremViolation.
     """
     n = require_pair(p_star, p)
     if not p_star.strictly_positive:
@@ -141,6 +145,11 @@ def appendix_certificate(
     shifts = np.array([jeffrey_posterior(p_star, p, pi).weights for pi in pairs]) - ps_arr
     rows = np.arange(n - 1)
     A = shifts[rows, order[1:]]
+    low_s, low_a = float(S.min()), float(A.min())
+    if min(low_s, low_a) <= TOL_NUM:
+        raise SeparationBelowTolerance(
+            f"certificate margins (min S = {low_s!r}, min A = {low_a!r}) within tolerance of zero"
+        )
     t = S / A
     t_sum = float(t.sum())
 

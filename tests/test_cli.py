@@ -223,6 +223,14 @@ class TestExitCodes:
             assert report["error"]["type"] == "RefusedTooLarge"
             assert "--format csv" in report["error"]["message"]
 
+    def test_each_refused_listing_names_its_own_flags(self, capsys):
+        # verify has no --limit or --count, which its refusal used to suggest
+        argv = ["verify", "--pstar", "uniform:11", "--p", "uniform:11", "--d", ",".join(["1"] * 11)]
+        message = run_json(capsys, [*argv, "--full"], expect_code=1)["error"]["message"]
+        assert message.endswith("; use --format csv, or drop --full")
+        message = run_json(capsys, ["partitions", "--n", "11"], expect_code=1)["error"]["message"]
+        assert message.endswith("; use --format csv, --limit or --count")
+
     def test_limited_listing_above_the_cap(self, capsys):
         report = run_json(capsys, ["partitions", "--n", "11", "--limit", "5"])
         assert report["count"] == 678_568
@@ -295,6 +303,20 @@ class TestExitCodes:
         scores = sorted(row["expectation"] for row in report["per_partition"])
         assert scores == pytest.approx([-0.7, 0.05, 0.375], abs=1e-12)
         assert report["max_score"] == pytest.approx(0.375, abs=1e-12)
+
+    def test_utility_past_the_overflow_bound_is_refused(self, capsys):
+        # the block sums of six entries of DBL_MAX rounded past it, and verify
+        # printed "max_score": Infinity where every score is that constant
+        pair = ["--pstar", "0.0004,0.5482,0.2131,0.0047,0.0053,0.2283",
+                "--p", "0.0002,0.4238,0.0476,0.3862,0.0506,0.0916"]
+        top = sys.float_info.max
+        report = run_json(capsys, ["verify", *pair, "--d", ",".join([repr(top)] * 6)], 1)
+        assert report["error"]["type"] == "OutOfRange"
+        assert "the float maximum / 16" in report["error"]["message"]
+        bound = repr(top / 16)
+        report = run_json(capsys, ["verify", *pair, "--d", ",".join([bound, "-" + bound] * 3), "--full"])
+        scores = [row["expectation"] for row in report["per_partition"]]
+        assert all(math.isfinite(x) for x in [*scores, report["max_score"], report["min_score"]])
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_sweep_alpha_not_finite(self, capsys, alpha):

@@ -25,6 +25,7 @@ from inacc import (
     radon_nikodym,
     realize_degree,
 )
+from inacc import _scan
 from inacc.degrees import PosteriorClass
 
 from conftest import random_positive_pair
@@ -223,6 +224,23 @@ class TestAchievableDegrees:
     def test_not_in_blind_spot(self):
         with pytest.raises(NotInBlindSpot):
             achievable_degrees(PSTAR3, PSTAR3)
+
+    def test_tied_pair_is_refused_before_the_class_scan(self, monkeypatch):
+        # the injectivity check used to come after the class scan, which
+        # alone takes tens of milliseconds at n = 8
+        def no_class_scan(*args, **kwargs):
+            raise AssertionError("class scan ran for a pair outside the blind spot")
+
+        monkeypatch.setattr(_scan, "class_scan", no_class_scan)
+        rng = np.random.default_rng(88)
+        p = rng.dirichlet(np.ones(8))
+        r = rng.uniform(0.5, 2.0, 8)
+        r[5] = r[2]
+        p_star = ProbabilityVector(r * p / (r @ p))
+        with pytest.raises(NotInBlindSpot, match="requires an injective ratio"):
+            achievable_degrees(p_star, ProbabilityVector(p))
+        with pytest.raises(NotInBlindSpot, match="requires an injective ratio"):
+            realize_degree(p_star, ProbabilityVector(p), 1)
 
     def test_seed_determinism(self):
         a = achievable_degrees(PSTAR3, UNIFORM3, seed=7)

@@ -5,6 +5,7 @@ from inacc import (
     NotInjective,
     OutOfRange,
     ProbabilityVector,
+    SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
     appendix_certificate,
@@ -113,6 +114,15 @@ class TestAppendixCertificate:
     def test_constant_ratio_rejected(self):
         with pytest.raises(NotInjective):
             appendix_certificate(PSTAR3, PSTAR3)
+
+    def test_thin_margins_are_refused_not_violations(self):
+        # p/p* is injective, but A_2 = 6.0e-11 makes t_2 = 2.2e9 and the
+        # decomposition residual 6.0e-8: this used to raise TheoremViolation
+        p_star = ProbabilityVector([0.7590058190734279, 0.11522607832880578, 0.12576810259776633])
+        p = ProbabilityVector([0.5098790523647087, 0.23434057393504928, 0.255780373700242])
+        assert radon_nikodym(p, p_star).injective
+        with pytest.raises(SeparationBelowTolerance, match=r"min A = 6\.01\d*e-11"):
+            appendix_certificate(p_star, p)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_invariants_random_pairs(self, n):
