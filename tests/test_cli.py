@@ -224,7 +224,7 @@ class TestExitCodes:
             assert "--format csv" in report["error"]["message"]
 
     def test_each_refused_listing_names_its_own_flags(self, capsys):
-        # verify has no --limit or --count, which its refusal used to suggest
+        # verify has no --limit or --count
         argv = ["verify", "--pstar", "uniform:11", "--p", "uniform:11", "--d", ",".join(["1"] * 11)]
         message = run_json(capsys, [*argv, "--full"], expect_code=1)["error"]["message"]
         assert message.endswith("; use --format csv, or drop --full")
@@ -305,8 +305,8 @@ class TestExitCodes:
         assert report["max_score"] == pytest.approx(0.375, abs=1e-12)
 
     def test_utility_past_the_overflow_bound_is_refused(self, capsys):
-        # the block sums of six entries of DBL_MAX rounded past it, and verify
-        # printed "max_score": Infinity where every score is that constant
+        # with six entries of DBL_MAX the block sums round past it, to a
+        # "max_score" of Infinity where every score is that constant
         pair = ["--pstar", "0.0004,0.5482,0.2131,0.0047,0.0053,0.2283",
                 "--p", "0.0002,0.4238,0.0476,0.3862,0.0506,0.0916"]
         top = sys.float_info.max

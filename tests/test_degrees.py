@@ -226,8 +226,8 @@ class TestAchievableDegrees:
             achievable_degrees(PSTAR3, PSTAR3)
 
     def test_tied_pair_is_refused_before_the_class_scan(self, monkeypatch):
-        # the injectivity check used to come after the class scan, which
-        # alone takes tens of milliseconds at n = 8
+        # the class scan alone takes tens of milliseconds at n = 8, and a
+        # pair outside the blind spot has no spectrum to scan for
         def no_class_scan(*args, **kwargs):
             raise AssertionError("class scan ran for a pair outside the blind spot")
 

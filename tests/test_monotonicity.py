@@ -117,7 +117,7 @@ class TestAppendixCertificate:
 
     def test_thin_margins_are_refused_not_violations(self):
         # p/p* is injective, but A_2 = 6.0e-11 makes t_2 = 2.2e9 and the
-        # decomposition residual 6.0e-8: this used to raise TheoremViolation
+        # decomposition residual 6.0e-8, past TOL_NUM with no theorem at fault
         p_star = ProbabilityVector([0.7590058190734279, 0.11522607832880578, 0.12576810259776633])
         p = ProbabilityVector([0.5098790523647087, 0.23434057393504928, 0.255780373700242])
         assert radon_nikodym(p, p_star).injective
