@@ -540,7 +540,7 @@ def _cmd_realize(args) -> dict:
         "k": realized.k,
         "c": realized.c,
         "d": realized.d,
-        "report": realized.report.to_json_dict(include_partitions=False),
+        "report": realized.report.to_json_dict(),
     }
 
 

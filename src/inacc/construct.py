@@ -218,12 +218,11 @@ class InaccessibilityReport(JsonReport):
         """Conditionally inaccessible: every posterior expectation <= 0."""
         return _scan._verdicts(self.max_score)[0]
 
-    def to_json_dict(self, include_partitions: bool | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         out = super().to_json_dict()
         out["inaccessible"] = self.inaccessible
-        keep = self._chunks is not None if include_partitions is None else include_partitions
         out["per_partition"] = None
-        if keep and self._chunks is not None:
+        if self._chunks is not None:
             rows = partition_rows(self._chunks)
             out["per_partition"] = [dict(zip(ROW_FIELDS, row)) for row in rows]
         return out

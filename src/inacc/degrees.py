@@ -11,6 +11,7 @@ small enough to keep the posterior maximum below E_{p*}[g_eta].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,12 +170,15 @@ def _require_blind_spot(p_star: ProbabilityVector, p: ProbabilityVector) -> None
 
 @dataclass(frozen=True)
 class PerturbedScore:
-    """g_eta = g + eta*u with eta small enough to keep the sandwich."""
+    """g_eta = g + eta*u with eta small enough to keep the sandwich.
+
+    With g = ln(p*/p), delta = E_{p*}[g] - max_q E_q[g] is the
+    posterior-vs-target gap and R = max_q |E_q[u]| + |E_{p*}[u]| the
+    reach of u, both over the class posteriors q.
+    """
 
     g_eta: UtilityFunction
     eta: float
-    delta: float  # E_{p*}[g] - max class score under g
-    scale: float  # R = max |E_q[u]| + |E_{p*}[u]|
 
 
 def perturbed_score(
@@ -183,12 +187,11 @@ def perturbed_score(
     u: UtilityFunction,
     eta_fraction: float = 0.5,
     *,
-    classes: Sequence[PosteriorClass] | None = None,
-    workers: int = 1,
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES,
+    classes: Sequence[PosteriorClass],
 ) -> PerturbedScore:
     """Perturb g along u without losing the posterior-vs-target gap.
 
+    ``classes`` are the pair's posterior classes (``posterior_classes``).
     eta starts at eta_fraction * delta / (2R) and is halved until the two
     postconditions hold: class scores pairwise distinct, and the maximum
     posterior score strictly below E_{p*}[g_eta].  eta_fraction = 0 is
@@ -198,16 +201,11 @@ def perturbed_score(
     if not 0.0 <= eta_fraction < 1.0:
         raise OutOfRange(f"eta_fraction must lie in [0,1), got {eta_fraction}")
     _require_blind_spot(p_star, p)
-    if classes is None:
-        classes = posterior_classes(
-            p_star, p, workers=workers, max_outcomes=max_outcomes
-        )
     g = log_density_ratio(p_star, p)
     reps = _class_matrix(classes, p)
     g_arr = g.as_array()
     u_arr = u.as_array()
-    g_scores = reps @ g_arr
-    delta = expectation(g, p_star) - float(g_scores.max())
+    delta = expectation(g, p_star) - float((reps @ g_arr).max())
     if delta <= TOL_NUM:
         raise SeparationBelowTolerance(
             f"posterior-vs-target gap {delta!r} within tolerance of zero"
@@ -219,9 +217,7 @@ def perturbed_score(
         class_scores = reps @ candidate
         margin = float(np.dot(p_star.as_array(), candidate) - class_scores.max())
         if _smallest_gap(class_scores) > TOL_SEP and margin > TOL_NUM:
-            return PerturbedScore(
-                g_eta=UtilityFunction(candidate), eta=eta, delta=delta, scale=scale
-            )
+            return PerturbedScore(g_eta=UtilityFunction(candidate), eta=eta)
         if eta == 0.0:
             break
         eta /= 2.0
@@ -258,10 +254,6 @@ class DegreeSpectrum(JsonReport):
         if self.cumulative and self.cumulative[-1] != sum(c.multiplicity for c in self.classes):
             raise VerificationFailed("cumulative sums do not match multiplicities")
 
-    @property
-    def partition_count(self) -> int:
-        return self.cumulative[-1] if self.cumulative else 0
-
 
 def achievable_degrees(
     p_star: ProbabilityVector,
@@ -281,15 +273,7 @@ def achievable_degrees(
     _require_blind_spot(p_star, p)
     classes = posterior_classes(p_star, p, workers=workers, max_outcomes=max_outcomes)
     u = find_separating_direction(classes, seed=seed)
-    ps = perturbed_score(
-        p_star,
-        p,
-        u,
-        eta_fraction,
-        classes=classes,
-        workers=workers,
-        max_outcomes=max_outcomes,
-    )
+    ps = perturbed_score(p_star, p, u, eta_fraction, classes=classes)
     scored = sorted(
         (
             SpectrumClass(
@@ -301,14 +285,10 @@ def achievable_degrees(
         ),
         key=lambda sc: sc.score,
     )
-    cumulative = []
-    running = 0
-    for sc in scored:
-        running += sc.multiplicity
-        cumulative.append(running)
+    cumulative = tuple(itertools.accumulate(sc.multiplicity for sc in scored))
     return DegreeSpectrum(
         classes=tuple(scored),
-        cumulative=tuple(cumulative),
+        cumulative=cumulative,
         achievable=(0, *cumulative),
         eta=ps.eta,
         u=u,
@@ -369,7 +349,7 @@ def realize_degree(
             c = 0.5 * (scores[-1] + spectrum.e_pstar_score)
     d = spectrum.g_eta.shifted(c)
     report = verify_inaccessibility(
-        p_star, p, d, workers=workers, max_outcomes=max_outcomes
+        p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
     if report.degree != k or report.e_pstar <= 0.0:
         raise VerificationFailed(

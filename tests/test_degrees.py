@@ -177,16 +177,18 @@ class TestSeparatingDirection:
 
 class TestPerturbedScore:
     def test_fixture_checks_hold(self):
-        u = find_separating_direction(posterior_classes(PSTAR3, UNIFORM3), seed=0)
-        out = perturbed_score(PSTAR3, UNIFORM3, u)
-        assert out.eta > 0.0
         classes = posterior_classes(PSTAR3, UNIFORM3)
+        u = find_separating_direction(classes, seed=0)
+        out = perturbed_score(PSTAR3, UNIFORM3, u, classes=classes)
+        assert out.eta > 0.0
         scores = sorted(expectation(out.g_eta, c.posterior) for c in classes)
         assert all(b - a > 1e-9 for a, b in zip(scores, scores[1:]))
         assert expectation(out.g_eta, PSTAR3) > scores[-1]
 
     def test_zero_direction_inherits_distinctness(self):
-        out = perturbed_score(PSTAR3, UNIFORM3, UtilityFunction([0, 0, 0]))
+        out = perturbed_score(
+            PSTAR3, UNIFORM3, UtilityFunction([0, 0, 0]), classes=posterior_classes(PSTAR3, UNIFORM3)
+        )
         assert out.eta == 0.0
         assert out.g_eta.values == pytest.approx(
             log_density_ratio(PSTAR3, UNIFORM3).values, abs=1e-15
@@ -194,14 +196,16 @@ class TestPerturbedScore:
 
     def test_large_eta_fraction_keeps_margin(self):
         u = UtilityFunction([1.0, -1.0, 1.0])  # adversarial-ish direction
-        out = perturbed_score(PSTAR3, UNIFORM3, u, eta_fraction=0.999)
         classes = posterior_classes(PSTAR3, UNIFORM3)
+        out = perturbed_score(PSTAR3, UNIFORM3, u, eta_fraction=0.999, classes=classes)
         top = max(expectation(out.g_eta, c.posterior) for c in classes)
         assert expectation(out.g_eta, PSTAR3) > top
 
     def test_requires_blind_spot(self):
         with pytest.raises(NotInBlindSpot):
-            perturbed_score(PSTAR3, PSTAR3, UtilityFunction([1, 0, 0]))
+            perturbed_score(
+                PSTAR3, PSTAR3, UtilityFunction([1, 0, 0]), classes=posterior_classes(PSTAR3, PSTAR3)
+            )
 
 
 class TestAchievableDegrees:
