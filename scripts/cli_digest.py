@@ -152,6 +152,8 @@ ERROR_CASES = [
     # the refusal of a long verify --full listing names verify's own flags
     ["verify", "--pstar", "uniform:11", "--p", "uniform:11", "--d", ",".join(["1"] * 11),
      "--full"],
+    # uniform:N past its bound is refused before the vector is built
+    ["blindspot", *PAIR[:2], "--p", "uniform:99999999999"],
 ]
 
 #: (file name, JSON content or raw text, argv after --context <file>)
@@ -188,6 +190,7 @@ CONTEXT_CASES = [
     ("list.json", [1, 2, 3], ["blindspot"]),
     ("broken.json", "{not json", ["blindspot"]),
     ("missing.json", None, ["blindspot"]),
+    ("huge_p.json", {"p_star": [0.5, 0.3, 0.2], "p": "uniform:99999999999"}, ["blindspot"]),
 ]
 
 #: (INACC_SEED value, argv)

@@ -76,6 +76,8 @@ DIRICHLET_FLOOR = 1e-6
 MAX_CREDENCE_DRAWS = 10**6
 #: sweeps stay in this outcome range; larger spaces are not desk scale
 SWEEP_MAX_N = 10
+#: "uniform:N" is refused above this many outcomes (about 300 bytes each once built)
+MAX_UNIFORM_OUTCOMES = 10**6
 
 ENV_SEED = "INACC_SEED"
 #: the subcommands with a --format csv table; the rest refuse it
@@ -103,11 +105,17 @@ def _vector(make, value, source: str, shown: str):
 
     A flag's text and a --context value (text or a JSON list) both come
     here; a malformed one is a UsageError "<source>: cannot parse <shown>".
+    "uniform:N" above MAX_UNIFORM_OUTCOMES is a UsageError before it is built.
     """
     try:
         if isinstance(value, str):
             if make is ProbabilityVector and value.startswith("uniform:"):
-                return ProbabilityVector.uniform(int(value.split(":", 1)[1]))
+                n = int(value.split(":", 1)[1])
+                if n > MAX_UNIFORM_OUTCOMES:
+                    raise UsageError(
+                        f"{source}: {shown} refused (uniform:N takes N <= {MAX_UNIFORM_OUTCOMES})"
+                    )
+                return ProbabilityVector.uniform(n)
             value = [float(tok) for tok in value.split(",")]
         return make(value)
     except (ValueError, TypeError) as exc:

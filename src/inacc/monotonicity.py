@@ -178,10 +178,9 @@ def appendix_certificate(
         qm_shift_residual=qm_shift_residual,
         pair_partitions=tuple(pairs),
     )
+    # S_m, A_m > TOL_NUM hold by the refusal above
     bad = (
-        any(s <= 0.0 for s in cert.S)
-        or any(a <= 0.0 for a in cert.A)
-        or any(t_m < 1.0 - TOL_NUM for t_m in cert.t)
+        any(t_m < 1.0 - TOL_NUM for t_m in cert.t)
         or cert.t_sum <= 1.0
         or cert.decomposition_residual > TOL_NUM
         or cert.telescoping_residual > TOL_NUM

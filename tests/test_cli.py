@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from inacc.cli import run_command, sweep
-from inacc import OutOfRange
+from inacc import OutOfRange, ProbabilityVector
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "report.schema.json").read_text())
@@ -317,6 +317,18 @@ class TestExitCodes:
         report = run_json(capsys, ["verify", *pair, "--d", ",".join([bound, "-" + bound] * 3), "--full"])
         scores = [row["expectation"] for row in report["per_partition"]]
         assert all(math.isfinite(x) for x in [*scores, report["max_score"], report["min_score"]])
+
+    @pytest.mark.parametrize("n", ["1000001", "99999999999"])
+    def test_uniform_past_its_bound_is_refused_unbuilt(self, capsys, tmp_path, monkeypatch, n):
+        def build(count):
+            raise AssertionError(f"uniform:{count} was built")
+
+        monkeypatch.setattr(ProbabilityVector, "uniform", build)
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps({"p_star": [0.5, 0.3, 0.2], "p": f"uniform:{n}"}))
+        for argv in (["--pstar", PSTAR, "--p", f"uniform:{n}"], ["--context", str(path)]):
+            assert run_command(["blindspot", *argv]) == 2
+            assert "uniform:N takes N <= 1000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_sweep_alpha_not_finite(self, capsys, alpha):
