@@ -342,11 +342,9 @@ def realize_degree(
     if k == 0:
         c = scores[0] - 1.0
     else:
+        upper = (*scores, spectrum.e_pstar_score)
         idx = spectrum.cumulative.index(k)
-        if idx + 1 < len(scores):
-            c = 0.5 * (scores[idx] + scores[idx + 1])
-        else:
-            c = 0.5 * (scores[-1] + spectrum.e_pstar_score)
+        c = 0.5 * (upper[idx] + upper[idx + 1])
     d = spectrum.g_eta.shifted(c)
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
