@@ -205,7 +205,8 @@ def perturbed_score(
     reps = _class_matrix(classes, p)
     g_arr = g.as_array()
     u_arr = u.as_array()
-    delta = expectation(g, p_star) - float((reps @ g_arr).max())
+    g_scores = reps @ g_arr
+    delta = expectation(g, p_star) - float(g_scores.max())
     if delta <= TOL_NUM:
         raise SeparationBelowTolerance(
             f"posterior-vs-target gap {delta!r} within tolerance of zero"
