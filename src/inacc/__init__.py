@@ -77,9 +77,11 @@ from .monotonicity import (
     AppendixCertificate,
     EpsilonMixtureCheck,
     MonotonicityCheck,
+    SweepSummary,
     appendix_certificate,
     check_monotonicity,
     epsilon_mixture_check,
+    sweep,
 )
 
 __version__ = "0.1.0"

@@ -66,8 +66,6 @@ from .core import TOL_DEDUP, TOL_NUM
 CHUNK_ROWS = 1 << 16
 #: full label matrix is cached up to this n (Bell(10)-2 = 115,973 rows)
 CACHE_MAX_N = 10
-#: reports keep per-partition details by default up to this many rows
-KEEP_DETAILS_MAX = 10_000
 
 
 def _grow(prefix: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +232,6 @@ def chunk_scores(
     2-D (S * groups, n) array, as the single call does.
     """
     rows, n = labels.shape
-    if rows == 0:
-        return np.zeros(pstar.shape[:-1] + (0,))
     table = _score_table(pstar, p, d)
     last = labels[:, -1].astype(np.intp)
     head = np.empty(rows, dtype=bool)
@@ -486,8 +482,6 @@ def _merge_within_tolerance(
     Each class is labelled by its lexicographically first representative
     and counts the rows of all its buckets (see ``_fold_buckets``).
     """
-    if not parts:
-        return []
     reps, counts = _fold_buckets(parts)
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]

@@ -1,4 +1,4 @@
-"""Command-line surface: JSON/CSV/table reports and Monte-Carlo sweeps.
+"""Command-line surface: the ``inacc`` command and its JSON/CSV/table reports.
 
 Each subcommand handler returns a result object or a dict; ``run_command``
 alone turns it into a report (``inacc.core.JsonReport``'s JSON form), puts
@@ -9,12 +9,6 @@ outside CSV_COMMANDS, whose handlers stream their CSV rows themselves.
 The shapes are pinned by schemas/report.schema.json at the repo root.
 Exit codes: 0 success, 1 domain errors (reported as JSON), 2 usage errors,
 141 when stdout is a pipe its reader closed (``main`` only).
-
-The sweep samples (p*, p) pairs from a symmetric Dirichlet, records how
-often the pair lands in the blind spot, runs the construction plus the
-monotonicity check on those that do, and counts theorem violations --
-which must be zero.  Frequencies are evidence about typical simplex
-geometry, never cardinality claims.
 """
 
 from __future__ import annotations
@@ -24,24 +18,19 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _scan
-from .conditioning import in_blind_spot, jeffrey_posterior, ratio_order
+from .conditioning import in_blind_spot, jeffrey_posterior
 from .construct import (
     DEFAULT_MAX_OUTCOMES,
     MAX_JSON_ROWS,
     MAX_SCAN_OUTCOMES,
     ROW_FIELDS,
     _check_scan_inputs,
-    _closed_form,
-    _require_sound,
     construct_inaccessible_decision,
     partition_rows,
     verify_inaccessibility,
@@ -49,20 +38,17 @@ from .construct import (
 from .core import (
     InaccError,
     JsonReport,
-    OutOfRange,
     ProbabilityVector,
     RefusedTooLarge,
     UtilityFunction,
-    _expectations,
     _json_value,
-    require_seed,
 )
 from .degrees import achievable_degrees, degree, realize_degree
 from .monotonicity import (
-    _theorem_parts,
     appendix_certificate,
     check_monotonicity,
     epsilon_mixture_check,
+    sweep,
 )
 from .partitions import (
     SetPartition,
@@ -70,12 +56,6 @@ from .partitions import (
     proper_nontrivial_count,
 )
 
-#: sampled credences must keep every weight above this floor
-DIRICHLET_FLOOR = 1e-6
-#: credence draws per sample before a sweep gives up on DIRICHLET_FLOOR (about 15 s)
-MAX_CREDENCE_DRAWS = 10**6
-#: sweeps stay in this outcome range; larger spaces are not desk scale
-SWEEP_MAX_N = 10
 #: "uniform:N" is refused above this many outcomes (about 300 bytes each once built)
 MAX_UNIFORM_OUTCOMES = 10**6
 
@@ -305,135 +285,6 @@ def _refuse_long_listing(rows: int, what: str, hint: str) -> None:
         raise RefusedTooLarge(
             f"{what} would list {rows} partitions in JSON (limit {MAX_JSON_ROWS}); {hint}"
         )
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-@dataclass(frozen=True)
-class SweepSummary(JsonReport):
-    """Aggregates of a seeded Dirichlet sweep; violations must stay zero."""
-
-    n: int
-    samples: int
-    seed: int
-    alpha: float
-    blind_spot_frequency: float
-    degree_histogram: dict[int, int]
-    multiplicity_collisions: int
-    theorem_violations: int
-    constructed: int
-    construct_degenerate: int
-
-
-def sweep(
-    n: int,
-    samples: int,
-    seed: int = 0,
-    dirichlet_alpha: float = 1.0,
-) -> SweepSummary:
-    """Sample (p*, p) pairs i.i.d. and exercise the whole pipeline on each.
-
-    Credences are resampled until every weight clears DIRICHLET_FLOOR, so
-    the standing positivity assumption holds with well-conditioned ratios;
-    after MAX_CREDENCE_DRAWS draws for one sample the sweep raises
-    OutOfRange (an alpha this small almost never clears the floor).
-    For each sample a uniform random advantage function is drawn and its
-    degree recorded; blind-spot pairs additionally run the construction
-    and the monotonicity check.
-
-    Samples are drawn one at a time, each through ``ProbabilityVector``,
-    and answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2))
-    samples, 1,310 at n = 5 and one at n = 10, with array operations on
-    the batch's (S, n) arrays.  The ratio rule of ``radon_nikodym`` and
-    construct's closed form run once per batch, row for row as the
-    one-pair calls run them.  One ``score_scan`` over the random and the
-    constructed d's stacked on a sample axis gives every degree
-    (``num_le``) and re-verifies every constructed d from its max score,
-    through construct's soundness test and the theorem rule of
-    ``check_monotonicity``.  A sample collides when some posterior class
-    has multiplicity above 1; ``certify_singletons`` rules that out for
-    most samples (distinct posteriors differ at some outcome by the gap
-    between two subset ratios), and one class pass answers the rest.  The
-    counts are those of the public functions run on each sample in turn.
-    """
-    if not 3 <= n <= SWEEP_MAX_N:
-        raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
-    if samples < 1:
-        raise OutOfRange(f"need samples >= 1, got {samples}")
-    if not 0.0 < dirichlet_alpha < math.inf:
-        finite = "" if math.isfinite(dirichlet_alpha) else "a finite "
-        raise OutOfRange(f"need {finite}alpha > 0, got {dirichlet_alpha}")
-    require_seed(seed)
-    rng = np.random.default_rng(seed)
-    alpha_vec = np.full(n, dirichlet_alpha)
-    batch = max(1, _scan.CHUNK_ROWS // proper_nontrivial_count(n))
-    members = collisions = violations = constructed = degenerate = 0
-    histogram: dict[int, int] = {}
-    for start in range(0, samples, batch):
-        draws = []
-        for _ in range(min(batch, samples - start)):
-            p_star = ProbabilityVector(rng.dirichlet(alpha_vec))
-            for _ in range(MAX_CREDENCE_DRAWS):
-                raw = rng.dirichlet(alpha_vec)
-                if raw.min() >= DIRICHLET_FLOOR:
-                    break
-            else:
-                raise OutOfRange(
-                    f"no credence cleared DIRICHLET_FLOOR = {DIRICHLET_FLOOR} in "
-                    f"{MAX_CREDENCE_DRAWS} draws at n = {n}, alpha = {dirichlet_alpha}; "
-                    "use a larger alpha"
-                )
-            p = ProbabilityVector(raw)
-            draws.append((p_star.weights, p.weights, rng.uniform(-1.0, 1.0, n)))
-        ps, pw, decisions = (np.array(column) for column in zip(*draws))
-        size = len(draws)
-
-        r = ps / pw
-        order, apart = ratio_order(r)
-        injective = apart.all(-1)
-        members += int(injective.sum())
-        # construct's defaults: eps_fraction 0.5, strict mode
-        idx = np.flatnonzero(injective)
-        d, _, delta, epsilon, zero, thin = _closed_form(
-            ps[idx], pw[idx], r[idx], order[idx], 0.5, "strict"
-        )
-        sound = ~(zero | thin)
-        degenerate += idx.size - int(sound.sum())
-        idx, d, delta, epsilon = idx[sound], d[sound], delta[sound], epsilon[sound]
-
-        scan = _scan.score_scan(
-            n, np.concatenate([ps, ps[idx]]), np.concatenate([pw, pw[idx]]),
-            np.concatenate([decisions, d]),
-        )
-        for deg in scan.num_le[:size]:
-            histogram[deg] = histogram.get(deg, 0) + 1
-
-        uncertified = np.flatnonzero(~_scan.certify_singletons(n, ps, pw))
-        if uncertified.size:
-            largest = _scan.class_scan(n, ps[uncertified], pw[uncertified])
-            collisions += int((largest > 1).sum())
-
-        top = np.array(scan.max_score[size:])
-        e_pstar = _expectations(d, ps[idx])
-        _require_sound(e_pstar, top, delta, epsilon, "strict")
-        constructed += idx.size
-        e_p = _expectations(d, pw[idx])
-        hypotheses, conclusion = _theorem_parts(e_pstar, e_p, top)
-        violations += int((hypotheses & ~conclusion).sum())
-    return SweepSummary(
-        n=n,
-        samples=samples,
-        seed=seed,
-        alpha=dirichlet_alpha,
-        blind_spot_frequency=members / samples,
-        degree_histogram=histogram,
-        multiplicity_collisions=collisions,
-        theorem_violations=violations,
-        constructed=constructed,
-        construct_degenerate=degenerate,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ MAX_SCAN_OUTCOMES = 16
 #: per-partition details are kept, and listed in JSON, up to this many rows
 #: (Bell(10) - 2); at n = 13 they would hold about 0.58 GB
 MAX_JSON_ROWS = 115_973
+#: reports keep per-partition details by default up to this many rows
+KEEP_DETAILS_MAX = 10_000
 #: scans refuse a utility larger than this in magnitude.  A block weight
 #: |W(B)| is at most max|d| p*(B) up to rounding, and a score adds at most
 #: two terms to the total over its blocks, so it stays within 3 max|d|; the
@@ -168,9 +170,11 @@ class InaccessibilityReport(JsonReport):
     inaccessible set but break strictness.  The verdicts are read off the
     max and must agree with the degree.  Per-partition details are kept
     only for desk-size enumerations (or on request).  Kept details are the
-    scan's (labels, scores) chunks; ``per_partition`` and ``inaccessible_set``
-    build their SetPartition objects on first read, and the JSON is
-    written from the arrays.
+    scan's one (labels, scores) pair of arrays: details stop at
+    MAX_JSON_ROWS = Bell(10) - 2 rows, and every n <= CACHE_MAX_N = 10
+    scans the cached label matrix in one chunk.  ``per_partition`` and
+    ``inaccessible_set`` build their SetPartition objects on first read,
+    and the JSON is written from the arrays.
     """
 
     n: int
@@ -182,14 +186,11 @@ class InaccessibilityReport(JsonReport):
     max_score: float
     min_score: float
     argmax_partition: SetPartition | None
-    _chunks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._chunks is not None:
-            kept = sum(int(_scan._non_positive(scores).sum()) for _, scores in self._chunks)
-            if self.degree != kept:
+        if self._rows is not None:
+            if self.degree != int(_scan._non_positive(self._rows[1]).sum()):
                 raise VerificationFailed("degree disagrees with the stored inaccessible set")
         if self.inaccessible != (self.degree == self.partition_count):
             raise VerificationFailed("the maximum's verdict disagrees with the degree")
@@ -197,21 +198,18 @@ class InaccessibilityReport(JsonReport):
     @functools.cached_property
     def per_partition(self) -> tuple[tuple[SetPartition, float], ...] | None:
         """(partition, E_{q_Pi}[d]) for every partition, or None when details were not kept."""
-        if self._chunks is None:
+        if self._rows is None:
             return None
-        return tuple(
-            (SetPartition(row), score)
-            for labels, scores in self._chunks
-            for row, score in zip(labels.tolist(), scores.tolist())
-        )
+        labels, scores = self._rows
+        return tuple((SetPartition(row), score) for row, score in zip(labels.tolist(), scores.tolist()))
 
     @functools.cached_property
     def inaccessible_set(self) -> tuple[SetPartition, ...] | None:
         """The partitions scoring <= TOL_NUM, or None when details were not kept."""
-        if self._chunks is None:
+        if self._rows is None:
             return None
-        kept = (labels[_scan._non_positive(scores)] for labels, scores in self._chunks)
-        return tuple(SetPartition(row) for rows in kept for row in rows.tolist())
+        labels, scores = self._rows
+        return tuple(SetPartition(row) for row in labels[_scan._non_positive(scores)].tolist())
 
     @property
     def inaccessible(self) -> bool:
@@ -222,9 +220,8 @@ class InaccessibilityReport(JsonReport):
         out = super().to_json_dict()
         out["inaccessible"] = self.inaccessible
         out["per_partition"] = None
-        if self._chunks is not None:
-            rows = partition_rows(self._chunks)
-            out["per_partition"] = [dict(zip(ROW_FIELDS, row)) for row in rows]
+        if self._rows is not None:
+            out["per_partition"] = [dict(zip(ROW_FIELDS, row)) for row in partition_rows([self._rows])]
         return out
 
 
@@ -288,17 +285,17 @@ def verify_inaccessibility(
     n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
     total = proper_nontrivial_count(n)
     if keep_partitions is None:
-        keep_partitions = total <= _scan.KEEP_DETAILS_MAX
+        keep_partitions = total <= KEEP_DETAILS_MAX
     if keep_partitions and total > MAX_JSON_ROWS:
         raise RefusedTooLarge(
             f"keeping the details of {total} partitions refused (limit {MAX_JSON_ROWS}); "
             "pass keep_partitions=False for the counts and extrema"
         )
     ps, pw, dw = p_star.as_array(), p.as_array(), d.as_array()
-    chunks = None
+    rows = None
     if keep_partitions:
-        chunks = tuple(_scan.iter_scored_chunks(n, ps, pw, dw))
-        scan = _scan.ScoreScan.of_chunks(chunks)
+        (rows,) = _scan.iter_scored_chunks(n, ps, pw, dw)
+        scan = _scan.ScoreScan.of_chunks([rows])
     else:
         scan = _scan.score_scan(n, ps, pw, dw, workers=workers)
     if scan.count != total:
@@ -313,7 +310,7 @@ def verify_inaccessibility(
         max_score=scan.max_score,
         min_score=scan.min_score,
         argmax_partition=SetPartition(scan.argmax_rgs),
-        _chunks=chunks,
+        _rows=rows,
     )
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from inacc import cli
 from inacc.cli import run_command, sweep
 from inacc import OutOfRange, ProbabilityVector
 
@@ -31,6 +32,15 @@ def run_json(capsys, argv, expect_code=0):
 
 
 class TestSubcommands:
+    def test_parser_handlers_and_schema_name_the_same_subcommands(self):
+        (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        branches = [SCHEMA["$defs"][ref["$ref"].split("/")[-1]] for ref in SCHEMA["oneOf"]]
+        schema = [b["properties"]["command"].get("const") for b in branches]
+        assert schema.count(None) == 1  # the error branch, for every subcommand
+        names = sorted(action.choices)
+        assert len(names) == 12
+        assert names == sorted(cli._HANDLERS) == sorted(c for c in schema if c)
+
     def test_partitions_count(self, capsys):
         report = run_json(capsys, ["partitions", "--n", "4", "--count"])
         assert report["count"] == 13
@@ -371,6 +381,29 @@ class TestExitCodes:
             proc.stderr.close()
 
 
+PARTITIONS_N4_TABLE = """\
+command: partitions
+count: 13
+n: 4
+partitions:
+  rgs | blocks | block_count
+  0,0,0,1 | {1,2,3}|{4} | 2
+  0,0,1,0 | {1,2,4}|{3} | 2
+  0,0,1,1 | {1,2}|{3,4} | 2
+  0,0,1,2 | {1,2}|{3}|{4} | 3
+  0,1,0,0 | {1,3,4}|{2} | 2
+  0,1,0,1 | {1,3}|{2,4} | 2
+  0,1,0,2 | {1,3}|{2}|{4} | 3
+  0,1,1,0 | {1,4}|{2,3} | 2
+  0,1,1,1 | {1}|{2,3,4} | 2
+  0,1,1,2 | {1}|{2,3}|{4} | 3
+  0,1,2,0 | {1,4}|{2}|{3} | 3
+  0,1,2,1 | {1}|{2,4}|{3} | 3
+  0,1,2,2 | {1}|{2}|{3,4} | 3
+determinism: bitwise
+"""
+
+
 class TestFormats:
     def test_verify_csv(self, capsys):
         code = run_command(
@@ -417,6 +450,10 @@ class TestFormats:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "command: degree"
         assert "degree: 0" in out
+
+    def test_table_lists_rows_under_one_header(self, capsys):
+        assert run_command(["partitions", "--n", "4", "--format", "table"]) == 0
+        assert capsys.readouterr().out == PARTITIONS_N4_TABLE
 
 
 class TestContextFile:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from inacc import (
     RefusedTooLarge,
     SetPartition,
     UtilityFunction,
+    VerificationFailed,
     appendix_certificate,
     bell_number,
     construct_inaccessible_decision,
@@ -348,3 +350,56 @@ class TestVerify:
         assert report.e_pstar == pytest.approx(
             expectation(UtilityFunction([0.1, -0.2, 0.05]), PSTAR3)
         )
+
+
+def _offset_scans(monkeypatch, offset):
+    """Shift every score the scans report by ``offset``, kept rows and maxima alike.
+
+    Verification keeps rows through ``iter_scored_chunks`` up to n = 8 and
+    folds them in ``score_scan`` above, so both are doctored.
+    """
+    chunks, scan = _scan.iter_scored_chunks, _scan.score_scan
+
+    def doctored_chunks(n, pstar, p, d):
+        for labels, scores in chunks(n, pstar, p, d):
+            yield labels, scores + offset
+
+    def doctored_scan(n, pstar, p, d, **kw):
+        out = scan(n, pstar, p, d, **kw)
+        out.max_score += offset
+        return out
+
+    monkeypatch.setattr(_scan, "iter_scored_chunks", doctored_chunks)
+    monkeypatch.setattr(_scan, "score_scan", doctored_scan)
+
+
+class TestSelfChecks:
+    """The re-verification and report checks raise when a scan disagrees with them."""
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize(
+        "mode, error", [("strict", VerificationFailed), ("clamp", PStarHasZero)]
+    )
+    def test_construct_refuses_a_max_off_its_closed_form(self, monkeypatch, n, mode, error):
+        raw = np.linspace(1.0, 2.0, n)
+        if mode == "clamp":
+            raw[0] = 0.0
+        p_star = ProbabilityVector((raw / raw.sum()).tolist())
+        p = ProbabilityVector.uniform(n)
+        # a posterior max 1e-6 above -eps: still strong, but not the closed form's
+        _offset_scans(monkeypatch, 1e-6)
+        with pytest.raises(error, match="re-verification"):
+            construct_inaccessible_decision(p_star, p, mode=mode)
+
+    def test_report_degree_must_match_the_kept_rows(self):
+        report = verify_inaccessibility(PSTAR3, UNIFORM3, UtilityFunction([0.1, -0.2, 0.05]))
+        assert (report.degree, report.partition_count) == (2, 3)
+        with pytest.raises(VerificationFailed, match="stored inaccessible set"):
+            dataclasses.replace(report, degree=1)
+
+    def test_report_verdict_must_match_the_degree(self):
+        report = verify_inaccessibility(
+            PSTAR3, UNIFORM3, UtilityFunction([0.1, -0.2, 0.05]), keep_partitions=False
+        )
+        with pytest.raises(VerificationFailed, match="verdict disagrees"):
+            dataclasses.replace(report, degree=report.partition_count)

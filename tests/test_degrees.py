@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from inacc import (
     RefusedTooLarge,
     SeparationFailed,
     UtilityFunction,
+    VerificationFailed,
     achievable_degrees,
     bell_number,
     construct_inaccessible_decision,
@@ -207,6 +209,29 @@ class TestPerturbedScore:
                 PSTAR3, PSTAR3, UtilityFunction([1, 0, 0]), classes=posterior_classes(PSTAR3, PSTAR3)
             )
 
+    def test_a_tie_at_the_first_eta_halves_it(self):
+        classes = posterior_classes(PSTAR3, UNIFORM3)
+        u = find_separating_direction(classes, seed=0)
+        first = perturbed_score(PSTAR3, UNIFORM3, u, classes=classes)
+        # a mixture of the lowest and highest classes that scores the middle one's
+        # E_q[g_eta] at the first eta; it moves neither the gap nor the scale of u
+        reps = np.array([c.posterior.weights for c in classes])
+        scores = reps @ first.g_eta.as_array()
+        lo, mid, hi = np.argsort(scores)
+        t = (scores[mid] - scores[lo]) / (scores[hi] - scores[lo])
+        tie = PosteriorClass(ProbabilityVector(((1 - t) * reps[lo] + t * reps[hi]).tolist()), 1)
+        out = perturbed_score(PSTAR3, UNIFORM3, u, classes=(*classes, tie))
+        assert out.eta == first.eta / 2
+
+    @pytest.mark.parametrize("eta_fraction", [0.0, 0.5])
+    def test_duplicate_classes_cannot_be_separated(self, eta_fraction):
+        classes = posterior_classes(PSTAR3, UNIFORM3)
+        u = find_separating_direction(classes, seed=0)
+        with pytest.raises(SeparationFailed, match="no eta"):
+            perturbed_score(
+                PSTAR3, UNIFORM3, u, eta_fraction=eta_fraction, classes=(*classes, classes[0])
+            )
+
 
 class TestAchievableDegrees:
     def test_fixture_full_range(self):
@@ -228,6 +253,17 @@ class TestAchievableDegrees:
     def test_not_in_blind_spot(self):
         with pytest.raises(NotInBlindSpot):
             achievable_degrees(PSTAR3, PSTAR3)
+
+    def test_spectrum_refuses_tied_scores(self):
+        spectrum = achievable_degrees(PSTAR3, UNIFORM3)
+        first = spectrum.classes[0]
+        with pytest.raises(VerificationFailed, match="not separated"):
+            dataclasses.replace(spectrum, classes=(first, first, spectrum.classes[2]))
+
+    def test_spectrum_refuses_cumulative_sums_off_the_multiplicities(self):
+        spectrum = achievable_degrees(PSTAR3, UNIFORM3)
+        with pytest.raises(VerificationFailed, match="cumulative sums"):
+            dataclasses.replace(spectrum, cumulative=(1, 2, 4))
 
     def test_tied_pair_is_refused_before_the_class_scan(self, monkeypatch):
         # the class scan alone takes tens of milliseconds at n = 8, and a

@@ -8,6 +8,7 @@ from inacc import (
     SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
+    VerificationFailed,
     appendix_certificate,
     check_monotonicity,
     construct_inaccessible_decision,
@@ -16,6 +17,7 @@ from inacc import (
     log_density_ratio,
     radon_nikodym,
     realize_degree,
+    sweep,
     verify_inaccessibility,
 )
 import inacc.monotonicity as mono
@@ -223,3 +225,18 @@ class TestEpsilonMixture:
             q = brute_jeffrey(list(PSTAR3.weights), list(UNIFORM3.weights), blocks)
             rhs = [(1 - eps) * qi + eps * pi for qi, pi in zip(q, UNIFORM3.weights)]
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_sweep_re_verifies_its_constructions(monkeypatch):
+    # every max 1e-6 above its closed form -eps: still strong, so only the
+    # re-verification of the constructed d's can notice
+    real = mono._scan.score_scan
+
+    def doctored(n, pstar, p, d, **kw):
+        scan = real(n, pstar, p, d, **kw)
+        scan.max_score = [m + 1e-6 for m in scan.max_score]
+        return scan
+
+    monkeypatch.setattr(mono._scan, "score_scan", doctored)
+    with pytest.raises(VerificationFailed, match="re-verification"):
+        sweep(n=4, samples=20, seed=0)

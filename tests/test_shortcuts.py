@@ -27,7 +27,7 @@ from inacc import (
     verify_inaccessibility,
 )
 from inacc import _scan
-from inacc.cli import DIRICHLET_FLOOR, SweepSummary, sweep
+from inacc.monotonicity import DIRICHLET_FLOOR, SweepSummary, sweep
 
 from conftest import random_positive_pair
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inacc import OutOfRange, ProbabilityVector, _scan, bell_number, cli
-from inacc.cli import DIRICHLET_FLOOR, sweep
+from inacc import OutOfRange, ProbabilityVector, _scan, bell_number, monotonicity
+from inacc.monotonicity import DIRICHLET_FLOOR, sweep
 
 #: (n, samples, seed, alpha, the report's JSON with sorted keys)
 PINNED = [
@@ -53,7 +53,7 @@ def test_sweep_report_is_pinned(n, samples, seed, alpha, text):
 def test_credence_redraws_are_capped(monkeypatch):
     # at n = 8, alpha = 0.01 fewer than one draw in 200,000 clears DIRICHLET_FLOOR;
     # with no cap this sweep ran for minutes
-    monkeypatch.setattr(cli, "MAX_CREDENCE_DRAWS", 1000)
+    monkeypatch.setattr(monotonicity, "MAX_CREDENCE_DRAWS", 1000)
     with pytest.raises(OutOfRange, match="1000 draws at n = 8, alpha = 0.01"):
         sweep(n=8, samples=1, seed=2, dirichlet_alpha=0.01)
 
