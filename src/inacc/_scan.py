@@ -17,10 +17,13 @@ them to a brute-force enumeration.
 
 Every scan is a worker that folds the chunks of ``_label_chunks`` into a
 partial result, plus a merge for two partial results; ``_reduce`` runs
-the worker in this process or splits the RGS prefix tree across a fork
-pool and folds the parts in submission order.  Each row's score and
-posterior do not depend on where chunk edges fall, so parallel results
-equal the single-threaded ones.
+the worker in this process or hands each process of a fork pool one
+contiguous run of the enumeration, and folds the parts in submission
+order.  The runs hold about equal rows: a prefix's subtree size follows
+from its length and largest label by the Bell recurrence, so the RGS
+prefixes are cut by row count without enumerating them.  Each row's
+score and posterior do not depend on where chunk edges fall, so parallel
+results equal the single-threaded ones.
 
 Scores have one fold, shared by the score and epsilon scans:
 ``_score_stats`` reduces a chunk along its last axis and ``_merge_stats``
@@ -66,6 +69,8 @@ from .core import TOL_DEDUP, TOL_NUM
 CHUNK_ROWS = 1 << 16
 #: full label matrix is cached up to this n (Bell(10)-2 = 115,973 rows)
 CACHE_MAX_N = 10
+#: no RGS prefix handed to the pool holds more than 1/RUN_GRAIN of a run's rows
+RUN_GRAIN = 32
 
 
 def _grow(prefix: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,11 +157,11 @@ def _reduce(
 ):
     """Run worker((prefix, maxes, n, chunk_rows) + common) over the whole enumeration.
 
-    Cached labels are always scanned in this process; a streamed scan with
-    more than one worker folds the pool's parts with ``merge`` in
-    submission order.
+    Cached labels are always scanned in this process, and so is every scan
+    when one worker is asked for or only one CPU is usable.  Otherwise the
+    pool's parts are folded with ``merge`` in submission order.
     """
-    if n <= CACHE_MAX_N or workers <= 1:
+    if n <= CACHE_MAX_N or min(workers, _usable_cpus()) <= 1:
         return worker((None, None, n, chunk_rows) + common)
     return functools.reduce(merge, _parallel_map(worker, common, n, workers, chunk_rows))
 
@@ -600,13 +605,46 @@ def epsilon_scan(
 # process-pool plumbing
 
 
-def _frontier(n: int, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """RGS prefixes deep enough to hand at least min_rows subtrees out."""
+@functools.lru_cache(maxsize=8)
+def _completions(n: int) -> np.ndarray:
+    """c[k, m]: full-length RGS below a prefix whose largest label is m, with k labels to place.
+
+    c[0, m] = 1 and c[k, m] = (m + 1) c[k-1, m] + c[k-1, m+1]: the next label
+    reuses one of the m + 1 labels in use or opens label m + 1.  This is the
+    Bell recurrence, so the root's count c[n-1, 0] is Bell(n).  Entries with
+    m + k >= n belong to no prefix and stay 0 (read-only).
+    """
+    c = np.zeros((n, n), dtype=np.int64)
+    c[0] = 1
+    for k in range(1, n):
+        m = np.arange(n - k)
+        c[k, : n - k] = (m + 1) * c[k - 1, : n - k] + c[k - 1, 1 : n - k + 1]
+    c.setflags(write=False)
+    return c
+
+
+def _frontier(n: int, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix, maxes, bounds): RGS prefixes cut into ``runs`` contiguous runs of about equal rows.
+
+    Run r is prefix[bounds[r] : bounds[r + 1]], and together the runs
+    cover the enumeration in order.  The prefixes grow one label at a time
+    until no prefix's subtree holds more than 1/RUN_GRAIN of a run's share
+    of the Bell(n) partitions; each prefix then goes to the run that holds
+    the middle of its subtree, so a run misses its share by at most that
+    1/RUN_GRAIN.
+    """
+    counts = _completions(n)
+    total = int(counts[n - 1, 0])
     prefix = np.zeros((1, 1), dtype=np.int8)
     mx = np.zeros(1, dtype=np.int8)
-    while prefix.shape[1] < n - 1 and prefix.shape[0] < min_rows:
+    size = counts[n - 1, mx]
+    while prefix.shape[1] < n - 1 and int(size.max()) * runs * RUN_GRAIN > total:
         prefix, mx = _grow(prefix, mx)
-    return prefix, mx
+        size = counts[n - prefix.shape[1], mx]
+    # twice each subtree's middle row, against twice each run's first row, scaled by runs
+    middle = runs * (2 * np.cumsum(size) - size)
+    bounds = np.searchsorted(middle, 2 * total * np.arange(runs + 1))
+    return prefix, mx, bounds
 
 
 def _pool_context():
@@ -621,16 +659,24 @@ def _pool_size(asked: int, cpus: int, tasks: int) -> int:
     return max(1, min(asked, cpus, tasks))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
 def _parallel_map(
     worker: Callable, common: tuple, n: int, workers: int, chunk_rows: int
 ) -> list:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        cpus = os.cpu_count() or 1
-    split = 8 * min(workers, cpus)
-    prefix, mx = _frontier(n, split)
-    bounds = np.linspace(0, prefix.shape[0], min(prefix.shape[0], split) + 1).astype(int)
+    """worker(task) for each run of the enumeration, in a fork pool; one result per run, in order.
+
+    The enumeration is cut into one contiguous run of about equal rows per
+    process (see ``_frontier``), and a run's task is
+    (prefixes, maxes, n, chunk_rows) + common.
+    """
+    cpus = _usable_cpus()
+    prefix, mx, bounds = _frontier(n, min(workers, cpus))
     tasks = [
         (prefix[a:b], mx[a:b], n, chunk_rows) + common
         for a, b in zip(bounds[:-1], bounds[1:])

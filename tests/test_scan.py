@@ -293,6 +293,69 @@ def test_pool_size_clamps_to_cpus_and_tasks(asked, cpus, tasks, used):
     assert _scan._pool_size(asked, cpus, tasks) == used
 
 
+def subtree_sizes(n, prefix, maxes):
+    return _scan._completions(n)[n - prefix.shape[1], maxes]
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_subtree_count_at_the_root_is_bell(n):
+    root = np.zeros((1, 1), dtype=np.int8)
+    assert subtree_sizes(n, root, np.zeros(1, dtype=np.int8)).tolist() == [bell_number(n)]
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_subtree_count_is_the_rows_below_each_prefix(n):
+    prefix, maxes, _ = _scan._frontier(n, 2)
+    depth = prefix.shape[1]
+    assert depth < n
+    for k, size in enumerate(subtree_sizes(n, prefix, maxes).tolist()):
+        below = _scan.iter_label_chunks(n, prefix=prefix[k : k + 1], maxes=maxes[k : k + 1])
+        rows = sum(chunk.shape[0] for chunk in below)
+        # the coarsest partition sits below the all-zero prefix, the finest below 0, 1, .., depth-1
+        trivial = int(maxes[k] == 0) + int(maxes[k] == depth - 1)
+        assert size == rows + trivial
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("runs", range(1, 9))
+def test_runs_are_contiguous_with_equal_rows(n, runs):
+    prefix, maxes, bounds = _scan._frontier(n, runs)
+    assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == prefix.shape[0]
+    assert bounds.size == runs + 1 and (np.diff(bounds) > 0).all()
+    # the frontier is the lexicographically ordered list of every prefix of its depth
+    assert prefix.shape[0] == bell_number(prefix.shape[1])
+    assert [tuple(r) for r in prefix.tolist()] == sorted(map(tuple, prefix.tolist()))
+    rows = np.add.reduceat(subtree_sizes(n, prefix, maxes), bounds[:-1])
+    assert rows.sum() == bell_number(n)
+    assert np.abs(rows / rows.mean() - 1.0).max() <= 0.05
+
+
+def test_runs_chain_into_the_enumeration():
+    n = 11
+    prefix, maxes, bounds = _scan._frontier(n, 3)
+    chained = [
+        chunk
+        for a, b in zip(bounds[:-1], bounds[1:])
+        for chunk in _scan.iter_label_chunks(n, prefix=prefix[a:b], maxes=maxes[a:b])
+    ]
+    assert np.array_equal(np.concatenate(chained), np.concatenate(list(_scan.iter_label_chunks(n))))
+
+
+def test_one_usable_cpu_scans_in_process(monkeypatch):
+    n = 11
+    rng = np.random.default_rng(17)
+    p_star, p = random_positive_pair(rng, n)
+    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    serial = _scan.score_scan(*args, workers=1)
+
+    def no_pool(*_):
+        raise AssertionError("a one-CPU scan reached the fork pool")
+
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(_scan, "_parallel_map", no_pool)
+    assert _scan.score_scan(*args, workers=4) == serial
+
+
 def test_streaming_path_equals_cached_path():
     n = 6
     rng = np.random.default_rng(3)
@@ -327,6 +390,26 @@ def test_parallel_scan_agrees_with_serial():
     classes = _scan.class_scan(n, pw, pw, workers=1)
     assert [count for _, count in classes] == [bell_number(n) - 2]
     assert _scan.class_scan(n, pw, pw, workers=2) == classes
+
+
+def test_pooled_class_scan_merges_classes_across_runs():
+    n = 11
+    # a tied pair: p is uniform and p*/p takes two values, which gives 1,023 classes
+    p = np.full(n, 1.0 / n)
+    ratio = np.ones(n)
+    ratio[0] = 2.0
+    pstar = p * ratio / (p * ratio).sum()
+    # some buckets hold rows of both runs that a pool of two processes gets
+    prefix, maxes, bounds = _scan._frontier(n, 2)
+
+    def bucket_keys(a, b):
+        task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, pstar, p)
+        return {key.tobytes() for keys, _, _ in _scan._class_worker(task) for key in keys}
+
+    assert bucket_keys(bounds[0], bounds[1]) & bucket_keys(bounds[1], bounds[2])
+    classes = _scan.class_scan(n, pstar, p, workers=1)
+    assert len(classes) == 1023
+    assert _scan.class_scan(n, pstar, p, workers=2) == classes
 
 
 def test_class_scan_counts():
