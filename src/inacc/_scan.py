@@ -161,7 +161,7 @@ def _reduce(
     when one worker is asked for or only one CPU is usable.  Otherwise the
     pool's parts are folded with ``merge`` in submission order.
     """
-    if n <= CACHE_MAX_N or min(workers, _usable_cpus()) <= 1:
+    if n <= CACHE_MAX_N or workers <= 1 or _usable_cpus() <= 1:
         return worker((None, None, n, chunk_rows) + common)
     return functools.reduce(merge, _parallel_map(worker, common, n, workers, chunk_rows))
 

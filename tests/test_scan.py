@@ -307,7 +307,6 @@ def test_subtree_count_at_the_root_is_bell(n):
 def test_subtree_count_is_the_rows_below_each_prefix(n):
     prefix, maxes, _ = _scan._frontier(n, 2)
     depth = prefix.shape[1]
-    assert depth < n
     for k, size in enumerate(subtree_sizes(n, prefix, maxes).tolist()):
         below = _scan.iter_label_chunks(n, prefix=prefix[k : k + 1], maxes=maxes[k : k + 1])
         rows = sum(chunk.shape[0] for chunk in below)
