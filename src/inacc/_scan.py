@@ -3,7 +3,7 @@
 Exhaustive verification at n = 12 touches 4,213,595 partitions, so a
 Python-object loop does not cut it.  This module enumerates canonical
 restricted-growth strings directly into int8 label matrices (rows =
-partitions, columns = outcomes), never holding more than one chunk.
+partitions, columns = outcomes), holding about one chunk at a time.
 
 The kernels read Jeffrey posteriors from tables over the 2^n subsets of
 the outcomes (4,096 entries at n = 12): R(S) = p*(S)/p(S) and
@@ -13,7 +13,22 @@ sibling group of rows and adjusted per row for where outcome n goes.
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
-them to a brute-force enumeration.
+them to a brute-force enumeration.  Each row is written once: the RGS
+prefixes are walked depth-first to depth n - t, and the last t labels of
+every row come from a cached table of completions per running max
+(``_tails``, t = 4 at n = 12: 17,244 rows).  A row is packed into
+ceil(n/8) uint64 words, prefix OR tail, and a chunk is the int8 view of
+its first n bytes, so chunks are not contiguous.  The walk cuts its stack
+by subtree rows, so the first rows at n = 100 cost what they do at
+n = 12.
+
+Importing this module sets glibc's malloc to serve blocks up to 32 MiB
+from its heap and to trim the heap only above 64 MiB of free top, once
+per process (``_set_heap_policy``; a no-op without glibc's mallopt).
+The kernels' per-chunk temporaries are then reused in place instead of
+being unmapped, or trimmed, and faulted back in at every chunk.  The
+setting is process-wide: every later allocation in the process follows
+it, and fork-pool children inherit it.
 
 Every scan is a worker that folds the chunks of ``_label_chunks`` into a
 partial result, plus a merge for two partial results; ``_reduce`` runs
@@ -53,6 +68,7 @@ does not certify.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import multiprocessing
 import operator
@@ -71,6 +87,33 @@ CHUNK_ROWS = 1 << 16
 CACHE_MAX_N = 10
 #: no RGS prefix handed to the pool holds more than 1/RUN_GRAIN of a run's rows
 RUN_GRAIN = 32
+#: a packed label row: label j is byte j of its little-endian uint64 words, on any host
+_WORD = np.dtype("<u8")
+
+
+def _set_heap_policy() -> bool:
+    """Keep the scans' temporaries on glibc's heap; True when mallopt took both settings.
+
+    A chunk's kernel temporaries take a few MB each.  By default glibc
+    serves a block above its mmap threshold (128 KiB, raised only when
+    such a block is freed) from a fresh mapping that free unmaps, and it
+    trims the heap's free top above 128 KiB, so every chunk faults its
+    temporaries' pages back in.  A fixed 32 MiB mmap threshold and a
+    64 MiB trim threshold keep them in the heap for the next chunk.  Run
+    once per process, at import; fork-pool children inherit it.  Without
+    a C library handle or a mallopt (not glibc) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+
+
+_set_heap_policy()
 
 
 def _grow(prefix: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,30 +129,45 @@ def _grow(prefix: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix, np.maximum(np.repeat(mx, counts), col)
 
 
-def _expand_chunks(
-    prefix: np.ndarray, maxes: np.ndarray, n: int, chunk_rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Grow RGS prefixes to full length n, yielding (labels, maxes) chunks.
+@functools.lru_cache(maxsize=8)
+def _tail_length(n: int) -> int:
+    """The longest t whose tail tables, for every running max below n - t, hold at most CHUNK_ROWS rows.
 
-    All partitions are produced (coarsest and finest included); callers
-    filter on the block count.  Any block longer than chunk_rows is split,
-    at the last depth too, so no chunk exceeds it.  Depth-first with
-    ordered splitting keeps global lexicographic order.
+    The stacked size grows with t, so the first t from the top that fits
+    is the longest; Python ints keep the sum exact where counts saturate.
     """
-    stack = [(prefix, maxes)]
-    while stack:
-        block, mx = stack.pop()
-        depth = block.shape[1]
-        while depth < n:
-            block, mx = _grow(block, mx)
-            depth += 1
-            if block.shape[0] > chunk_rows:
-                pieces = range(0, block.shape[0], chunk_rows)
-                slices = [(block[i : i + chunk_rows], mx[i : i + chunk_rows]) for i in pieces]
-                for piece in reversed(slices[1:]):
-                    stack.append(piece)
-                block, mx = slices[0]
-        yield block, mx
+    c = _completions(n)
+    return next((t for t in range(n - 1, 0, -1) if sum(c[t, : n - t].tolist()) <= CHUNK_ROWS), 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _tails(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, length, packed): the last t labels of the rows below each prefix of depth n - t.
+
+    The completions of a prefix whose largest label is m are rows
+    start[m] : start[m] + length[m] of ``packed``, in lexicographic order.
+    A packed row holds its labels at bytes n - t .. n - 1 of a row of
+    little-endian uint64 words, from the first word those bytes touch on,
+    so OR-ing it into a packed prefix writes the whole row.  The m = 0
+    table drops its first row (all zeros, the coarsest partition) and the
+    m = depth - 1 table its last (0, 1, .., n - 1, the finest): only the
+    all-zero and the identity prefix have those maxima, so no row needs a
+    filter (read-only).
+    """
+    depth = n - t
+    tail, mx = np.zeros((depth, 0), dtype=np.int8), np.arange(depth, dtype=np.int8)
+    for _ in range(t):
+        tail, mx = _grow(tail, mx)
+    length = _completions(n)[t, :depth].copy()
+    length[0] -= 1
+    length[-1] -= 1
+    rows = np.zeros((int(length.sum()), -(-n // 8) * 8), dtype=np.int8)
+    rows[:, depth:n] = tail[1:-1]
+    start = np.cumsum(length) - length
+    packed = rows.view(_WORD)[:, depth // 8 :]
+    for table in (start, length, packed):
+        table.setflags(write=False)
+    return start, length, packed
 
 
 def iter_label_chunks(
@@ -118,17 +176,53 @@ def iter_label_chunks(
     prefix: np.ndarray | None = None,
     maxes: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
-    """Proper non-trivial partition label matrices, lexicographic order."""
+    """Proper non-trivial partition label matrices, lexicographic order, at most chunk_rows rows each.
+
+    With (prefix, maxes), only the rows below those RGS prefixes: one
+    depth, in lexicographic order, with their running maxima.  The walk is
+    depth-first down to depth n - t (``_tail_length``, or less below a
+    deeper prefix).  A block of prefixes is cut by subtree rows
+    (``_completions``) into runs of at most max(chunk_rows, CHUNK_ROWS)
+    rows; a single prefix above that is grown one label and cut again, so
+    the stack holds a few prefixes per depth.  A run is grown to depth
+    n - t and its rows are written once: the prefixes, packed into
+    ceil(n/8) uint64 words, are repeated once per completion and OR-ed
+    with their packed tails from ``_tails``.  A chunk is a view
+    ``buf.view(np.int8)[:, :n]`` of such a buffer, so its rows are not
+    contiguous; no buffer is reused.
+    """
     if prefix is None:
         prefix = np.zeros((1, 1), dtype=np.int8)
         maxes = np.zeros(1, dtype=np.int8)
     assert maxes is not None
-    for block, mx in _expand_chunks(prefix, maxes, n, chunk_rows):
-        keep = (mx >= 1) & (mx <= n - 2)
-        if keep.all():
-            yield block
-        elif keep.any():
-            yield block[keep]
+    t = min(_tail_length(n), n - prefix.shape[1])
+    depth = n - t
+    start, length, packed = _tails(n, t)
+    below = _completions(n)
+    bound = max(chunk_rows, CHUNK_ROWS)
+    stack = [(prefix, maxes)]
+    while stack:
+        block, mx = stack.pop()
+        # clipped, a run's sum cannot overflow and still tells a prefix that is too big alone
+        rows = np.cumsum(np.minimum(below[n - block.shape[1], mx], bound + 1))
+        k = max(1, int(np.searchsorted(rows, bound, side="right")))
+        if k < block.shape[0]:
+            stack.append((block[k:], mx[k:]))
+            block, mx = block[:k], mx[:k]
+        if rows[k - 1] > bound and block.shape[1] < depth:
+            stack.append(_grow(block, mx))
+            continue
+        while block.shape[1] < depth:
+            block, mx = _grow(block, mx)
+        lens = length[mx]
+        head = np.zeros((block.shape[0], -(-n // 8) * 8), dtype=np.int8)
+        head[:, :depth] = block
+        buf = np.repeat(head.view(_WORD), lens, axis=0)
+        first = np.cumsum(lens) - lens
+        buf[:, depth // 8 :] |= packed[np.arange(buf.shape[0]) + np.repeat(start[mx] - first, lens)]
+        labels = buf.view(np.int8)[:, :n]
+        for i in range(0, labels.shape[0], chunk_rows):
+            yield labels[i : i + chunk_rows]
 
 
 @functools.lru_cache(maxsize=8)
@@ -612,13 +706,17 @@ def _completions(n: int) -> np.ndarray:
     c[0, m] = 1 and c[k, m] = (m + 1) c[k-1, m] + c[k-1, m+1]: the next label
     reuses one of the m + 1 labels in use or opens label m + 1.  This is the
     Bell recurrence, so the root's count c[n-1, 0] is Bell(n).  Entries with
-    m + k >= n belong to no prefix and stay 0 (read-only).
+    m + k >= n belong to no prefix and stay 0.  The recurrence runs on
+    Python ints, and a count above the int64 range (Bell(26) and up) is
+    stored as the int64 maximum (read-only).
     """
+    top = np.iinfo(np.int64).max
     c = np.zeros((n, n), dtype=np.int64)
+    row = [1] * n
     c[0] = 1
     for k in range(1, n):
-        m = np.arange(n - k)
-        c[k, : n - k] = (m + 1) * c[k - 1, : n - k] + c[k - 1, 1 : n - k + 1]
+        row = [(m + 1) * row[m] + row[m + 1] for m in range(n - k)]
+        c[k, : n - k] = [min(x, top) for x in row]
     c.setflags(write=False)
     return c
 

@@ -1,6 +1,12 @@
 """The chunked label-matrix engine against the brute-force oracles."""
 
+import collections
 import functools
+import itertools
+import platform
+import resource
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +211,119 @@ def test_chunk_splitting_preserves_order(chunk_rows):
     chunks = list(_scan.iter_label_chunks(n, chunk_rows=chunk_rows))
     assert max(chunk.shape[0] for chunk in chunks) <= chunk_rows
     assert np.array_equal(np.concatenate(chunks, axis=0), _scan.cached_labels(n))
+
+
+def grown_rows(n, prefix, maxes):
+    """The proper non-trivial rows below the prefixes, grown one label at a time."""
+    while prefix.shape[1] < n:
+        prefix, maxes = _scan._grow(prefix, maxes)
+    return prefix[(maxes >= 1) & (maxes <= n - 2)]
+
+
+def sampled_prefixes(n, depth, rng, count=3, rows=1 << 16):
+    """Random RGS prefixes of the given depth, at most `rows` rows below each, with their maxima."""
+    below = _scan._completions(n)[n - depth]
+    found = []
+    for _ in range(10_000):
+        labels = [0]
+        for _ in range(depth - 1):
+            labels.append(int(rng.integers(0, max(labels) + 2)))
+        if below[max(labels)] <= rows:
+            found.append(labels)
+        if len(found) == count:
+            break
+    prefix = np.array(found, dtype=np.int8)
+    return prefix, prefix.max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "n, depth",
+    # default tails start at depth n - 4 (n = 13, 14) and n - 3 (n = 16, 17); they cross
+    # from word 0 into word 1 at n = 11 (bytes 6..10) and from word 1 into 2 at n = 17
+    [(11, 4), (11, 6), (13, 6), (13, 7), (13, 9), (13, 11), (14, 7), (14, 8),
+     (14, 12), (16, 9), (16, 12), (16, 14), (17, 12), (17, 15)],
+)
+def test_packed_rows_are_the_grown_rows(n, depth):
+    parents, parent_maxes = sampled_prefixes(n, depth - 1, np.random.default_rng([n, depth]))
+    assert parents.shape[0] == 3
+    # every child of three sampled parents: runs of neighbours, and single prefixes
+    prefix, maxes = _scan._grow(parents, parent_maxes)
+    runs = [(prefix, maxes), (prefix[:1], maxes[:1]), (prefix[-1:], maxes[-1:])]
+    # the all-zero and identity prefixes, whose tables drop the trivial rows
+    below = _scan._completions(n)[n - depth]
+    for ends in (np.zeros(depth, dtype=np.int8), np.arange(depth, dtype=np.int8)):
+        if below[ends.max()] <= 1 << 17:
+            runs.append((ends[None, :], ends.max(keepdims=True)))
+    for run in runs:
+        expect = grown_rows(n, *run)
+        for chunk_rows in (1, 7, 4096, _scan.CHUNK_ROWS):
+            chunks = list(_scan.iter_label_chunks(n, chunk_rows, *run))
+            assert max((c.shape[0] for c in chunks), default=0) <= chunk_rows
+            got = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int8)
+            assert np.array_equal(got, expect), (run[0][:1], chunk_rows)
+
+
+@pytest.mark.parametrize("n", [20, 30, 100])
+def test_first_partitions_at_large_n_are_cheap(n):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        first = list(itertools.islice(enumerate_proper_nontrivial(n), 5))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [pi.rgs for pi in first] == sorted(pi.rgs for pi in first)
+    assert first[0].rgs == (0,) * (n - 1) + (1,)
+    assert seconds < 1.0
+    assert peak < 64 << 20
+
+
+def test_completions_saturate_past_int64():
+    assert _scan._completions(25)[24, 0] == bell_number(25)
+    assert _scan._completions(26)[25, 0] == np.iinfo(np.int64).max
+    assert _scan._completions(30)[1, :29].tolist() == [m + 2 for m in range(29)]
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_scan_holds_about_one_chunk():
+    n = 11
+    rng = np.random.default_rng(23)
+    p_star, p = random_positive_pair(rng, n)
+    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    assert traced_peak(lambda: collections.deque(_scan.iter_label_chunks(n), 0)) < 6 << 20
+    assert traced_peak(lambda: _scan.score_scan(*args)) < 12 << 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_a_warm_scan_faults_no_pages_in():
+    n = 11
+    rng = np.random.default_rng(29)
+    p_star, p = random_positive_pair(rng, n)
+    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    assert _scan._set_heap_policy()
+    _scan.score_scan(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _scan.score_scan(*args)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def test_heap_policy_is_quiet_without_mallopt(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(_scan.ctypes, "CDLL", no_library)
+    assert _scan._set_heap_policy() is False
+    monkeypatch.setattr(_scan.ctypes, "CDLL", lambda name: object())
+    assert _scan._set_heap_policy() is False
 
 
 def test_block_sums_small_case():
