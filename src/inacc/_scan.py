@@ -134,7 +134,7 @@ def _tail_length(n: int) -> int:
     """The longest t whose tail tables, for every running max below n - t, hold at most CHUNK_ROWS rows.
 
     The stacked size grows with t, so the first t from the top that fits
-    is the longest; Python ints keep the sum exact where counts saturate.
+    is the longest; the sum runs on Python ints, so saturated counts cannot wrap.
     """
     c = _completions(n)
     return next((t for t in range(n - 1, 0, -1) if sum(c[t, : n - t].tolist()) <= CHUNK_ROWS), 0)

@@ -4,7 +4,6 @@ import collections
 import functools
 import itertools
 import platform
-import resource
 import time
 import tracemalloc
 
@@ -305,6 +304,8 @@ def test_a_scan_holds_about_one_chunk():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
 def test_a_warm_scan_faults_no_pages_in():
+    import resource  # POSIX only, like glibc
+
     n = 11
     rng = np.random.default_rng(29)
     p_star, p = random_positive_pair(rng, n)
