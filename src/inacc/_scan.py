@@ -10,6 +10,12 @@ the outcomes (4,096 entries at n = 12): R(S) = p*(S)/p(S) and
 W(S) = R(S) (d p)(S).  A posterior is R gathered at each outcome's block,
 and E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
 sibling group of rows and adjusted per row for where outcome n goes.
+The score kernel builds a group's block masks from those of its prefix's
+parent, one label shorter (``_prefix_masks``).  A streamed pass (above
+CACHE_MAX_N) reads W from a small cache keyed on the measures' bytes, so
+it builds W once, not once per chunk.  The posterior kernel still takes
+its masks from one bincount per chunk (``_block_masks``) and builds R
+per call.
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
@@ -89,6 +95,8 @@ CACHE_MAX_N = 10
 RUN_GRAIN = 32
 #: a packed label row: label j is byte j of its little-endian uint64 words, on any host
 _WORD = np.dtype("<u8")
+#: a level of at most this many RGS prefixes gets its block masks from one bincount
+_MASK_BASE = 256
 
 
 def _set_heap_policy() -> bool:
@@ -300,6 +308,24 @@ def _score_table(pstar: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return _ratio(num, den) * dp
 
 
+def _pass_score_table(pstar: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_score_table``, cached on the measures' bytes, dtype and shape (read-only).
+
+    The chunks of a streamed pass share one table, and inputs that differ
+    in any bit get their own.  The key is the measures stacked into one
+    array, so they must share a shape, as ``_score_table`` needs them to.
+    """
+    stack = np.array([pstar, p, d])
+    return _cached_score_table(stack.tobytes(), stack.dtype.str, stack.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_score_table(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    table = _score_table(*np.frombuffer(raw, dtype=dtype).reshape(shape))
+    table.setflags(write=False)
+    return table
+
+
 def _block_masks(labels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(masks, index) of a label matrix with `width` labels per row.
 
@@ -314,6 +340,34 @@ def _block_masks(labels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray
     return masks.astype(np.intp), index
 
 
+def _group_edges(last: np.ndarray) -> np.ndarray:
+    """Where each sibling group starts (last does not increase), then len(last)."""
+    head = np.empty(last.size + 1, dtype=bool)
+    head[0] = head[-1] = True
+    np.less_equal(last[1:], last[:-1], out=head[1:-1])
+    return np.flatnonzero(head)
+
+
+def _prefix_masks(labels: np.ndarray, rows: np.ndarray, k: int, width: int) -> np.ndarray:
+    """``_block_masks(labels[rows, :k], width)[0]``, each prefix's masks built from its parent's.
+
+    The k-label prefixes labels[rows, :k] must be distinct and in
+    lexicographic order, as the sibling-group heads of a contiguous run of
+    the enumeration are.  Their parents, one label shorter, then change
+    wherever label k - 1 does not increase, as sibling groups do; a prefix
+    copies its parent's masks and adds bit k - 1 to block labels[k - 1].
+    Levels of at most _MASK_BASE prefixes take the bincount directly.
+    """
+    if rows.size <= _MASK_BASE or k == 1:
+        return _block_masks(labels[rows, :k], width)[0]
+    col = labels[rows, k - 1].astype(np.intp)
+    edges = _group_edges(col)
+    parent_masks = _prefix_masks(labels, rows[edges[:-1]], k - 1, width).reshape(-1, width)
+    masks = np.repeat(parent_masks, edges[1:] - edges[:-1], axis=0).ravel()
+    masks[np.arange(0, masks.size, width) + col] |= 1 << (k - 1)
+    return masks
+
+
 def chunk_scores(
     labels: np.ndarray, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
@@ -324,26 +378,28 @@ def chunk_scores(
     n-1 labels form a sibling group, and a group starts wherever the last
     label does not increase.  The block sum is taken once per group, on
     the shared prefix; each row then moves outcome n from nowhere into its
-    block m: total - W[m] + W[m | bit(n-1)].
+    block m: total - W[m] + W[m | bit(n-1)].  The groups' block masks come
+    from ``_prefix_masks``, each prefix's from its parent's.  Above
+    CACHE_MAX_N a pass streams many chunks, which share one W
+    (``_pass_score_table``); up to it a pass is the one cached chunk, and
+    W is built for the call, where a cache key would cost more than it saves.
 
     Measures of shape (S, n) give (S, rows) scores, each sample's row equal
     bit for bit to the call with that sample alone: the block sums reduce a
     2-D (S * groups, n) array, as the single call does.
     """
     rows, n = labels.shape
-    table = _score_table(pstar, p, d)
+    table = (_pass_score_table if n > CACHE_MAX_N else _score_table)(pstar, p, d)
     last = labels[:, -1].astype(np.intp)
-    head = np.empty(rows, dtype=bool)
-    head[0] = True
-    np.less_equal(last[1:], last[:-1], out=head[1:])
-    group = np.add.accumulate(head, dtype=np.intp) - 1
-    masks, _ = _block_masks(labels[head, :-1], n)
+    edges = _group_edges(last)
+    sizes = edges[1:] - edges[:-1]
+    masks = _prefix_masks(labels, edges[:-1], n - 1, n)
     # take(axis=-1) gathers along the subset axis of a 1-D or (S, 2^n) table; it is
     # about twice as fast as an Ellipsis index on the 1-D one
     total = table.take(masks, axis=-1).reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
-    own = masks[group * n + last]
+    own = masks[np.repeat(np.arange(0, masks.size, n), sizes) + last]
     moved = table.take(own | (1 << (n - 1)), axis=-1)
-    return total.take(group, axis=-1) - table.take(own, axis=-1) + moved
+    return np.repeat(total, sizes, axis=-1) - table.take(own, axis=-1) + moved
 
 
 def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -133,11 +133,12 @@ def enumerate_proper_nontrivial(n: int) -> Iterator[SetPartition]:
     """All proper non-trivial partitions of {1..n}, lexicographic RGS order.
 
     Yields each partition exactly once; two runs over the same n produce
-    identical sequences.  The total count is Bell(n) - 2.
+    identical sequences.  The total count is Bell(n) - 2.  Chunks are read
+    in slices of 1,024 rows, so only a slice at a time becomes Python lists.
     """
     if n < MIN_OUTCOMES:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
-    for labels in _scan.iter_label_chunks(n):
+    for labels in _scan.iter_label_chunks(n, chunk_rows=1024):
         for row in labels.tolist():
             yield SetPartition(row)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from inacc import ProbabilityVector, bell_number, enumerate_proper_nontrivial, posterior_classes
-from inacc import TOL_NUM, _scan
+from inacc import TOL_NUM, _scan, monotonicity
 
 from conftest import random_positive_pair
 from oracles import (
@@ -293,6 +293,12 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def test_first_partitions_hold_one_slice_as_lists():
+    # the 21,146-row first chunk at n = 100, turned into lists at once, peaked at 21 MB
+    peak = traced_peak(lambda: list(itertools.islice(enumerate_proper_nontrivial(100), 5)))
+    assert peak < 8 << 20
+
+
 def test_a_scan_holds_about_one_chunk():
     n = 11
     rng = np.random.default_rng(23)
@@ -351,6 +357,137 @@ def test_chunk_scores_match_oracle(n):
         ])
         assert np.abs(scores - old).max() <= TOL_REORDER
         assert np.abs(scores - oracle).max() <= TOL_REORDER
+
+
+def group_heads(labels):
+    """The rows where a sibling group starts: the last label does not increase."""
+    last = labels[:, -1]
+    return np.flatnonzero(np.append(True, last[1:] <= last[:-1]))
+
+
+def contiguous_runs(n, rows, per_chunk=4):
+    """Every chunk of at most `rows` rows up to n = 8; above, every full chunk and
+    `per_chunk` runs of `rows` rows at random offsets in each (any contiguous run of
+    the enumeration is a valid chunk)."""
+    if n <= 8:
+        yield from _scan.iter_label_chunks(n, rows)
+        return
+    rng = np.random.default_rng([n, rows])
+    for labels in _scan.iter_label_chunks(n):
+        if rows >= labels.shape[0]:
+            yield labels
+            continue
+        for start in rng.integers(0, labels.shape[0] - rows + 1, per_chunk):
+            yield labels[start : start + rows]
+
+
+def assert_prefix_masks_are_bincount_masks(labels):
+    n = labels.shape[1]
+    heads = group_heads(labels)
+    expect, _ = _scan._block_masks(labels[heads, :-1], n)
+    assert np.array_equal(_scan._prefix_masks(labels, heads, n - 1, n), expect)
+
+
+@pytest.mark.parametrize("base", [0, _scan._MASK_BASE])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_prefix_masks_are_the_bincount_masks(n, base, monkeypatch):
+    # base 0 builds every level from its parent, down to the one-label prefix
+    monkeypatch.setattr(_scan, "_MASK_BASE", base)
+    for chunk_rows in SPLITS:
+        for labels in contiguous_runs(n, chunk_rows):
+            assert_prefix_masks_are_bincount_masks(labels)
+
+
+@pytest.mark.parametrize("runs", [2, 3, 4])
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_prefix_masks_where_pool_runs_start(n, runs, monkeypatch):
+    # a later run starts at a frontier prefix with some label k > 0, so the run before
+    # holds the first siblings of its k-label prefix: that level starts mid-group
+    prefix, maxes, bounds = _scan._frontier(n, runs)
+    assert (prefix[bounds[1:-1]] > 0).any(axis=1).all()
+    for base in (0, _scan._MASK_BASE):
+        monkeypatch.setattr(_scan, "_MASK_BASE", base)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            for chunk_rows in SPLITS:
+                chunks = _scan.iter_label_chunks(n, chunk_rows, prefix[a:b], maxes[a:b])
+                for labels in itertools.islice(chunks, 2):
+                    assert_prefix_masks_are_bincount_masks(labels)
+
+
+def first_chunk_scores(labels, pstar, p, d):
+    """chunk_scores as first written: bincount masks, accumulated group ids, W per call."""
+    rows, n = labels.shape
+    num, den, dp = _scan._subset_sums(np.array([pstar, p, d * p]))
+    table = _scan._ratio(num, den) * dp
+    last = labels[:, -1].astype(np.intp)
+    head = np.empty(rows, dtype=bool)
+    head[0] = True
+    np.less_equal(last[1:], last[:-1], out=head[1:])
+    group = np.add.accumulate(head, dtype=np.intp) - 1
+    masks, _ = _scan._block_masks(labels[head, :-1], n)
+    total = table.take(masks, axis=-1).reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
+    own = masks[group * n + last]
+    moved = table.take(own | (1 << (n - 1)), axis=-1)
+    return total.take(group, axis=-1) - table.take(own, axis=-1) + moved
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 11])
+def test_chunk_scores_are_bitwise_the_first_formula(n):
+    rng = np.random.default_rng([7, n])
+    pstar = rng.dirichlet(np.ones(n), 3)
+    p = rng.dirichlet(np.ones(n), 3)
+    d = rng.uniform(-1.0, 1.0, (3, n))
+    pstar[1, 0] = 0.0  # a zero in p*
+    d[2] = 0.0
+    for chunk_rows in SPLITS:
+        for labels in itertools.islice(contiguous_runs(n, chunk_rows), 64):
+            for s in range(3):
+                got = _scan.chunk_scores(labels, pstar[s], p[s], d[s])
+                assert got.tobytes() == first_chunk_scores(labels, pstar[s], p[s], d[s]).tobytes()
+            got = _scan.chunk_scores(labels, pstar, p, d)
+            assert got.tobytes() == first_chunk_scores(labels, pstar, p, d).tobytes()
+
+
+def test_score_table_is_cached_per_input_bits():
+    n = 5
+    rng = np.random.default_rng(31)
+    pstar, p, d = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), rng.uniform(-1, 1, n)
+    _scan._cached_score_table.cache_clear()
+    table = _scan._pass_score_table(pstar, p, d)
+    assert table.tobytes() == _scan._score_table(pstar, p, d).tobytes()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert _scan._pass_score_table(pstar.copy(), p.copy(), d.copy()) is table
+    nudged = pstar.copy()
+    nudged[2] = np.nextafter(nudged[2], 1.0)
+    other = _scan._pass_score_table(nudged, p, d)
+    assert other.tobytes() == _scan._score_table(nudged, p, d).tobytes() != table.tobytes()
+    stacked = _scan._pass_score_table(pstar[None], p[None], d[None])
+    assert table.shape == (1 << n,) and stacked.shape == (1, 1 << n)
+    assert stacked[0].tobytes() == table.tobytes()
+    info = _scan._cached_score_table.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+
+
+def test_a_streamed_pass_builds_its_score_table_once():
+    n = 11
+    rng = np.random.default_rng(37)
+    p_star, p = random_positive_pair(rng, n)
+    chunks = sum(1 for _ in _scan.iter_label_chunks(n))
+    assert chunks > 1
+    _scan._cached_score_table.cache_clear()
+    _scan.score_scan(n, p_star.as_array(), p.as_array(), rng.uniform(-1.0, 1.0, n))
+    info = _scan._cached_score_table.cache_info()
+    assert (info.hits, info.misses) == (chunks - 1, 1)
+
+
+def test_batched_sweep_equals_one_sample_batches(monkeypatch):
+    args = dict(n=4, samples=50, seed=1204, dirichlet_alpha=0.3)
+    batched = monotonicity.sweep(**args)
+    # one sample per batch: every batch's score table is new
+    monkeypatch.setattr(monotonicity, "proper_nontrivial_count", lambda n: _scan.CHUNK_ROWS + 1)
+    assert monotonicity.sweep(**args) == batched
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
