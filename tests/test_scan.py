@@ -415,7 +415,9 @@ def test_prefix_masks_where_pool_runs_start(n, runs, monkeypatch):
 
 
 def first_chunk_scores(labels, pstar, p, d):
-    """chunk_scores as first written: bincount masks, accumulated group ids, W per call."""
+    """The reference chunk_scores must equal bit for bit.
+
+    Bincount masks, accumulated group ids and W built per call."""
     rows, n = labels.shape
     num, den, dp = _scan._subset_sums(np.array([pstar, p, d * p]))
     table = _scan._ratio(num, den) * dp
