@@ -5,17 +5,16 @@ Python-object loop does not cut it.  This module enumerates canonical
 restricted-growth strings directly into int8 label matrices (rows =
 partitions, columns = outcomes), holding about one chunk at a time.
 
-The kernels read Jeffrey posteriors from tables over the 2^n subsets of
-the outcomes (4,096 entries at n = 12): R(S) = p*(S)/p(S) and
-W(S) = R(S) (d p)(S).  A posterior is R gathered at each outcome's block,
-and E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
+The kernels take tables over the 2^n subsets of the outcomes (4,096
+entries at n = 12), not measures: R(S) = p*(S)/p(S) (``_ratio_table``)
+and W(S) = R(S) (d p)(S) (``_score_table``).  Each scan builds its tables
+once, at its entry point in the calling process, and hands them to its
+workers.  A posterior is R gathered at each outcome's block, and
+E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
 sibling group of rows and adjusted per row for where outcome n goes.
 The score kernel builds a group's block masks from those of its prefix's
-parent, one label shorter (``_prefix_masks``).  A streamed pass (above
-CACHE_MAX_N) reads W from a small cache keyed on the measures' bytes, so
-it builds W once, not once per chunk.  The posterior kernel still takes
-its masks from one bincount per chunk (``_block_masks``) and builds R
-per call.
+parent, one label shorter (``_prefix_masks``); the posterior kernel
+takes its masks from one bincount per chunk (``_block_masks``).
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
@@ -58,7 +57,7 @@ The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
 all in array operations (no Python loop per bucket or class).
 
-The kernels also take measures with a leading sample axis, shaped
+The scans also take measures with a leading sample axis, shaped
 (S, n): the subset tables become (S, 2^n), scores (S, rows) and
 posteriors (S, rows, n), and each sample's row is bitwise the one the
 1-D call gives.  The sweep answers a batch of samples this way with one
@@ -85,7 +84,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import TOL_DEDUP, TOL_NUM
+from .core import TOL_DEDUP, TOL_NUM, OutOfRange
 
 #: most rows in one chunk; keeps kernel temporaries around a few MB
 CHUNK_ROWS = 1 << 16
@@ -93,6 +92,8 @@ CHUNK_ROWS = 1 << 16
 CACHE_MAX_N = 10
 #: no RGS prefix handed to the pool holds more than 1/RUN_GRAIN of a run's rows
 RUN_GRAIN = 32
+#: int8 labels reach 127, the top label of n - 1 blocks at this n
+LABEL_MAX_N = 129
 #: a packed label row: label j is byte j of its little-endian uint64 words, on any host
 _WORD = np.dtype("<u8")
 #: a level of at most this many RGS prefixes gets its block masks from one bincount
@@ -197,8 +198,11 @@ def iter_label_chunks(
     ceil(n/8) uint64 words, are repeated once per completion and OR-ed
     with their packed tails from ``_tails``.  A chunk is a view
     ``buf.view(np.int8)[:, :n]`` of such a buffer, so its rows are not
-    contiguous; no buffer is reused.
+    contiguous; no buffer is reused.  Above LABEL_MAX_N the labels would
+    not fit int8: OutOfRange.
     """
+    if n > LABEL_MAX_N:
+        raise OutOfRange(f"int8 labels enumerate partitions of n <= {LABEL_MAX_N}, got n = {n}")
     if prefix is None:
         prefix = np.zeros((1, 1), dtype=np.int8)
         maxes = np.zeros(1, dtype=np.int8)
@@ -254,18 +258,16 @@ def _label_chunks(
     return iter_label_chunks(n, chunk_rows, prefix, maxes)
 
 
-def _reduce(
-    worker: Callable, common: tuple, merge: Callable, n: int, workers: int, chunk_rows=CHUNK_ROWS
-):
-    """Run worker((prefix, maxes, n, chunk_rows) + common) over the whole enumeration.
+def _reduce(worker: Callable, common: tuple, merge: Callable, n: int, workers: int):
+    """Run worker((prefix, maxes, n, CHUNK_ROWS) + common) over the whole enumeration.
 
     Cached labels are always scanned in this process, and so is every scan
     when one worker is asked for or only one CPU is usable.  Otherwise the
     pool's parts are folded with ``merge`` in submission order.
     """
     if n <= CACHE_MAX_N or workers <= 1 or _usable_cpus() <= 1:
-        return worker((None, None, n, chunk_rows) + common)
-    return functools.reduce(merge, _parallel_map(worker, common, n, workers, chunk_rows))
+        return worker((None, None, n, CHUNK_ROWS) + common)
+    return functools.reduce(merge, _parallel_map(worker, common, n, workers, CHUNK_ROWS))
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +308,6 @@ def _score_table(pstar: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """W(S) = R(S) (d p)(S): E_{q_Pi}[d] is the sum of W over the blocks of Pi."""
     num, den, dp = _subset_sums(np.array([pstar, p, d * p]))
     return _ratio(num, den) * dp
-
-
-def _pass_score_table(pstar: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``_score_table``, cached on the measures' bytes, dtype and shape (read-only).
-
-    The chunks of a streamed pass share one table, and inputs that differ
-    in any bit get their own.  The key is the measures stacked into one
-    array, so they must share a shape, as ``_score_table`` needs them to.
-    """
-    stack = np.array([pstar, p, d])
-    return _cached_score_table(stack.tobytes(), stack.dtype.str, stack.shape)
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_score_table(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    table = _score_table(*np.frombuffer(raw, dtype=dtype).reshape(shape))
-    table.setflags(write=False)
-    return table
 
 
 def _block_masks(labels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,10 +352,8 @@ def _prefix_masks(labels: np.ndarray, rows: np.ndarray, k: int, width: int) -> n
     return masks
 
 
-def chunk_scores(
-    labels: np.ndarray, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """E_{q_Pi}[d] for every row: the sum of W over the blocks of Pi.
+def chunk_scores(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """E_{q_Pi}[d] for every row: the sum of W (``_score_table``) over the blocks of Pi.
 
     Rows must come in lexicographic RGS order, as ``iter_label_chunks``
     yields them (any contiguous run of it).  Rows that share their first
@@ -379,17 +361,13 @@ def chunk_scores(
     label does not increase.  The block sum is taken once per group, on
     the shared prefix; each row then moves outcome n from nowhere into its
     block m: total - W[m] + W[m | bit(n-1)].  The groups' block masks come
-    from ``_prefix_masks``, each prefix's from its parent's.  Above
-    CACHE_MAX_N a pass streams many chunks, which share one W
-    (``_pass_score_table``); up to it a pass is the one cached chunk, and
-    W is built for the call, where a cache key would cost more than it saves.
+    from ``_prefix_masks``, each prefix's from its parent's.
 
-    Measures of shape (S, n) give (S, rows) scores, each sample's row equal
-    bit for bit to the call with that sample alone: the block sums reduce a
-    2-D (S * groups, n) array, as the single call does.
+    A table of shape (S, 2^n) gives (S, rows) scores, each sample's row
+    equal bit for bit to the call with that sample's table alone: the block
+    sums reduce a 2-D (S * groups, n) array, as the single call does.
     """
     rows, n = labels.shape
-    table = (_pass_score_table if n > CACHE_MAX_N else _score_table)(pstar, p, d)
     last = labels[:, -1].astype(np.intp)
     edges = _group_edges(last)
     sizes = edges[1:] - edges[:-1]
@@ -402,13 +380,13 @@ def chunk_scores(
     return np.repeat(total, sizes, axis=-1) - table.take(own, axis=-1) + moved
 
 
-def chunk_posteriors(labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Jeffrey posterior q_Pi(i) = p*(B(i)) p(i) / p(B(i)) for every row.
+def chunk_posteriors(labels: np.ndarray, ratio: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Jeffrey posterior q_Pi(i) = R(B(i)) p(i) for every row, R = ``_ratio_table(pstar, p)``.
 
-    Measures of shape (S, n) give (S, rows, n) posteriors, one per sample.
+    A (S, 2^n) table with (S, n) p gives (S, rows, n) posteriors, one per sample.
     """
     masks, index = _block_masks(labels, labels.shape[1])
-    return _ratio_table(pstar, p).take(masks[index], axis=-1) * p[..., None, :]
+    return ratio.take(masks[index], axis=-1) * p[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +465,9 @@ def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
 
 
 def _score_worker(args: tuple) -> tuple:
-    prefix, maxes, n, chunk_rows, pstar, p, d = args
+    prefix, maxes, n, chunk_rows, table = args
     chunks = _label_chunks(n, chunk_rows, prefix, maxes)
-    return _fold_stats((lb, chunk_scores(lb, pstar, p, d)) for lb in chunks)
+    return _fold_stats((lb, chunk_scores(lb, table)) for lb in chunks)
 
 
 def score_scan(
@@ -499,15 +477,17 @@ def score_scan(
 
     Measures of shape (S, n) scan S samples in one pass (see ``ScoreScan``).
     """
-    return ScoreScan.of_stats(_reduce(_score_worker, (pstar, p, d), _merge_stats, n, workers))
+    table = _score_table(pstar, p, d)
+    return ScoreScan.of_stats(_reduce(_score_worker, (table,), _merge_stats, n, workers))
 
 
 def iter_scored_chunks(
     n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(labels, scores) per chunk, single-threaded, for per-partition details."""
+    table = _score_table(pstar, p, d)
     for labels in _label_chunks(n, CHUNK_ROWS):
-        yield labels, chunk_scores(labels, pstar, p, d)
+        yield labels, chunk_scores(labels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +521,15 @@ def certify_singletons(n: int, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (gaps > TOL_DEDUP).all(axis=(-2, -1))
 
 
-def _class_chunk(acc: list, labels: np.ndarray, pstar: np.ndarray, p: np.ndarray) -> None:
+def _class_chunk(acc: list, labels: np.ndarray, ratio: np.ndarray, p: np.ndarray) -> None:
     """Append (keys, reps, counts) for one chunk: its posteriors bucketed on a 1e-12 grid.
 
     keys are distinct, reps holds the posterior of the first row in each
-    bucket and counts the rows per bucket.  With (S, n) measures each
-    posterior leads with its sample index, so no bucket mixes samples.
+    bucket and counts the rows per bucket.  With a (S, 2^n) ratio table and
+    (S, n) p each posterior leads with its sample index, so no bucket mixes
+    samples.
     """
-    q = chunk_posteriors(labels, pstar, p)
+    q = chunk_posteriors(labels, ratio, p)
     if q.ndim == 3:
         samples, rows, n = q.shape
         sample = np.repeat(np.arange(samples, dtype=float), rows)
@@ -577,19 +558,15 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_worker(args: tuple) -> list:
-    prefix, maxes, n, chunk_rows, pstar, p = args
+    prefix, maxes, n, chunk_rows, ratio, p = args
     acc: list = []
     for labels in _label_chunks(n, chunk_rows, prefix, maxes):
-        _class_chunk(acc, labels, pstar, p)
+        _class_chunk(acc, labels, ratio, p)
     return acc
 
 
 def class_scan(
-    n: int,
-    pstar: np.ndarray,
-    p: np.ndarray,
-    workers: int = 1,
-    chunk_rows: int = CHUNK_ROWS,
+    n: int, pstar: np.ndarray, p: np.ndarray, workers: int = 1
 ) -> list[tuple[tuple[float, ...], int]] | np.ndarray:
     """Distinct Jeffrey posteriors with multiplicities, lexicographic order.
 
@@ -603,11 +580,11 @@ def class_scan(
     buckets and the linkage carry the sample index as a first coordinate,
     and samples lie at least 1 apart in it, so no class spans two samples.
     """
-    parts = _reduce(_class_worker, (pstar, p), operator.add, n, workers, chunk_rows)
+    parts = _reduce(_class_worker, (_ratio_table(pstar, p), p), operator.add, n, workers)
     if pstar.ndim == 1:
-        return _merge_within_tolerance(parts, chunk_rows)
+        return _merge_within_tolerance(parts)
     reps, counts = _fold_buckets(parts)
-    root = _single_linkage(reps, TOL_DEDUP, chunk_rows)
+    root = _single_linkage(reps, TOL_DEDUP, CHUNK_ROWS)
     largest = np.zeros(pstar.shape[0], dtype=np.int64)
     sizes = np.bincount(root, weights=counts).astype(np.int64)[root]
     np.maximum.at(largest, reps[:, 0].astype(np.intp), sizes)
@@ -710,11 +687,10 @@ def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 def _epsilon_worker(args: tuple) -> tuple:
     """Stats of E_{q_eps}[d_eps] - (1-eps) E_q[d] per row: two kernel calls per row."""
-    prefix, maxes, n, chunk_rows, pstar, p, p_eps, d, d_eps, eps = args
+    prefix, maxes, n, chunk_rows, table_eps, table, eps = args
     chunks = _label_chunks(n, chunk_rows, prefix, maxes)
     return _fold_stats(
-        (lb, chunk_scores(lb, p_eps, p, d_eps) - (1.0 - eps) * chunk_scores(lb, pstar, p, d))
-        for lb in chunks
+        (lb, chunk_scores(lb, table_eps) - (1.0 - eps) * chunk_scores(lb, table)) for lb in chunks
     )
 
 
@@ -745,7 +721,7 @@ def epsilon_scan(
     workers: int = 1,
 ) -> tuple[int, float, float]:
     """(count, max mixture residual, max expectation residual) over all Pi."""
-    common = (pstar, p, p_eps, d, d_eps, eps)
+    common = (_score_table(p_eps, p, d_eps), _score_table(pstar, p, d), eps)
     scan = ScoreScan.of_stats(_reduce(_epsilon_worker, common, _merge_stats, n, workers))
     expect = max(abs(scan.max_score), abs(scan.min_score))
     return scan.count, _mixture_residual(n, pstar, p, p_eps, eps), expect

@@ -234,7 +234,7 @@ class TestConstruction:
             )
             pair_score = _scan.chunk_scores(
                 np.asarray([pair.rgs], dtype=np.int8),
-                p_star.as_array(), p.as_array(), g.as_array(),
+                _scan._score_table(p_star.as_array(), p.as_array(), g.as_array()),
             )[0]
             assert abs(pair_score - scan.max_score) <= 1e-12
             if mode == "strict":

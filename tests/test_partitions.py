@@ -54,6 +54,13 @@ class TestEnumeration:
         with pytest.raises(TooSmall):
             next(enumerate_proper_nontrivial(2))
 
+    def test_int8_labels_bound_n(self):
+        # 128 blocks take labels 0..127, the most int8 holds
+        first = next(enumerate_proper_nontrivial(129))
+        assert first.rgs == (0,) * 128 + (1,)
+        with pytest.raises(OutOfRange, match="n <= 129"):
+            next(enumerate_proper_nontrivial(130))
+
     @pytest.mark.parametrize("n", range(3, 8))
     def test_count_invariant(self, n):
         assert sum(1 for _ in enumerate_proper_nontrivial(n)) == bell_number(n) - 2

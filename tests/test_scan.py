@@ -3,9 +3,11 @@
 import collections
 import functools
 import itertools
+import os
 import platform
 import time
 import tracemalloc
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -74,13 +76,14 @@ def test_sample_axis_is_bitwise_the_single_call(n, samples):
     d = rng.uniform(-1.0, 1.0, (samples, n))
     pstar[0, 0] = 0.0  # a zero in p*, and a p* no longer normalised
     labels = _scan.cached_labels(n)[-8192:]  # a contiguous run keeps (S, rows, n) small
-    scores = _scan.chunk_scores(labels, pstar, p, d)
-    posteriors = _scan.chunk_posteriors(labels, pstar, p)
+    scores = _scan.chunk_scores(labels, _scan._score_table(pstar, p, d))
+    posteriors = _scan.chunk_posteriors(labels, _scan._ratio_table(pstar, p), p)
     assert scores.shape == (samples, labels.shape[0])
     assert posteriors.shape == (samples, *labels.shape)
     for s in range(samples):
-        assert np.array_equal(scores[s], _scan.chunk_scores(labels, pstar[s], p[s], d[s]))
-        assert np.array_equal(posteriors[s], _scan.chunk_posteriors(labels, pstar[s], p[s]))
+        table, ratio = _scan._score_table(pstar[s], p[s], d[s]), _scan._ratio_table(pstar[s], p[s])
+        assert np.array_equal(scores[s], _scan.chunk_scores(labels, table))
+        assert np.array_equal(posteriors[s], _scan.chunk_posteriors(labels, ratio, p[s]))
 
 
 def assert_batched_scan_is_each_single_scan(n, samples, workers):
@@ -350,9 +353,10 @@ def test_chunk_scores_match_oracle(n):
     pstar, p, d, posteriors = oracle_case(n)
     oracle = np.array([brute_expectation(d, q) for q in posteriors])
     old = bincount_scores(_scan.cached_labels(n), pstar, p, d)
+    table = _scan._score_table(pstar, p, d)
     for chunk_rows in SPLITS:
         scores = np.concatenate([
-            _scan.chunk_scores(labels, pstar, p, d)
+            _scan.chunk_scores(labels, table)
             for labels in _scan.iter_label_chunks(n, chunk_rows=chunk_rows)
         ])
         assert np.abs(scores - old).max() <= TOL_REORDER
@@ -441,47 +445,57 @@ def test_chunk_scores_are_bitwise_the_first_formula(n):
     d = rng.uniform(-1.0, 1.0, (3, n))
     pstar[1, 0] = 0.0  # a zero in p*
     d[2] = 0.0
+    tables = [_scan._score_table(pstar[s], p[s], d[s]) for s in range(3)]
+    stacked = _scan._score_table(pstar, p, d)
     for chunk_rows in SPLITS:
         for labels in itertools.islice(contiguous_runs(n, chunk_rows), 64):
             for s in range(3):
-                got = _scan.chunk_scores(labels, pstar[s], p[s], d[s])
+                got = _scan.chunk_scores(labels, tables[s])
                 assert got.tobytes() == first_chunk_scores(labels, pstar[s], p[s], d[s]).tobytes()
-            got = _scan.chunk_scores(labels, pstar, p, d)
+            got = _scan.chunk_scores(labels, stacked)
             assert got.tobytes() == first_chunk_scores(labels, pstar, p, d).tobytes()
 
 
-def test_score_table_is_cached_per_input_bits():
-    n = 5
-    rng = np.random.default_rng(31)
-    pstar, p, d = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), rng.uniform(-1, 1, n)
-    _scan._cached_score_table.cache_clear()
-    table = _scan._pass_score_table(pstar, p, d)
-    assert table.tobytes() == _scan._score_table(pstar, p, d).tobytes()
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 1.0
-    assert _scan._pass_score_table(pstar.copy(), p.copy(), d.copy()) is table
-    nudged = pstar.copy()
-    nudged[2] = np.nextafter(nudged[2], 1.0)
-    other = _scan._pass_score_table(nudged, p, d)
-    assert other.tobytes() == _scan._score_table(nudged, p, d).tobytes() != table.tobytes()
-    stacked = _scan._pass_score_table(pstar[None], p[None], d[None])
-    assert table.shape == (1 << n,) and stacked.shape == (1, 1 << n)
-    assert stacked[0].tobytes() == table.tobytes()
-    info = _scan._cached_score_table.cache_info()
-    assert (info.hits, info.misses) == (1, 3)
-
-
-def test_a_streamed_pass_builds_its_score_table_once():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
+    # n = 11 streams several chunks, and with two workers hands them to a fork pool
     n = 11
+    assert sum(1 for _ in _scan.iter_label_chunks(n)) > 1
     rng = np.random.default_rng(37)
     p_star, p = random_positive_pair(rng, n)
-    chunks = sum(1 for _ in _scan.iter_label_chunks(n))
-    assert chunks > 1
-    _scan._cached_score_table.cache_clear()
-    _scan.score_scan(n, p_star.as_array(), p.as_array(), rng.uniform(-1.0, 1.0, n))
-    info = _scan._cached_score_table.cache_info()
-    assert (info.hits, info.misses) == (chunks - 1, 1)
+    ps, pw = p_star.as_array(), p.as_array()
+    d = rng.uniform(-1.0, 1.0, n)
+    eps = 0.3
+    here = os.getpid()
+    built = collections.Counter()
+
+    def counted(build):
+        def wrapper(*args):
+            assert os.getpid() == here, f"{build.__name__} ran in a pool process"
+            built[build.__name__] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("_score_table", "_ratio_table"):
+        monkeypatch.setattr(_scan, name, counted(getattr(_scan, name)))
+
+    def tables(scan, *args, **kwargs):
+        """The tables one scan builds; a generator scan is read to its end."""
+        built.clear()
+        result = scan(n, *args, **kwargs)
+        if isinstance(result, Iterator):
+            collections.deque(result, 0)
+        return dict(built)
+
+    assert tables(_scan.score_scan, ps, pw, d, workers=workers) == {"_score_table": 1}
+    assert tables(_scan.iter_scored_chunks, ps, pw, d) == {"_score_table": 1}
+    eps_args = (ps, pw, (1 - eps) * ps + eps * pw, d, d - eps * float(d @ pw), eps)
+    # W of the blend and of the original; the mixture residual reads one R of each
+    want = {"_score_table": 2, "_ratio_table": 2}
+    assert tables(_scan.epsilon_scan, *eps_args, workers=workers) == want
+    # p* = p: one class, so the merge stays small
+    assert tables(_scan.class_scan, pw, pw, workers=workers) == {"_ratio_table": 1}
 
 
 def test_batched_sweep_equals_one_sample_batches(monkeypatch):
@@ -496,9 +510,10 @@ def test_batched_sweep_equals_one_sample_batches(monkeypatch):
 def test_chunk_posteriors_match_oracle(n):
     pstar, p, _, posteriors = oracle_case(n)
     old = bincount_posteriors(_scan.cached_labels(n), pstar, p)
+    ratio = _scan._ratio_table(pstar, p)
     for chunk_rows in SPLITS:
         q = np.concatenate([
-            _scan.chunk_posteriors(labels, pstar, p)
+            _scan.chunk_posteriors(labels, ratio, p)
             for labels in _scan.iter_label_chunks(n, chunk_rows=chunk_rows)
         ])
         assert np.abs(q - old).max() <= TOL_REORDER
@@ -533,13 +548,13 @@ def test_zero_target_mass_gives_zero_multiplier():
     p = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     d = np.array([1.0, -50.0, 0.5, -50.0, -1.0])
     labels = _scan.cached_labels(5)
-    q = _scan.chunk_posteriors(labels, pstar, p)
+    q = _scan.chunk_posteriors(labels, _scan._ratio_table(pstar, p), p)
     masks, index = _scan._block_masks(labels, 5)
     target_mass = _scan._subset_sums(pstar)[masks[index]]
     assert (target_mass == 0.0).any()
     assert np.all(q[target_mass == 0.0] == 0.0)
     assert np.abs(q - bincount_posteriors(labels, pstar, p)).max() <= TOL_REORDER
-    scores = _scan.chunk_scores(labels, pstar, p, d)
+    scores = _scan.chunk_scores(labels, _scan._score_table(pstar, p, d))
     # rounding scales with the size of the utilities
     assert np.abs(scores - bincount_scores(labels, pstar, p, d)).max() <= TOL_REORDER * 50
 
@@ -620,8 +635,9 @@ def test_streaming_path_equals_cached_path():
     p_star, p = random_positive_pair(rng, n)
     d = rng.normal(size=n)
     cached = _scan.score_scan(n, p_star.as_array(), p.as_array(), d)
+    table = _scan._score_table(p_star.as_array(), p.as_array(), d)
     streamed_chunks = [
-        _scan.chunk_scores(labels, p_star.as_array(), p.as_array(), d)
+        _scan.chunk_scores(labels, table)
         for labels in _scan.iter_label_chunks(n, chunk_rows=16)
     ]
     streamed = np.concatenate(streamed_chunks)
@@ -661,7 +677,7 @@ def test_pooled_class_scan_merges_classes_across_runs():
     prefix, maxes, bounds = _scan._frontier(n, 2)
 
     def bucket_keys(a, b):
-        task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, pstar, p)
+        task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, _scan._ratio_table(pstar, p), p)
         return {key.tobytes() for keys, _, _ in _scan._class_worker(task) for key in keys}
 
     assert bucket_keys(bounds[0], bounds[1]) & bucket_keys(bounds[1], bounds[2])
@@ -707,9 +723,10 @@ def test_dense_cluster_is_one_class(n):
     pstar = p * (1.0 + 3e-10 * rng.uniform(-1.0, 1.0, n))
     pstar /= pstar.sum()
     buckets: list = []
-    _scan._class_chunk(buckets, _scan.cached_labels(n), pstar, p)
+    _scan._class_chunk(buckets, _scan.cached_labels(n), _scan._ratio_table(pstar, p), p)
     assert len(buckets[0][0]) > 100  # so the merge, not the 1e-12 grid, makes one class
-    classes = _scan.class_scan(n, pstar, p, chunk_rows=7)
+    # seven candidate pairs per round: the linkage takes many rounds
+    classes = _scan._merge_within_tolerance(buckets, 7)
     assert [count for _, count in classes] == [bell_number(n) - 2]
     assert _scan.class_scan(n, pstar, p) == classes
 
