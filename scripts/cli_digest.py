@@ -136,6 +136,7 @@ ERROR_CASES = [
     ["sweep", "--n", "3", "--samples", "2", "--parallel", "2"],
     ["partitions", "--n", "3", "--count", "--parallel", "2"],
     ["certificate", *PAIR, "--max-n", "14"],
+    ["degree", *PAIR, "--d", D, "--parallel", "0"],
     # a subnormal credence weight is refused: its block ratios p*(B)/p(B) overflow
     ["verify", "--pstar", PS, "--p", "1e-320,0.5,0.5", "--d", "1,-1,0.5"],
     ["posterior", "--pstar", PS, "--p", "1e-320,0.5,0.5", "--partition", "0,1,1"],

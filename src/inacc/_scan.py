@@ -9,12 +9,16 @@ The kernels take tables over the 2^n subsets of the outcomes (4,096
 entries at n = 12), not measures: R(S) = p*(S)/p(S) (``_ratio_table``)
 and W(S) = R(S) (d p)(S) (``_score_table``).  Each scan builds its tables
 once, at its entry point in the calling process, and hands them to its
-workers.  A posterior is R gathered at each outcome's block, and
-E_{q_Pi}[d] is the sum of W over the blocks of Pi, taken once per
-sibling group of rows and adjusted per row for where outcome n goes.
-The score kernel builds a group's block masks from those of its prefix's
-parent, one label shorter (``_prefix_masks``); the posterior kernel
-takes its masks from one bincount per chunk (``_block_masks``).
+workers.  A posterior is R gathered at each outcome's block
+(``_block_masks``, one bincount per chunk).  E_{q_Pi}[d] is the sum of
+W over the blocks of Pi, carried one label at a time: when outcome i
+joins a block whose mask so far is m (0 for a new block, and W[0] = 0),
+the total becomes (total - W[m]) + W[m | bit i].  Each RGS prefix takes
+its masks and total from its parent, one label shorter
+(``_prefix_totals``); small levels run the carry from the empty prefix,
+and each row takes the last step from its sibling group's prefix.  A
+score is thus n carry steps of two roundings each, the same steps
+whatever the chunk, and depends on the row's labels alone.
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
@@ -68,7 +72,8 @@ sample's posterior classes are all singletons: distinct partitions put
 some outcome i in different blocks B, B', so their posteriors differ at
 i by |R(B) - R(B')| p_i, and the certificate checks that every such gap
 exceeds TOL_DEDUP.  The sweep runs the class pass only on the samples it
-does not certify.
+does not certify, and a one-pair class scan skips the single linkage
+for a pair it certifies.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ RUN_GRAIN = 32
 LABEL_MAX_N = 129
 #: a packed label row: label j is byte j of its little-endian uint64 words, on any host
 _WORD = np.dtype("<u8")
-#: a level of at most this many RGS prefixes gets its block masks from one bincount
+#: a level of at most this many RGS prefixes runs the score carry from the empty prefix
 _MASK_BASE = 256
 
 
@@ -332,24 +337,49 @@ def _group_edges(last: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
-def _prefix_masks(labels: np.ndarray, rows: np.ndarray, k: int, width: int) -> np.ndarray:
-    """``_block_masks(labels[rows, :k], width)[0]``, each prefix's masks built from its parent's.
+def _prefix_totals(
+    labels: np.ndarray, rows: np.ndarray, k: int, width: int, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, totals) of the k-label prefixes labels[rows, :k], each carried from its parent.
 
-    The k-label prefixes labels[rows, :k] must be distinct and in
+    masks is ``_block_masks(labels[rows, :k], width)[0]``, and totals[..., j]
+    the sum of W = ``table`` over the blocks of prefix j, carried one label
+    at a time from the empty prefix: label i joins block b, whose mask so
+    far is old (0 for a new block, and W[0] = 0), so the total becomes
+    (total - W[old]) + W[old | bit i].  Each total is thus a function of
+    its prefix's labels alone.  The prefixes must be distinct and in
     lexicographic order, as the sibling-group heads of a contiguous run of
     the enumeration are.  Their parents, one label shorter, then change
     wherever label k - 1 does not increase, as sibling groups do; a prefix
-    copies its parent's masks and adds bit k - 1 to block labels[k - 1].
-    Levels of at most _MASK_BASE prefixes take the bincount directly.
+    copies its parent's masks and total and takes the carry step for label
+    k - 1.  Levels of at most _MASK_BASE prefixes run every step, column by
+    column, from the empty prefix.
     """
     if rows.size <= _MASK_BASE or k == 1:
-        return _block_masks(labels[rows, :k], width)[0]
+        head = labels[rows, :k].astype(np.intp)
+        masks = np.zeros(rows.size * width, dtype=np.intp)
+        totals = np.zeros((*table.shape[:-1], rows.size))
+        base = np.arange(0, masks.size, width)
+        for i in range(k):
+            masks, totals = _carry(masks, totals, base + head[:, i], i, table)
+        return masks, totals
     col = labels[rows, k - 1].astype(np.intp)
     edges = _group_edges(col)
-    parent_masks = _prefix_masks(labels, rows[edges[:-1]], k - 1, width).reshape(-1, width)
-    masks = np.repeat(parent_masks, edges[1:] - edges[:-1], axis=0).ravel()
-    masks[np.arange(0, masks.size, width) + col] |= 1 << (k - 1)
-    return masks
+    sizes = edges[1:] - edges[:-1]
+    masks, totals = _prefix_totals(labels, rows[edges[:-1]], k - 1, width, table)
+    masks = np.repeat(masks.reshape(-1, width), sizes, axis=0).ravel()
+    totals = np.repeat(totals, sizes, axis=-1)
+    return _carry(masks, totals, np.arange(0, masks.size, width) + col, k - 1, table)
+
+
+def _carry(
+    masks: np.ndarray, totals: np.ndarray, at: np.ndarray, i: int, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One carry step: outcome i joins block masks[at] of each prefix (masks change in place)."""
+    old = masks[at]
+    new = old | (1 << i)
+    masks[at] = new
+    return masks, (totals - table.take(old, axis=-1)) + table.take(new, axis=-1)
 
 
 def chunk_scores(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -358,24 +388,25 @@ def chunk_scores(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
     Rows must come in lexicographic RGS order, as ``iter_label_chunks``
     yields them (any contiguous run of it).  Rows that share their first
     n-1 labels form a sibling group, and a group starts wherever the last
-    label does not increase.  The block sum is taken once per group, on
-    the shared prefix; each row then moves outcome n from nowhere into its
-    block m: total - W[m] + W[m | bit(n-1)].  The groups' block masks come
-    from ``_prefix_masks``, each prefix's from its parent's.
+    label does not increase.  ``_prefix_totals`` gives each group's prefix
+    its block masks and its total, carried label by label from the empty
+    prefix; each row then takes the last carry step, moving outcome n into
+    its block m: (total - W[m]) + W[m | bit(n-1)].  A score is thus n carry
+    steps of two roundings each, and depends on the row's labels alone,
+    not on where chunk edges fall.
 
     A table of shape (S, 2^n) gives (S, rows) scores, each sample's row
-    equal bit for bit to the call with that sample's table alone: the block
-    sums reduce a 2-D (S * groups, n) array, as the single call does.
+    equal bit for bit to the call with that sample's table alone: every
+    step is elementwise.
     """
     rows, n = labels.shape
     last = labels[:, -1].astype(np.intp)
     edges = _group_edges(last)
     sizes = edges[1:] - edges[:-1]
-    masks = _prefix_masks(labels, edges[:-1], n - 1, n)
+    masks, total = _prefix_totals(labels, edges[:-1], n - 1, n, table)
+    own = masks[np.repeat(np.arange(0, masks.size, n), sizes) + last]
     # take(axis=-1) gathers along the subset axis of a 1-D or (S, 2^n) table; it is
     # about twice as fast as an Ellipsis index on the 1-D one
-    total = table.take(masks, axis=-1).reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
-    own = masks[np.repeat(np.arange(0, masks.size, n), sizes) + last]
     moved = table.take(own | (1 << (n - 1)), axis=-1)
     return np.repeat(total, sizes, axis=-1) - table.take(own, axis=-1) + moved
 
@@ -503,8 +534,10 @@ def _blocks_holding(n: int) -> np.ndarray:
     return blocks
 
 
-def certify_singletons(n: int, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
+def certify_singletons(ratio: np.ndarray, p: np.ndarray) -> np.ndarray:
     """True where every posterior class provably has multiplicity 1, per sample of (S, n) measures.
+
+    ``ratio`` is R = ``_ratio_table(pstar, p)``, the table the class scan reads.
 
     q_Pi(i) = R(B) p_i for the block B of Pi that holds i, and two
     distinct partitions put some outcome i in different blocks B != B'.
@@ -513,10 +546,11 @@ def certify_singletons(n: int, pstar: np.ndarray, p: np.ndarray) -> np.ndarray:
     ``chunk_posteriors`` gives) sit pairwise more than TOL_DEDUP apart.
     Then any two posteriors differ by more than TOL_DEDUP, so they fall
     in different 1e-12 buckets and single linkage joins none: ``class_scan``
-    would count every class once.  One sort of n (2^(n-1) - 1) values
-    per sample; measures of shape (n,) give a 0-d answer.
+    counts every class once, and skips the linkage.  One sort of
+    n (2^(n-1) - 1) values per sample; measures of shape (n,) give a 0-d
+    answer.
     """
-    q = _ratio_table(pstar, p)[..., _blocks_holding(n)] * p[..., None]
+    q = ratio[..., _blocks_holding(p.shape[-1])] * p[..., None]
     gaps = np.diff(np.sort(q, axis=-1), axis=-1)
     return (gaps > TOL_DEDUP).all(axis=(-2, -1))
 
@@ -580,9 +614,10 @@ def class_scan(
     buckets and the linkage carry the sample index as a first coordinate,
     and samples lie at least 1 apart in it, so no class spans two samples.
     """
-    parts = _reduce(_class_worker, (_ratio_table(pstar, p), p), operator.add, n, workers)
+    ratio = _ratio_table(pstar, p)
+    parts = _reduce(_class_worker, (ratio, p), operator.add, n, workers)
     if pstar.ndim == 1:
-        return _merge_within_tolerance(parts)
+        return _merge_within_tolerance(parts, linked=not certify_singletons(ratio, p))
     reps, counts = _fold_buckets(parts)
     root = _single_linkage(reps, TOL_DEDUP, CHUNK_ROWS)
     largest = np.zeros(pstar.shape[0], dtype=np.int64)
@@ -607,17 +642,19 @@ def _fold_buckets(parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge_within_tolerance(
-    parts: list, chunk_rows: int = CHUNK_ROWS
+    parts: list, chunk_rows: int = CHUNK_ROWS, linked: bool = True
 ) -> list[tuple[tuple[float, ...], int]]:
     """Single-linkage classes of the buckets in ``parts``, in max-norm <= TOL_DEDUP.
 
     Each class is labelled by its lexicographically first representative
-    and counts the rows of all its buckets (see ``_fold_buckets``).
+    and counts the rows of all its buckets (see ``_fold_buckets``).  With
+    ``linked`` false the linkage is skipped and every bucket is its own
+    class, as it is for a pair that ``certify_singletons`` certifies.
     """
     reps, counts = _fold_buckets(parts)
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]
-    root = _single_linkage(reps, TOL_DEDUP, chunk_rows)
+    root = _single_linkage(reps, TOL_DEDUP, chunk_rows) if linked else np.arange(counts.size)
     totals = np.bincount(root, weights=counts).astype(np.int64)
     roots = np.flatnonzero(root == np.arange(root.size))
     return list(zip(map(tuple, reps[roots].tolist()), totals[roots].tolist()))

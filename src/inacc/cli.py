@@ -176,6 +176,8 @@ def _max_outcomes(args) -> int:
 
 def _scan_options(args) -> dict:
     """The worker count and resource guard every exhaustive scan takes."""
+    if args.parallel < 1:
+        raise UsageError(f"--parallel: need a worker count >= 1, got {args.parallel}")
     return {"workers": args.parallel, "max_outcomes": _max_outcomes(args)}
 
 

@@ -54,9 +54,9 @@ MAX_JSON_ROWS = 115_973
 #: reports keep per-partition details by default up to this many rows
 KEEP_DETAILS_MAX = 10_000
 #: scans refuse a utility larger than this in magnitude.  A block weight
-#: |W(B)| is at most max|d| p*(B) up to rounding, and a score adds at most
-#: two terms to the total over its blocks, so it stays within 3 max|d|; the
-#: epsilon residual stays within 9 max|d|.  Both are then finite.
+#: |W(B)| is at most max|d| p*(B) up to rounding, and each step of a score's
+#: carry adds two terms to a total over blocks, so it stays within 3 max|d|;
+#: the epsilon residual stays within 9 max|d|.  Both are then finite.
 MAX_UTILITY = sys.float_info.max / 16
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0

@@ -211,7 +211,7 @@ def sweep(
         for deg in scan.num_le[:size]:
             histogram[deg] = histogram.get(deg, 0) + 1
 
-        uncertified = np.flatnonzero(~_scan.certify_singletons(n, ps, pw))
+        uncertified = np.flatnonzero(~_scan.certify_singletons(_scan._ratio_table(ps, pw), pw))
         if uncertified.size:
             largest = _scan.class_scan(n, ps[uncertified], pw[uncertified])
             collisions += int((largest > 1).sum())

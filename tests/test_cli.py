@@ -195,6 +195,14 @@ class TestExitCodes:
         )
         assert report["error"]["type"] == "RefusedTooLarge"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_is_a_usage_error(self, capsys, workers):
+        # such a count used to run serially and report "bitwise"; --limit and --seed
+        # refuse out-of-range counts the same way
+        argv = ["degree", "--pstar", PSTAR, "--p", P, "--d=1,-1,0", "--parallel", workers]
+        assert run_command(argv) == 2
+        assert f"--parallel: need a worker count >= 1, got {workers}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

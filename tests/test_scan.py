@@ -385,11 +385,45 @@ def contiguous_runs(n, rows, per_chunk=4):
             yield labels[start : start + rows]
 
 
-def assert_prefix_masks_are_bincount_masks(labels):
+def carry_scores(labels, table):
+    """The scores chunk_scores must equal bit for bit: each row's carry on its own.
+
+    Per row, s starts at 0 and each label in turn takes s = (s - W[old]) + W[new],
+    with old the mask so far of the block the label joins (0 for a new block) and new
+    that mask with the label's outcome added.  No row reads another's partial total;
+    the loop runs over the labels, for all rows (and samples of a stacked W) at once."""
+    rows, n = labels.shape
+    row = np.arange(rows)
+    masks = np.zeros((rows, n), dtype=np.intp)
+    s = np.zeros((*table.shape[:-1], rows))
+    for i in range(n):
+        old = masks[row, labels[:, i]]
+        new = old | (1 << i)
+        masks[row, labels[:, i]] = new
+        s = (s - table.take(old, axis=-1)) + table.take(new, axis=-1)
+    return s
+
+
+def carry_tables(n, seed):
+    """A (3, 2^n) stacked score table with a zero in p* and a zero d, and its three rows."""
+    rng = np.random.default_rng([seed, n])
+    pstar = rng.dirichlet(np.ones(n), 3)
+    p = rng.dirichlet(np.ones(n), 3)
+    d = rng.uniform(-1.0, 1.0, (3, n))
+    pstar[1, 0] = 0.0  # a zero in p*
+    d[2] = 0.0
+    stacked = _scan._score_table(pstar, p, d)
+    return stacked, [_scan._score_table(pstar[s], p[s], d[s]) for s in range(3)]
+
+
+def assert_prefix_masks_and_totals(labels, tables):
     n = labels.shape[1]
     heads = group_heads(labels)
     expect, _ = _scan._block_masks(labels[heads, :-1], n)
-    assert np.array_equal(_scan._prefix_masks(labels, heads, n - 1, n), expect)
+    for table in tables:
+        masks, totals = _scan._prefix_totals(labels, heads, n - 1, n, table)
+        assert np.array_equal(masks, expect)
+        assert totals.tobytes() == carry_scores(labels[heads, :-1], table).tobytes()
 
 
 @pytest.mark.parametrize("base", [0, _scan._MASK_BASE])
@@ -397,9 +431,10 @@ def assert_prefix_masks_are_bincount_masks(labels):
 def test_prefix_masks_are_the_bincount_masks(n, base, monkeypatch):
     # base 0 builds every level from its parent, down to the one-label prefix
     monkeypatch.setattr(_scan, "_MASK_BASE", base)
+    stacked, singles = carry_tables(n, 5)
     for chunk_rows in SPLITS:
         for labels in contiguous_runs(n, chunk_rows):
-            assert_prefix_masks_are_bincount_masks(labels)
+            assert_prefix_masks_and_totals(labels, (stacked, singles[0]))
 
 
 @pytest.mark.parametrize("runs", [2, 3, 4])
@@ -409,51 +444,24 @@ def test_prefix_masks_where_pool_runs_start(n, runs, monkeypatch):
     # holds the first siblings of its k-label prefix: that level starts mid-group
     prefix, maxes, bounds = _scan._frontier(n, runs)
     assert (prefix[bounds[1:-1]] > 0).any(axis=1).all()
+    stacked, singles = carry_tables(n, 5)
     for base in (0, _scan._MASK_BASE):
         monkeypatch.setattr(_scan, "_MASK_BASE", base)
         for a, b in zip(bounds[:-1], bounds[1:]):
             for chunk_rows in SPLITS:
                 chunks = _scan.iter_label_chunks(n, chunk_rows, prefix[a:b], maxes[a:b])
                 for labels in itertools.islice(chunks, 2):
-                    assert_prefix_masks_are_bincount_masks(labels)
-
-
-def first_chunk_scores(labels, pstar, p, d):
-    """The reference chunk_scores must equal bit for bit.
-
-    Bincount masks, accumulated group ids and W built per call."""
-    rows, n = labels.shape
-    num, den, dp = _scan._subset_sums(np.array([pstar, p, d * p]))
-    table = _scan._ratio(num, den) * dp
-    last = labels[:, -1].astype(np.intp)
-    head = np.empty(rows, dtype=bool)
-    head[0] = True
-    np.less_equal(last[1:], last[:-1], out=head[1:])
-    group = np.add.accumulate(head, dtype=np.intp) - 1
-    masks, _ = _scan._block_masks(labels[head, :-1], n)
-    total = table.take(masks, axis=-1).reshape(-1, n).sum(axis=1).reshape(*table.shape[:-1], -1)
-    own = masks[group * n + last]
-    moved = table.take(own | (1 << (n - 1)), axis=-1)
-    return total.take(group, axis=-1) - table.take(own, axis=-1) + moved
+                    assert_prefix_masks_and_totals(labels, (stacked, singles[0]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 11])
-def test_chunk_scores_are_bitwise_the_first_formula(n):
-    rng = np.random.default_rng([7, n])
-    pstar = rng.dirichlet(np.ones(n), 3)
-    p = rng.dirichlet(np.ones(n), 3)
-    d = rng.uniform(-1.0, 1.0, (3, n))
-    pstar[1, 0] = 0.0  # a zero in p*
-    d[2] = 0.0
-    tables = [_scan._score_table(pstar[s], p[s], d[s]) for s in range(3)]
-    stacked = _scan._score_table(pstar, p, d)
+def test_chunk_scores_are_bitwise_the_carry(n):
+    stacked, singles = carry_tables(n, 7)
     for chunk_rows in SPLITS:
         for labels in itertools.islice(contiguous_runs(n, chunk_rows), 64):
-            for s in range(3):
-                got = _scan.chunk_scores(labels, tables[s])
-                assert got.tobytes() == first_chunk_scores(labels, pstar[s], p[s], d[s]).tobytes()
-            got = _scan.chunk_scores(labels, stacked)
-            assert got.tobytes() == first_chunk_scores(labels, pstar, p, d).tobytes()
+            for table in (*singles, stacked):
+                got = _scan.chunk_scores(labels, table)
+                assert got.tobytes() == carry_scores(labels, table).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -729,6 +737,25 @@ def test_dense_cluster_is_one_class(n):
     classes = _scan._merge_within_tolerance(buckets, 7)
     assert [count for _, count in classes] == [bell_number(n) - 2]
     assert _scan.class_scan(n, pstar, p) == classes
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_certified_pair_skips_the_linkage(n, monkeypatch):
+    # a certified pair has one row per bucket, and the linkage would join none of them
+    p_star, p = random_positive_pair(np.random.default_rng(800 + n), n)
+    ps, pw = p_star.as_array(), p.as_array()
+    ratio = _scan._ratio_table(ps, pw)
+    assert _scan.certify_singletons(ratio, pw)
+    buckets: list = []
+    _scan._class_chunk(buckets, _scan.cached_labels(n), ratio, pw)
+    linked = _scan._merge_within_tolerance(buckets)
+    assert len(linked) == bell_number(n) - 2
+
+    def no_linkage(*args):
+        raise AssertionError("a certified pair ran the linkage")
+
+    monkeypatch.setattr(_scan, "_single_linkage", no_linkage)
+    assert _scan.class_scan(n, ps, pw) == linked
 
 
 def tied_pair(rng, n):

@@ -96,9 +96,9 @@ def test_certified_pairs_have_only_singleton_classes(n):
     cases = certificate_cases(n)
     ps = np.array([pstar for _, pstar, _ in cases])
     pw = np.array([p for _, _, p in cases])
-    batched = _scan.certify_singletons(n, ps, pw)
+    batched = _scan.certify_singletons(_scan._ratio_table(ps, pw), pw)
     for (kind, pstar, p), certified in zip(cases, batched):
-        assert bool(_scan.certify_singletons(n, pstar, p)) == certified, kind
+        assert bool(_scan.certify_singletons(_scan._ratio_table(pstar, p), p)) == certified, kind
         if certified:
             assert largest_multiplicity(pstar, p) == 1, kind
     kinds = {kind for (kind, *_), certified in zip(cases, batched) if certified}
@@ -121,7 +121,7 @@ def test_certificate_is_sound(case):
     if digits is not None:  # rounded weights make exact subset-ratio ties likely
         raw_pstar, raw_p = np.round(raw_pstar, digits) + 0.01, np.round(raw_p, digits) + 0.01
     pstar, p = normalized(raw_pstar), normalized(raw_p)
-    if _scan.certify_singletons(len(p), pstar, p):
+    if _scan.certify_singletons(_scan._ratio_table(pstar, p), p):
         assert largest_multiplicity(pstar, p) == 1
 
 
@@ -146,6 +146,6 @@ def test_sweep_collisions_equal_a_class_scan_of_every_sample(n, alpha):
     samples, seed = 60, 1400 + n
     ps, pw = sweep_pairs(n, samples, seed, alpha)
     every = int((_scan.class_scan(n, ps, pw) > 1).sum())
-    certified = _scan.certify_singletons(n, ps, pw)
+    certified = _scan.certify_singletons(_scan._ratio_table(ps, pw), pw)
     assert 0 < certified.sum() < samples  # both paths taken
     assert sweep(n=n, samples=samples, seed=seed, dirichlet_alpha=alpha).multiplicity_collisions == every
