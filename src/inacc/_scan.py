@@ -7,14 +7,14 @@ partitions, columns = outcomes), holding about one chunk at a time.
 
 The kernels take tables over the 2^n subsets of the outcomes (4,096
 entries at n = 12), not measures: R(S) = p*(S)/p(S) (``_ratio_table``)
-and W(S) = R(S) (d p)(S) (``_score_table``).  Each scan builds its tables
-once, at its entry point in the calling process, and hands them to its
-workers.  A posterior is R gathered at each outcome's block
-(``_block_masks``, one bincount per chunk).  E_{q_Pi}[d] is the sum of
-W over the blocks of Pi, carried one label at a time: when outcome i
-joins a block whose mask so far is m (0 for a new block, and W[0] = 0),
-the total becomes (total - W[m]) + W[m | bit i].  Each RGS prefix takes
-its masks and total from its parent, one label shorter
+and W(S) = R(S) (d p)(S) (``_score_table``).  Each table is built once,
+in the calling process, and handed to the scan's workers; ``score_scan``
+takes its table from its caller.  A posterior is R gathered at each
+outcome's block (``_block_masks``, one bincount per chunk).  E_{q_Pi}[d]
+is the sum of W over the blocks of Pi, carried one label at a time: when
+outcome i joins a block whose mask so far is m (0 for a new block, and
+W[0] = 0), the total becomes (total - W[m]) + W[m | bit i].  Each RGS
+prefix takes its masks and total from its parent, one label shorter
 (``_prefix_totals``); small levels run the carry from the empty prefix,
 and each row takes the last step from its sibling group's prefix.  A
 score is thus n carry steps of two roundings each, the same steps
@@ -49,13 +49,13 @@ prefixes are cut by row count without enumerating them.  Each row's
 score and posterior do not depend on where chunk edges fall, so parallel
 results equal the single-threaded ones.
 
-Scores have one fold, shared by the score and epsilon scans:
-``_score_stats`` reduces a chunk along its last axis and ``_merge_stats``
-merges two parts elementwise, keeping the earlier witness on a tie.
-Parts arrive in enumeration order, so the witness is the
-lexicographically smallest row that attains the max.  The TOL_NUM tie
-rule is applied here alone: ``_non_positive`` counts a row into the
-degree, and ``_verdicts`` reads the verdicts off the max.
+Scores have one fold, in ``score_scan``, read by ``verify``, the epsilon
+check and the sweep alike: ``_score_stats`` reduces a chunk along its
+last axis and ``_merge_stats`` merges two parts elementwise, keeping the
+earlier witness on a tie.  Parts arrive in enumeration order, so the
+witness is the lexicographically smallest row that attains the max.  The
+TOL_NUM tie rule is applied here alone: ``_non_positive`` counts a row
+into the degree, and ``_verdicts`` reads the verdicts off the max.
 
 The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
@@ -501,14 +501,16 @@ def _score_worker(args: tuple) -> tuple:
     return _fold_stats((lb, chunk_scores(lb, table)) for lb in chunks)
 
 
-def score_scan(
-    n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray, workers: int = 1
-) -> ScoreScan:
-    """Scan E_{q_Pi}[d] over all proper non-trivial partitions of {1..n}.
+def score_scan(n: int, table: np.ndarray, workers: int = 1) -> ScoreScan:
+    """Fold the sum of ``table`` over the blocks of every proper non-trivial partition of {1..n}.
 
-    Measures of shape (S, n) scan S samples in one pass (see ``ScoreScan``).
+    The caller builds the table, as for ``chunk_scores``: W =
+    ``_score_table(pstar, p, d)`` scores E_{q_Pi}[d], and a (S, 2^n) table
+    scans S samples in one pass (see ``ScoreScan``).  A carry step
+    subtracts one entry and adds another, so for fixed labels a score is
+    linear in the table: W_eps - (1-eps) W scores each row's
+    E_{q_eps}[d_eps] - (1-eps) E_q[d] up to rounding order, in one pass.
     """
-    table = _score_table(pstar, p, d)
     return ScoreScan.of_stats(_reduce(_score_worker, (table,), _merge_stats, n, workers))
 
 
@@ -719,16 +721,7 @@ def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# mixture-identity scan
-
-
-def _epsilon_worker(args: tuple) -> tuple:
-    """Stats of E_{q_eps}[d_eps] - (1-eps) E_q[d] per row: two kernel calls per row."""
-    prefix, maxes, n, chunk_rows, table_eps, table, eps = args
-    chunks = _label_chunks(n, chunk_rows, prefix, maxes)
-    return _fold_stats(
-        (lb, chunk_scores(lb, table_eps) - (1.0 - eps) * chunk_scores(lb, table)) for lb in chunks
-    )
+# mixture identity
 
 
 def _mixture_residual(
@@ -745,23 +738,6 @@ def _mixture_residual(
     q = _ratio_table(pstar, p)[proper, None] * p
     q_eps = _ratio_table(p_eps, p)[proper, None] * p
     return float(np.abs(q_eps - ((1.0 - eps) * q + eps * p))[member].max())
-
-
-def epsilon_scan(
-    n: int,
-    pstar: np.ndarray,
-    p: np.ndarray,
-    p_eps: np.ndarray,
-    d: np.ndarray,
-    d_eps: np.ndarray,
-    eps: float,
-    workers: int = 1,
-) -> tuple[int, float, float]:
-    """(count, max mixture residual, max expectation residual) over all Pi."""
-    common = (_score_table(p_eps, p, d_eps), _score_table(pstar, p, d), eps)
-    scan = ScoreScan.of_stats(_reduce(_epsilon_worker, common, _merge_stats, n, workers))
-    expect = max(abs(scan.max_score), abs(scan.min_score))
-    return scan.count, _mixture_residual(n, pstar, p, p_eps, eps), expect
 
 
 # ---------------------------------------------------------------------------
@@ -821,11 +797,6 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _pool_size(asked: int, cpus: int, tasks: int) -> int:
-    """Processes to start: the ask, never above the usable CPUs or the tasks."""
-    return max(1, min(asked, cpus, tasks))
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -838,18 +809,16 @@ def _parallel_map(
 ) -> list:
     """worker(task) for each run of the enumeration, in a fork pool; one result per run, in order.
 
-    The enumeration is cut into one contiguous run of about equal rows per
-    process (see ``_frontier``), and a run's task is
-    (prefixes, maxes, n, chunk_rows) + common.
+    The enumeration is cut into min(workers, usable CPUs) contiguous runs
+    of about equal rows (see ``_frontier``), one process each, and a run's
+    task is (prefixes, maxes, n, chunk_rows) + common.
     """
-    cpus = _usable_cpus()
-    prefix, mx, bounds = _frontier(n, min(workers, cpus))
+    prefix, mx, bounds = _frontier(n, min(workers, _usable_cpus()))
     tasks = [
         (prefix[a:b], mx[a:b], n, chunk_rows) + common
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    size = _pool_size(workers, cpus, len(tasks))
-    with ProcessPoolExecutor(max_workers=size, mp_context=_pool_context()) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks), mp_context=_pool_context()) as pool:
         futures = [pool.submit(worker, t) for t in tasks]
         return [f.result() for f in futures]

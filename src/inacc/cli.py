@@ -165,20 +165,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _max_outcomes(args) -> int:
-    limit = args.max_n
-    if limit > DEFAULT_MAX_OUTCOMES and not args.ack_large:
-        raise UsageError(
-            f"--max-n: raising the guard above {DEFAULT_MAX_OUTCOMES} needs --ack-large"
-        )
-    return limit
-
-
 def _scan_options(args) -> dict:
     """The worker count and resource guard every exhaustive scan takes."""
     if args.parallel < 1:
         raise UsageError(f"--parallel: need a worker count >= 1, got {args.parallel}")
-    return {"workers": args.parallel, "max_outcomes": _max_outcomes(args)}
+    if args.max_n > DEFAULT_MAX_OUTCOMES and not args.ack_large:
+        raise UsageError(
+            f"--max-n: raising the guard above {DEFAULT_MAX_OUTCOMES} needs --ack-large"
+        )
+    return {"workers": args.parallel, "max_outcomes": args.max_n}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,20 +350,21 @@ def _cmd_construct(args) -> JsonReport:
 
 def _cmd_verify(args) -> JsonReport | None:
     p_star, p, d = _inputs(args, "d")
+    options = _scan_options(args)
     if args.format == "csv":
-        n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
+        n = _check_scan_inputs(p_star, p, d, max_outcomes=options["max_outcomes"])
         chunks = _scan.iter_scored_chunks(n, p_star.as_array(), p.as_array(), d.as_array())
         writer = csv.writer(sys.stdout)
         writer.writerow(ROW_FIELDS)
         writer.writerows(partition_rows(chunks))
         return None
     if args.full:
-        n = _check_scan_inputs(p_star, p, d, max_outcomes=_max_outcomes(args))
+        n = _check_scan_inputs(p_star, p, d, max_outcomes=options["max_outcomes"])
         _refuse_long_listing(
             proper_nontrivial_count(n), "verify --full", "use --format csv, or drop --full"
         )
     return verify_inaccessibility(
-        p_star, p, d, keep_partitions=True if args.full else None, **_scan_options(args)
+        p_star, p, d, keep_partitions=True if args.full else None, **options
     )
 
 

@@ -55,8 +55,11 @@ MAX_JSON_ROWS = 115_973
 KEEP_DETAILS_MAX = 10_000
 #: scans refuse a utility larger than this in magnitude.  A block weight
 #: |W(B)| is at most max|d| p*(B) up to rounding, and each step of a score's
-#: carry adds two terms to a total over blocks, so it stays within 3 max|d|;
-#: the epsilon residual stays within 9 max|d|.  Both are then finite.
+#: carry adds two terms to a total over blocks, so it stays within 3 max|d|.
+#: The epsilon check scans Delta = W_eps - (1-eps) W, and |d_eps| <= 2 max|d|:
+#: |Delta(B)| <= ((1+eps) p_eps(B) + (1-eps) p*(B)) max|d|, so every entry and
+#: every total over blocks stay within 2 max|d|, and its carry within
+#: 6 max|d|.  All are then finite.
 MAX_UTILITY = sys.float_info.max / 16
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0
@@ -297,7 +300,7 @@ def verify_inaccessibility(
         (rows,) = _scan.iter_scored_chunks(n, ps, pw, dw)
         scan = _scan.ScoreScan.of_chunks([rows])
     else:
-        scan = _scan.score_scan(n, ps, pw, dw, workers=workers)
+        scan = _scan.score_scan(n, _scan._score_table(ps, pw, dw), workers=workers)
     if scan.count != total:
         raise VerificationFailed(f"scan saw {scan.count} partitions, expected {total}")
     return InaccessibilityReport(

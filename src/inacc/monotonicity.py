@@ -204,10 +204,8 @@ def sweep(
         degenerate += idx.size - int(sound.sum())
         idx, d, delta, epsilon = idx[sound], d[sound], delta[sound], epsilon[sound]
 
-        scan = _scan.score_scan(
-            n, np.concatenate([ps, ps[idx]]), np.concatenate([pw, pw[idx]]),
-            np.concatenate([decisions, d]),
-        )
+        stacked = (np.concatenate([ps, ps[idx]]), np.concatenate([pw, pw[idx]]))
+        scan = _scan.score_scan(n, _scan._score_table(*stacked, np.concatenate([decisions, d])))
         for deg in scan.num_le[:size]:
             histogram[deg] = histogram.get(deg, 0) + 1
 
@@ -362,6 +360,11 @@ def epsilon_mixture_check(
     Checked for every proper non-trivial partition: the posterior of the
     blend is the blend of the posteriors, and with d_eps = d - eps E_p[d]
     both the target and every posterior expectation scale by (1 - eps).
+
+    A score is linear in its table, so one score scan of W_eps - (1-eps) W,
+    the score tables of (p_eps, d_eps) and (p*, d), gives every row's
+    E_{q_eps}[d_eps] - (1-eps) E_q[d]; the mixture identity is checked
+    blockwise (``_scan._mixture_residual``).
     """
     if not 0.0 < epsilon < 1.0:
         raise OutOfRange(f"epsilon must lie in (0,1), got {epsilon}")
@@ -371,23 +374,19 @@ def epsilon_mixture_check(
     )
     e_p = expectation(d, p)
     d_eps = d.shifted(epsilon * e_p)
-    count, mix_res, post_res = _scan.epsilon_scan(
-        n,
-        p_star.as_array(),
-        p.as_array(),
-        p_eps.as_array(),
-        d.as_array(),
-        d_eps.as_array(),
-        epsilon,
-        workers=workers,
-    )
+    ps, pw, pe = p_star.as_array(), p.as_array(), p_eps.as_array()
+    table = _scan._score_table(pe, pw, d_eps.as_array())
+    table -= (1.0 - epsilon) * _scan._score_table(ps, pw, d.as_array())
+    scan = _scan.score_scan(n, table, workers=workers)
+    post_res = max(abs(scan.max_score), abs(scan.min_score))
+    mix_res = _scan._mixture_residual(n, ps, pw, pe, epsilon)
     global_res = abs(expectation(d_eps, p_eps) - (1.0 - epsilon) * expectation(d, p_star))
     return EpsilonMixtureCheck(
         epsilon=epsilon,
         p_eps=p_eps,
         d_eps=d_eps,
         identities_hold=max(mix_res, post_res, global_res) <= TOL_NUM,
-        partition_count=count,
+        partition_count=scan.count,
         max_mixture_residual=mix_res,
         max_posterior_residual=post_res,
         global_residual=global_res,

@@ -203,6 +203,14 @@ class TestExitCodes:
         assert run_command(argv) == 2
         assert f"--parallel: need a worker count >= 1, got {workers}" in capsys.readouterr().err
 
+    def test_csv_verify_refuses_parallel_below_one(self, capsys):
+        # the csv branch streams rows serially, and once read the guard but not the count
+        argv = ["verify", "--pstar", PSTAR, "--p", P, "--d=1,-1,0", "--format", "csv"]
+        assert run_command([*argv, "--parallel", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--parallel: need a worker count >= 1, got 0" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

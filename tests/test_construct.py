@@ -145,7 +145,8 @@ class TestGapDecomposition:
                 continue
             done += 1
             g = log_density_ratio(p_star, p)
-            scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
+            table = _scan._score_table(p_star.as_array(), p.as_array(), g.as_array())
+            scan = _scan.score_scan(n, table)
             assert scan.count == bell_number(n) - 2
             assert scan.max_score < expectation(g, p_star)
 
@@ -220,7 +221,8 @@ class TestConstruction:
                 continue
             done += 1
             g = log_density_ratio(p_star, p, mode=mode)
-            scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), g.as_array())
+            table = _scan._score_table(p_star.as_array(), p.as_array(), g.as_array())
+            scan = _scan.score_scan(n, table)
             delta, pairs = _adjacent_pair_margin(
                 np.array([ratio.values]), np.array([ratio.order]),
                 p.as_array()[None], g.as_array()[None],
@@ -232,10 +234,7 @@ class TestConstruction:
             pair = SetPartition.from_blocks(
                 [[i + 1, j + 1]] + [[k + 1] for k in range(n) if k not in (i, j)]
             )
-            pair_score = _scan.chunk_scores(
-                np.asarray([pair.rgs], dtype=np.int8),
-                _scan._score_table(p_star.as_array(), p.as_array(), g.as_array()),
-            )[0]
+            pair_score = _scan.chunk_scores(np.asarray([pair.rgs], dtype=np.int8), table)[0]
             assert abs(pair_score - scan.max_score) <= 1e-12
             if mode == "strict":
                 assert pair in appendix_certificate(p_star, p).pair_partitions
@@ -364,8 +363,8 @@ def _offset_scans(monkeypatch, offset):
         for labels, scores in chunks(n, pstar, p, d):
             yield labels, scores + offset
 
-    def doctored_scan(n, pstar, p, d, **kw):
-        out = scan(n, pstar, p, d, **kw)
+    def doctored_scan(n, table, **kw):
+        out = scan(n, table, **kw)
         out.max_score += offset
         return out
 

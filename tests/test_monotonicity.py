@@ -21,6 +21,7 @@ from inacc import (
     verify_inaccessibility,
 )
 import inacc.monotonicity as mono
+from inacc.construct import MAX_UTILITY
 
 from conftest import random_positive_pair
 from oracles import brute_jeffrey, brute_proper_partitions
@@ -81,8 +82,8 @@ class TestCheckMonotonicity:
 
         real = mono._scan.score_scan
 
-        def doctored(n, pstar, p, d, **kw):
-            scan = real(n, pstar, p, d, **kw)
+        def doctored(n, table, **kw):
+            scan = real(n, table, **kw)
             scan.num_le = scan.count  # pretend every posterior is <= 0
             scan.max_score = 0.0
             return scan
@@ -204,6 +205,39 @@ class TestEpsilonMixture:
             assert check.max_posterior_residual <= 1e-9
             assert check.global_residual <= 1e-9
 
+    @pytest.mark.parametrize("n", [5, 11])
+    def test_unshifted_d_eps_fails_the_identities(self, n, monkeypatch):
+        # with d_eps = d every row's score on W_eps - (1-eps) W is eps E_p[d], not 0;
+        # n = 11 streams chunks through the scan
+        rng = np.random.default_rng(760 + n)
+        p_star, p = random_positive_pair(rng, n)
+        d = UtilityFunction(rng.uniform(0.0, 1.0, n))
+        eps = 0.3
+        monkeypatch.setattr(UtilityFunction, "shifted", lambda self, c: self)
+        check = epsilon_mixture_check(p_star, p, d, eps)
+        assert check.d_eps == d
+        assert not check.identities_hold
+        assert check.max_mixture_residual <= 1e-12
+        assert check.max_posterior_residual == pytest.approx(eps * expectation(d, p), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 0.999])
+    def test_residuals_stay_finite_at_max_utility(self, n, eps):
+        # |d_eps| <= 2 MAX_UTILITY, so the difference table and its carry stay within
+        # 6 MAX_UTILITY (see construct.MAX_UTILITY): finite, below the float maximum
+        rng = np.random.default_rng([n, int(eps * 1000)])
+        alpha = np.full(n, 0.1)  # sparse: p* has zeros, p has weights down to the floor
+        for _ in range(60):
+            p_star = ProbabilityVector(rng.dirichlet(alpha))
+            p = ProbabilityVector(np.maximum(rng.dirichlet(alpha), 1e-300))
+            d = UtilityFunction(rng.choice([-1.0, 1.0], n) * MAX_UTILITY)
+            check = epsilon_mixture_check(p_star, p, d, eps)
+            residuals = [
+                check.max_mixture_residual, check.max_posterior_residual, check.global_residual
+            ]
+            assert np.isfinite(residuals).all()
+            assert check.max_posterior_residual <= 6 * MAX_UTILITY
+
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     def test_part2_reduction_preserves_hypotheses(self, eps):
         """An inaccessible d stays inaccessible for (p_eps, p) after the shift."""
@@ -232,8 +266,8 @@ def test_sweep_re_verifies_its_constructions(monkeypatch):
     # re-verification of the constructed d's can notice
     real = mono._scan.score_scan
 
-    def doctored(n, pstar, p, d, **kw):
-        scan = real(n, pstar, p, d, **kw)
+    def doctored(n, table, **kw):
+        scan = real(n, table, **kw)
         scan.max_score = [m + 1e-6 for m in scan.max_score]
         return scan
 

@@ -1,6 +1,7 @@
 """The chunked label-matrix engine against the brute-force oracles."""
 
 import collections
+import concurrent.futures
 import functools
 import itertools
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from inacc import ProbabilityVector, bell_number, enumerate_proper_nontrivial, posterior_classes
-from inacc import TOL_NUM, _scan, monotonicity
+from inacc import TOL_NUM, UtilityFunction, _scan, monotonicity, verify_inaccessibility
 
 from conftest import random_positive_pair
 from oracles import (
@@ -92,12 +93,12 @@ def assert_batched_scan_is_each_single_scan(n, samples, workers):
     p = rng.dirichlet(np.ones(n), samples)
     d = rng.uniform(-1.0, 1.0, (samples, n))
     d[1:2] = 0.0  # the second sample scores exactly 0.0 everywhere: all ties
-    batched = _scan.score_scan(n, pstar, p, d, workers=workers)
+    batched = _scan.score_scan(n, _scan._score_table(pstar, p, d), workers=workers)
     assert batched.count == bell_number(n) - 2
     for field in ("max_score", "min_score", "argmax_rgs", "num_le"):
         assert len(getattr(batched, field)) == samples
     for s in range(samples):
-        single = _scan.score_scan(n, pstar[s], p[s], d[s], workers=workers)
+        single = _scan.score_scan(n, _scan._score_table(pstar[s], p[s], d[s]), workers=workers)
         assert single == _scan.ScoreScan(
             batched.count,
             batched.max_score[s],
@@ -126,7 +127,8 @@ def test_exact_ties_keep_the_first_witness(workers):
     # part ties at the max; the ordered merge keeps the first row overall
     n = 11
     p_star, p = random_positive_pair(np.random.default_rng(11), n)
-    scan = _scan.score_scan(n, p_star.as_array(), p.as_array(), np.zeros(n), workers=workers)
+    table = _scan._score_table(p_star.as_array(), p.as_array(), np.zeros(n))
+    scan = _scan.score_scan(n, table, workers=workers)
     assert scan.argmax_rgs == (0,) * (n - 1) + (1,)
     assert scan.max_score == scan.min_score == 0.0
     assert scan.num_le == scan.count == bell_number(n) - 2
@@ -140,7 +142,7 @@ def decision_batch(rng, n, pstar, p):
     +-TOL_NUM, up to rounding: the ties the verdicts must agree on.
     """
     d = rng.uniform(-1.0, 1.0, n)
-    top = _scan.score_scan(n, pstar, p, d).max_score
+    top = _scan.score_scan(n, _scan._score_table(pstar, p, d)).max_score
     return np.array([
         d,
         d - top,
@@ -168,12 +170,12 @@ def test_verdicts_from_the_max_are_the_counted_verdicts(n, workers):
     )
     count = rows.shape[-1]
     counted = ((rows <= TOL_NUM).sum(axis=-1) == count, (rows < -TOL_NUM).sum(axis=-1) == count)
-    batched = _scan.score_scan(n, pstar_s, p_s, d, workers=workers)
+    batched = _scan.score_scan(n, _scan._score_table(pstar_s, p_s, d), workers=workers)
     inaccessible, strong = _scan._verdicts(np.array(batched.max_score))
     assert inaccessible.tolist() == counted[0].tolist()
     assert strong.tolist() == counted[1].tolist()
     for s in range(len(d)):
-        single = _scan.score_scan(n, ps, pw, d[s], workers=workers)
+        single = _scan.score_scan(n, _scan._score_table(ps, pw, d[s]), workers=workers)
         assert _scan._verdicts(single.max_score) == (counted[0][s], counted[1][s])
     assert counted[0].any() and not counted[0].all()
     assert counted[1].any() and not counted[1].all()
@@ -306,7 +308,7 @@ def test_a_scan_holds_about_one_chunk():
     n = 11
     rng = np.random.default_rng(23)
     p_star, p = random_positive_pair(rng, n)
-    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
     assert traced_peak(lambda: collections.deque(_scan.iter_label_chunks(n), 0)) < 6 << 20
     assert traced_peak(lambda: _scan.score_scan(*args)) < 12 << 20
 
@@ -318,7 +320,7 @@ def test_a_warm_scan_faults_no_pages_in():
     n = 11
     rng = np.random.default_rng(29)
     p_star, p = random_positive_pair(rng, n)
-    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
     assert _scan._set_heap_policy()
     _scan.score_scan(*args)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -488,22 +490,26 @@ def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
     for name in ("_score_table", "_ratio_table"):
         monkeypatch.setattr(_scan, name, counted(getattr(_scan, name)))
 
-    def tables(scan, *args, **kwargs):
-        """The tables one scan builds; a generator scan is read to its end."""
+    def tables(scan):
+        """The tables one call builds; a generator scan is read to its end."""
         built.clear()
-        result = scan(n, *args, **kwargs)
+        result = scan()
         if isinstance(result, Iterator):
             collections.deque(result, 0)
         return dict(built)
 
-    assert tables(_scan.score_scan, ps, pw, d, workers=workers) == {"_score_table": 1}
-    assert tables(_scan.iter_scored_chunks, ps, pw, d) == {"_score_table": 1}
-    eps_args = (ps, pw, (1 - eps) * ps + eps * pw, d, d - eps * float(d @ pw), eps)
-    # W of the blend and of the original; the mixture residual reads one R of each
-    want = {"_score_table": 2, "_ratio_table": 2}
-    assert tables(_scan.epsilon_scan, *eps_args, workers=workers) == want
+    utility = UtilityFunction(d)
+    verify = functools.partial(verify_inaccessibility, p_star, p, utility, workers=workers)
+    assert tables(lambda: verify(keep_partitions=False)) == {"_score_table": 1}
+    assert tables(lambda: _scan.iter_scored_chunks(n, ps, pw, d)) == {"_score_table": 1}
+    # W of the blend and of the original, subtracted into one table; the mixture
+    # residual reads one R of each
+    eps_check = functools.partial(
+        monotonicity.epsilon_mixture_check, p_star, p, utility, eps, workers=workers
+    )
+    assert tables(eps_check) == {"_score_table": 2, "_ratio_table": 2}
     # p* = p: one class, so the merge stays small
-    assert tables(_scan.class_scan, pw, pw, workers=workers) == {"_ratio_table": 1}
+    assert tables(lambda: _scan.class_scan(n, pw, pw, workers=workers)) == {"_ratio_table": 1}
 
 
 def test_batched_sweep_equals_one_sample_batches(monkeypatch):
@@ -544,10 +550,14 @@ def test_mixture_residual_matches_row_scan(n):
             q_eps = bincount_posteriors(labels, p_eps, pw)
             mix = float(np.abs(q_eps - ((1.0 - eps) * q + eps * pw)).max())
             expect = float(np.abs(q_eps @ d_eps - (1.0 - eps) * (q @ d)).max())
-            count, mix_res, expect_res = _scan.epsilon_scan(n, pstar, pw, p_eps, d, d_eps, eps)
-            assert count == labels.shape[0]
+            # a score is linear in its table: one scan of the difference table
+            table = _scan._score_table(p_eps, pw, d_eps)
+            table -= (1.0 - eps) * _scan._score_table(pstar, pw, d)
+            scan = _scan.score_scan(n, table)
+            assert scan.count == labels.shape[0]
+            mix_res = _scan._mixture_residual(n, pstar, pw, p_eps, eps)
             assert abs(mix_res - mix) <= TOL_REORDER
-            assert abs(expect_res - expect) <= TOL_REORDER
+            assert abs(max(abs(scan.max_score), abs(scan.min_score)) - expect) <= TOL_REORDER
 
 
 def test_zero_target_mass_gives_zero_multiplier():
@@ -567,12 +577,38 @@ def test_zero_target_mass_gives_zero_multiplier():
     assert np.abs(scores - bincount_scores(labels, pstar, p, d)).max() <= TOL_REORDER * 50
 
 
-@pytest.mark.parametrize(
-    "asked, cpus, tasks, used",
-    [(1, 2, 16, 1), (2, 2, 16, 2), (8, 2, 64, 2), (10**6, 2, 16, 2), (4, 8, 3, 3), (0, 2, 16, 1)],
-)
-def test_pool_size_clamps_to_cpus_and_tasks(asked, cpus, tasks, used):
-    assert _scan._pool_size(asked, cpus, tasks) == used
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs each task here."""
+
+    asked: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
+
+
+def test_pool_asks_for_no_more_processes_than_cpus(monkeypatch):
+    # no process starts: the fake pool runs the runs in this process
+    n = 11
+    rng = np.random.default_rng(41)
+    p_star, p = random_positive_pair(rng, n)
+    table = _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n))
+    serial = _scan.score_scan(n, table, workers=1)
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_scan, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "asked", [])
+    assert _scan.score_scan(n, table, workers=10**6) == serial
+    assert InlinePool.asked == [_scan._usable_cpus()] == [3]
 
 
 def subtree_sizes(n, prefix, maxes):
@@ -626,7 +662,7 @@ def test_one_usable_cpu_scans_in_process(monkeypatch):
     n = 11
     rng = np.random.default_rng(17)
     p_star, p = random_positive_pair(rng, n)
-    args = (n, p_star.as_array(), p.as_array(), rng.normal(size=n))
+    args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
     serial = _scan.score_scan(*args, workers=1)
 
     def no_pool(*_):
@@ -642,8 +678,8 @@ def test_streaming_path_equals_cached_path():
     rng = np.random.default_rng(3)
     p_star, p = random_positive_pair(rng, n)
     d = rng.normal(size=n)
-    cached = _scan.score_scan(n, p_star.as_array(), p.as_array(), d)
     table = _scan._score_table(p_star.as_array(), p.as_array(), d)
+    cached = _scan.score_scan(n, table)
     streamed_chunks = [
         _scan.chunk_scores(labels, table)
         for labels in _scan.iter_label_chunks(n, chunk_rows=16)
@@ -660,14 +696,15 @@ def test_parallel_scan_agrees_with_serial():
     p_star, p = random_positive_pair(rng, n)
     ps, pw = p_star.as_array(), p.as_array()
     d = rng.normal(size=n)
-    serial = _scan.score_scan(n, ps, pw, d, workers=1)
-    parallel = _scan.score_scan(n, ps, pw, d, workers=2)
+    table = _scan._score_table(ps, pw, d)
+    serial = _scan.score_scan(n, table, workers=1)
+    parallel = _scan.score_scan(n, table, workers=2)
     assert serial.count == bell_number(n) - 2
     assert parallel == serial
     # row scores do not depend on chunk edges, so every reduction is exact
-    eps = 0.3
-    eps_args = (n, ps, pw, (1 - eps) * ps + eps * pw, d, d - eps * float(d @ pw), eps)
-    assert _scan.epsilon_scan(*eps_args, workers=2) == _scan.epsilon_scan(*eps_args, workers=1)
+    utility = UtilityFunction(d)
+    eps_serial = monotonicity.epsilon_mixture_check(p_star, p, utility, 0.3, workers=1)
+    assert monotonicity.epsilon_mixture_check(p_star, p, utility, 0.3, workers=2) == eps_serial
     # p* = p makes every posterior p: one class holding every partition
     classes = _scan.class_scan(n, pw, pw, workers=1)
     assert [count for _, count in classes] == [bell_number(n) - 2]
