@@ -500,7 +500,7 @@ def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
 
     utility = UtilityFunction(d)
     verify = functools.partial(verify_inaccessibility, p_star, p, utility, workers=workers)
-    assert tables(lambda: verify(keep_partitions=False)) == {"_score_table": 1}
+    assert tables(verify) == {"_score_table": 1}
     assert tables(lambda: _scan.iter_scored_chunks(n, ps, pw, d)) == {"_score_table": 1}
     # W of the blend and of the original, subtracted into one table; the mixture
     # residual reads one R of each
