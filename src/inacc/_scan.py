@@ -797,6 +797,11 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+def _pool_size(asked: int, cpus: int, tasks: int) -> int:
+    """Processes to start: the ask, never above the usable CPUs or the tasks."""
+    return max(1, min(asked, cpus, tasks))
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -813,12 +818,14 @@ def _parallel_map(
     of about equal rows (see ``_frontier``), one process each, and a run's
     task is (prefixes, maxes, n, chunk_rows) + common.
     """
-    prefix, mx, bounds = _frontier(n, min(workers, _usable_cpus()))
+    cpus = _usable_cpus()
+    prefix, mx, bounds = _frontier(n, min(workers, cpus))
     tasks = [
         (prefix[a:b], mx[a:b], n, chunk_rows) + common
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    with ProcessPoolExecutor(max_workers=len(tasks), mp_context=_pool_context()) as pool:
+    size = _pool_size(workers, cpus, len(tasks))
+    with ProcessPoolExecutor(max_workers=size, mp_context=_pool_context()) as pool:
         futures = [pool.submit(worker, t) for t in tasks]
         return [f.result() for f in futures]

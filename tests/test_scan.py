@@ -577,6 +577,14 @@ def test_zero_target_mass_gives_zero_multiplier():
     assert np.abs(scores - bincount_scores(labels, pstar, p, d)).max() <= TOL_REORDER * 50
 
 
+@pytest.mark.parametrize(
+    "asked, cpus, tasks, used",
+    [(1, 2, 16, 1), (2, 2, 16, 2), (8, 2, 64, 2), (10**6, 2, 16, 2), (4, 8, 3, 3), (0, 2, 16, 1)],
+)
+def test_pool_size_clamps_to_cpus_and_tasks(asked, cpus, tasks, used):
+    assert _scan._pool_size(asked, cpus, tasks) == used
+
+
 class InlinePool:
     """A stand-in for ProcessPoolExecutor that records its size and runs each task here."""
 
