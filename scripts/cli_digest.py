@@ -8,15 +8,24 @@ one holding this script).  The list is the first 2 scan, 12 spectrum and
 ``--context`` and ``INACC_SEED`` cases over all twelve subcommands and
 the json, table and csv formats.  Each line is
 
-    <sha256 of (exit code, stdout, stderr), 16 hex> <exit code> <invocation>
+    <exact hash> <discrete hash> <exit code> <invocation>
 
-with the temporary directory of the context files masked as ``<tmp>``,
-so two checkouts that behave alike print identical lines.  Run it on both
-and diff:
+where the exact hash is the sha256 (16 hex) of (exit code, stdout,
+stderr), and the discrete hash the same with every float literal (digits
+with a decimal point or an exponent) masked as ``<f>``.  The temporary
+directory of the context files is masked as ``<tmp>`` in both, so two
+checkouts that behave alike print identical lines.  Run it on both and
+diff:
 
     python3 scripts/cli_digest.py --root ../parent > parent.txt
     python3 scripts/cli_digest.py > change.txt
     diff parent.txt change.txt
+
+A change that moves scores in their last bits changes exact hashes only.
+To see whether any discrete field moved (a degree, verdict, witness,
+count, message or exit code), diff from the second column on:
+
+    diff <(cut -d' ' -f2- parent.txt) <(cut -d' ' -f2- change.txt)
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -35,6 +45,8 @@ from pathlib import Path
 #: reference cycles replayed per pool of perfbench/reference.json
 REFERENCE_CYCLES = {"scan": 2, "spectrum": 12, "sweep": 60}
 FORMATS = ("json", "table", "csv")
+#: a float literal, as the discrete hash masks it; integers (degrees, counts, labels) stay
+FLOAT = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+")
 
 PS, P, D = "0.5,0.3,0.2", "uniform:3", "1,-1,0"
 PS5, P5, D5 = "0.3,0.25,0.2,0.15,0.1", "0.1,0.15,0.2,0.25,0.3", "0.4,-0.2,0.1,-0.3,0.05"
@@ -228,6 +240,10 @@ def invocations(root: Path, tmp: Path) -> list[tuple[str, list[str], str | None]
     return out
 
 
+def digest(code: int, out: str, err: str) -> str:
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+
+
 def run_one(run_command, argv: list[str], seed: str | None) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process run; -1 and the traceback if it raises."""
     out, err = io.StringIO(), io.StringIO()
@@ -270,9 +286,10 @@ def main() -> int:
         for label, argv, seed in invocations(root, tmp):
             code, out, err = run_one(run_command, argv, seed)
             out, err = out.replace(name, "<tmp>"), err.replace(name, "<tmp>")
-            digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+            exact = digest(code, out, err)
+            discrete = digest(code, FLOAT.sub("<f>", out), FLOAT.sub("<f>", err))
             shown = label if label.startswith("ref:") else " ".join([label, *argv]).strip()
-            print(digest, code, shown.replace(name, "<tmp>"))
+            print(exact, discrete, code, shown.replace(name, "<tmp>"))
     return 0
 
 

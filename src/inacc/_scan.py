@@ -11,14 +11,17 @@ and W(S) = R(S) (d p)(S) (``_score_table``).  Each table is built once,
 in the calling process, and handed to the scan's workers; ``score_scan``
 takes its table from its caller.  A posterior is R gathered at each
 outcome's block (``_block_masks``, one bincount per chunk).  E_{q_Pi}[d]
-is the sum of W over the blocks of Pi, carried one label at a time: when
-outcome i joins a block whose mask so far is m (0 for a new block, and
-W[0] = 0), the total becomes (total - W[m]) + W[m | bit i].  Each RGS
+is the sum of W over the blocks of Pi, carried one label at a time
+through the increment table Delta(S) = W(S) - W(S without its highest
+outcome) (``_increments``, n slice subtractions, built once per pass by
+the caller): when outcome i joins a block whose mask so far is m (0 for
+a new block), the total becomes total + Delta[m | bit i].  Each RGS
 prefix takes its masks and total from its parent, one label shorter
 (``_prefix_totals``); small levels run the carry from the empty prefix,
 and each row takes the last step from its sibling group's prefix.  A
-score is thus n carry steps of two roundings each, the same steps
-whatever the chunk, and depends on the row's labels alone.
+score is thus n additions of one rounding each, the same steps whatever
+the chunk, and depends on the row's labels alone.  Delta is linear in
+W, so for fixed labels a score is linear in the table.
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
@@ -27,9 +30,10 @@ prefixes are walked depth-first to depth n - t, and the last t labels of
 every row come from a cached table of completions per running max
 (``_tails``, t = 4 at n = 12: 17,244 rows).  A row is packed into
 ceil(n/8) uint64 words, prefix OR tail, and a chunk is the int8 view of
-its first n bytes, so chunks are not contiguous.  The walk cuts its stack
-by subtree rows, so the first rows at n = 100 cost what they do at
-n = 12.
+its first n bytes, so chunks are not contiguous.  Each prefix's tails are
+one contiguous slice of that table, copied in by one concatenation per
+run.  The walk cuts its stack by subtree rows, so the first rows at
+n = 100 cost what they do at n = 12.
 
 Importing this module sets glibc's malloc to serve blocks up to 32 MiB
 from its heap and to trim the heap only above 64 MiB of free top, once
@@ -155,18 +159,18 @@ def _tail_length(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _tails(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, length, packed): the last t labels of the rows below each prefix of depth n - t.
+def _tails(n: int, t: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(length, packed): the last t labels of the rows below each prefix of depth n - t.
 
-    The completions of a prefix whose largest label is m are rows
-    start[m] : start[m] + length[m] of ``packed``, in lexicographic order.
-    A packed row holds its labels at bytes n - t .. n - 1 of a row of
-    little-endian uint64 words, from the first word those bytes touch on,
-    so OR-ing it into a packed prefix writes the whole row.  The m = 0
-    table drops its first row (all zeros, the coarsest partition) and the
-    m = depth - 1 table its last (0, 1, .., n - 1, the finest): only the
-    all-zero and the identity prefix have those maxima, so no row needs a
-    filter (read-only).
+    The completions of a prefix whose largest label is m are the
+    length[m] rows of packed[m], in lexicographic order, each table one
+    contiguous slice of a single buffer.  A packed row holds its labels at
+    bytes n - t .. n - 1 of a row of little-endian uint64 words, from the
+    first word those bytes touch on, so OR-ing it into a packed prefix
+    writes the whole row.  The m = 0 table drops its first row (all
+    zeros, the coarsest partition) and the m = depth - 1 table its last
+    (0, 1, .., n - 1, the finest): only the all-zero and the identity
+    prefix have those maxima, so no row needs a filter (read-only).
     """
     depth = n - t
     tail, mx = np.zeros((depth, 0), dtype=np.int8), np.arange(depth, dtype=np.int8)
@@ -177,11 +181,11 @@ def _tails(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     length[-1] -= 1
     rows = np.zeros((int(length.sum()), -(-n // 8) * 8), dtype=np.int8)
     rows[:, depth:n] = tail[1:-1]
-    start = np.cumsum(length) - length
-    packed = rows.view(_WORD)[:, depth // 8 :]
-    for table in (start, length, packed):
-        table.setflags(write=False)
-    return start, length, packed
+    packed = np.ascontiguousarray(rows.view(_WORD)[:, depth // 8 :])
+    packed.setflags(write=False)
+    length.setflags(write=False)
+    ends = np.cumsum(length).tolist()
+    return length, tuple(packed[a:b] for a, b in zip([0, *ends], ends))
 
 
 def iter_label_chunks(
@@ -201,7 +205,8 @@ def iter_label_chunks(
     the stack holds a few prefixes per depth.  A run is grown to depth
     n - t and its rows are written once: the prefixes, packed into
     ceil(n/8) uint64 words, are repeated once per completion and OR-ed
-    with their packed tails from ``_tails``.  A chunk is a view
+    with one concatenation of their tail tables from ``_tails``, one
+    contiguous slice per prefix, so no row index is built.  A chunk is a view
     ``buf.view(np.int8)[:, :n]`` of such a buffer, so its rows are not
     contiguous; no buffer is reused.  Above LABEL_MAX_N the labels would
     not fit int8: OutOfRange.
@@ -214,7 +219,7 @@ def iter_label_chunks(
     assert maxes is not None
     t = min(_tail_length(n), n - prefix.shape[1])
     depth = n - t
-    start, length, packed = _tails(n, t)
+    length, packed = _tails(n, t)
     below = _completions(n)
     bound = max(chunk_rows, CHUNK_ROWS)
     stack = [(prefix, maxes)]
@@ -235,8 +240,7 @@ def iter_label_chunks(
         head = np.zeros((block.shape[0], -(-n // 8) * 8), dtype=np.int8)
         head[:, :depth] = block
         buf = np.repeat(head.view(_WORD), lens, axis=0)
-        first = np.cumsum(lens) - lens
-        buf[:, depth // 8 :] |= packed[np.arange(buf.shape[0]) + np.repeat(start[mx] - first, lens)]
+        buf[:, depth // 8 :] |= np.concatenate([packed[m] for m in mx.tolist()])
         labels = buf.view(np.int8)[:, :n]
         for i in range(0, labels.shape[0], chunk_rows):
             yield labels[i : i + chunk_rows]
@@ -337,63 +341,83 @@ def _group_edges(last: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
+def _increments(table: np.ndarray) -> np.ndarray:
+    """Delta(S) = W(S) - W(S without its highest outcome), and Delta[0] = 0: the carry's table.
+
+    Outcome i joins a block of outcomes below i, so the carry step that
+    moves a block's mask from old to new = old | bit i adds W[new] - W[old]
+    = Delta[new].  Built by n slice subtractions, one per highest outcome i:
+    Delta[2^i : 2^(i+1)] = W[2^i : 2^(i+1)] - W[: 2^i].  Elementwise, so a
+    (S, 2^n) table gives each sample's Delta bit for bit, and Delta is
+    linear in W.
+    """
+    delta = np.empty_like(table)
+    delta[..., 0] = 0.0
+    half = 1
+    while half < table.shape[-1]:
+        np.subtract(table[..., half : 2 * half], table[..., :half], out=delta[..., half : 2 * half])
+        half *= 2
+    return delta
+
+
 def _prefix_totals(
-    labels: np.ndarray, rows: np.ndarray, k: int, width: int, table: np.ndarray
+    labels: np.ndarray, rows: np.ndarray, k: int, width: int, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(masks, totals) of the k-label prefixes labels[rows, :k], each carried from its parent.
 
     masks is ``_block_masks(labels[rows, :k], width)[0]``, and totals[..., j]
-    the sum of W = ``table`` over the blocks of prefix j, carried one label
-    at a time from the empty prefix: label i joins block b, whose mask so
-    far is old (0 for a new block, and W[0] = 0), so the total becomes
-    (total - W[old]) + W[old | bit i].  Each total is thus a function of
-    its prefix's labels alone.  The prefixes must be distinct and in
-    lexicographic order, as the sibling-group heads of a contiguous run of
-    the enumeration are.  Their parents, one label shorter, then change
-    wherever label k - 1 does not increase, as sibling groups do; a prefix
-    copies its parent's masks and total and takes the carry step for label
-    k - 1.  Levels of at most _MASK_BASE prefixes run every step, column by
-    column, from the empty prefix.
+    the sum of W over the blocks of prefix j, carried one label at a time
+    from the empty prefix through Delta = ``_increments(W)``: label i joins
+    block b, whose mask so far is old (0 for a new block), so the total
+    becomes total + Delta[old | bit i], one rounding per step.  Each total
+    is thus a function of its prefix's labels alone.  The prefixes must be
+    distinct and in lexicographic order, as the sibling-group heads of a
+    contiguous run of the enumeration are.  Their parents, one label
+    shorter, then change wherever label k - 1 does not increase, as sibling
+    groups do; a prefix copies its parent's masks and total and takes the
+    carry step for label k - 1.  Levels of at most _MASK_BASE prefixes run
+    every step, column by column, from the empty prefix.
     """
     if rows.size <= _MASK_BASE or k == 1:
         head = labels[rows, :k].astype(np.intp)
         masks = np.zeros(rows.size * width, dtype=np.intp)
-        totals = np.zeros((*table.shape[:-1], rows.size))
+        totals = np.zeros((*delta.shape[:-1], rows.size))
         base = np.arange(0, masks.size, width)
         for i in range(k):
-            masks, totals = _carry(masks, totals, base + head[:, i], i, table)
+            masks, totals = _carry(masks, totals, base + head[:, i], i, delta)
         return masks, totals
     col = labels[rows, k - 1].astype(np.intp)
     edges = _group_edges(col)
     sizes = edges[1:] - edges[:-1]
-    masks, totals = _prefix_totals(labels, rows[edges[:-1]], k - 1, width, table)
+    masks, totals = _prefix_totals(labels, rows[edges[:-1]], k - 1, width, delta)
     masks = np.repeat(masks.reshape(-1, width), sizes, axis=0).ravel()
     totals = np.repeat(totals, sizes, axis=-1)
-    return _carry(masks, totals, np.arange(0, masks.size, width) + col, k - 1, table)
+    return _carry(masks, totals, np.arange(0, masks.size, width) + col, k - 1, delta)
 
 
 def _carry(
-    masks: np.ndarray, totals: np.ndarray, at: np.ndarray, i: int, table: np.ndarray
+    masks: np.ndarray, totals: np.ndarray, at: np.ndarray, i: int, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One carry step: outcome i joins block masks[at] of each prefix (masks change in place)."""
-    old = masks[at]
-    new = old | (1 << i)
+    new = masks[at] | (1 << i)
     masks[at] = new
-    return masks, (totals - table.take(old, axis=-1)) + table.take(new, axis=-1)
+    return masks, totals + delta.take(new, axis=-1)
 
 
-def chunk_scores(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
+def chunk_scores(labels: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """E_{q_Pi}[d] for every row: the sum of W (``_score_table``) over the blocks of Pi.
 
+    ``delta`` is ``_increments(W)``, built once per pass by the caller.
     Rows must come in lexicographic RGS order, as ``iter_label_chunks``
     yields them (any contiguous run of it).  Rows that share their first
     n-1 labels form a sibling group, and a group starts wherever the last
     label does not increase.  ``_prefix_totals`` gives each group's prefix
     its block masks and its total, carried label by label from the empty
     prefix; each row then takes the last carry step, moving outcome n into
-    its block m: (total - W[m]) + W[m | bit(n-1)].  A score is thus n carry
-    steps of two roundings each, and depends on the row's labels alone,
-    not on where chunk edges fall.
+    its block m: total + Delta[m | bit(n-1)], read from the top half of
+    Delta at m.  A score is thus the sum of n increments in label order,
+    one rounding per addition, and depends on the row's labels alone, not
+    on where chunk edges fall.
 
     A table of shape (S, 2^n) gives (S, rows) scores, each sample's row
     equal bit for bit to the call with that sample's table alone: every
@@ -403,12 +427,11 @@ def chunk_scores(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
     last = labels[:, -1].astype(np.intp)
     edges = _group_edges(last)
     sizes = edges[1:] - edges[:-1]
-    masks, total = _prefix_totals(labels, edges[:-1], n - 1, n, table)
+    masks, total = _prefix_totals(labels, edges[:-1], n - 1, n, delta)
     own = masks[np.repeat(np.arange(0, masks.size, n), sizes) + last]
     # take(axis=-1) gathers along the subset axis of a 1-D or (S, 2^n) table; it is
     # about twice as fast as an Ellipsis index on the 1-D one
-    moved = table.take(own | (1 << (n - 1)), axis=-1)
-    return np.repeat(total, sizes, axis=-1) - table.take(own, axis=-1) + moved
+    return np.repeat(total, sizes, axis=-1) + delta[..., 1 << (n - 1) :].take(own, axis=-1)
 
 
 def chunk_posteriors(labels: np.ndarray, ratio: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -496,31 +519,33 @@ def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
 
 
 def _score_worker(args: tuple) -> tuple:
-    prefix, maxes, n, chunk_rows, table = args
+    prefix, maxes, n, chunk_rows, delta = args
     chunks = _label_chunks(n, chunk_rows, prefix, maxes)
-    return _fold_stats((lb, chunk_scores(lb, table)) for lb in chunks)
+    return _fold_stats((lb, chunk_scores(lb, delta)) for lb in chunks)
 
 
 def score_scan(n: int, table: np.ndarray, workers: int = 1) -> ScoreScan:
     """Fold the sum of ``table`` over the blocks of every proper non-trivial partition of {1..n}.
 
-    The caller builds the table, as for ``chunk_scores``: W =
-    ``_score_table(pstar, p, d)`` scores E_{q_Pi}[d], and a (S, 2^n) table
-    scans S samples in one pass (see ``ScoreScan``).  A carry step
-    subtracts one entry and adds another, so for fixed labels a score is
-    linear in the table: W_eps - (1-eps) W scores each row's
+    The caller builds the table: W = ``_score_table(pstar, p, d)`` scores
+    E_{q_Pi}[d], and a (S, 2^n) table scans S samples in one pass (see
+    ``ScoreScan``).  The scan turns it into ``_increments(W)`` once, here,
+    and hands that to every chunk and pool process.  For fixed labels a
+    score is a sum of entries of Delta, and Delta is linear in W, so a
+    score is linear in the table: W_eps - (1-eps) W scores each row's
     E_{q_eps}[d_eps] - (1-eps) E_q[d] up to rounding order, in one pass.
     """
-    return ScoreScan.of_stats(_reduce(_score_worker, (table,), _merge_stats, n, workers))
+    delta = _increments(table)
+    return ScoreScan.of_stats(_reduce(_score_worker, (delta,), _merge_stats, n, workers))
 
 
 def iter_scored_chunks(
     n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(labels, scores) per chunk, single-threaded, for per-partition details."""
-    table = _score_table(pstar, p, d)
+    delta = _increments(_score_table(pstar, p, d))
     for labels in _label_chunks(n, CHUNK_ROWS):
-        yield labels, chunk_scores(labels, table)
+        yield labels, chunk_scores(labels, delta)
 
 
 # ---------------------------------------------------------------------------

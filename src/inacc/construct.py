@@ -54,12 +54,14 @@ MAX_JSON_ROWS = 115_973
 #: reports keep per-partition details by default up to this many rows
 KEEP_DETAILS_MAX = 10_000
 #: scans refuse a utility larger than this in magnitude.  A block weight
-#: |W(B)| is at most max|d| p*(B) up to rounding, and each step of a score's
-#: carry adds two terms to a total over blocks, so it stays within 3 max|d|.
-#: The epsilon check scans Delta = W_eps - (1-eps) W, and |d_eps| <= 2 max|d|:
-#: |Delta(B)| <= ((1+eps) p_eps(B) + (1-eps) p*(B)) max|d|, so every entry and
-#: every total over blocks stay within 2 max|d|, and its carry within
-#: 6 max|d|.  All are then finite.
+#: |W(B)| is at most max|d| p*(B) up to rounding.  A score's carry adds the
+#: increments W(S) - W(S'), S' = S without its highest outcome, each within
+#: |W(S)| + |W(S')| <= 2 max|d|, and every partial total is a total of W over
+#: the blocks of a prefix partition, within max|d|.  The epsilon check scans
+#: T = W_eps - (1-eps) W, and |d_eps| <= 2 max|d|: |T(B)| <= ((1+eps) p_eps(B)
+#: + (1-eps) p*(B)) max|d|, so every total of T over blocks, the residual
+#: among them, stays within 2 max|d| and every increment of T within
+#: 4 max|d|.  All are then finite.
 MAX_UTILITY = sys.float_info.max / 16
 #: clamp floor applied to g where p*(i) = 0 in clamp mode
 CLAMP_FLOOR = 50.0

@@ -27,7 +27,7 @@ from inacc import (
     verify_inaccessibility,
 )
 from inacc import _scan
-from inacc.construct import MAX_JSON_ROWS, _adjacent_pair_margin
+from inacc.construct import MAX_JSON_ROWS, MAX_UTILITY, _adjacent_pair_margin
 
 from conftest import random_positive_pair
 from oracles import (
@@ -234,7 +234,8 @@ class TestConstruction:
             pair = SetPartition.from_blocks(
                 [[i + 1, j + 1]] + [[k + 1] for k in range(n) if k not in (i, j)]
             )
-            pair_score = _scan.chunk_scores(np.asarray([pair.rgs], dtype=np.int8), table)[0]
+            rgs = np.asarray([pair.rgs], dtype=np.int8)
+            pair_score = _scan.chunk_scores(rgs, _scan._increments(table))[0]
             assert abs(pair_score - scan.max_score) <= 1e-12
             if mode == "strict":
                 assert pair in appendix_certificate(p_star, p).pair_partitions
@@ -341,6 +342,22 @@ class TestVerify:
             for pi, score in report.per_partition:
                 key = tuple(sorted(pi.blocks()))
                 assert score == pytest.approx(oracle[key], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_scores_stay_finite_at_max_utility(self, n):
+        # every increment W(S) - W(S without its highest outcome) the carry adds is
+        # within 2 MAX_UTILITY, and every total within MAX_UTILITY: a total over the
+        # blocks of a prefix partition (see construct.MAX_UTILITY)
+        rng = np.random.default_rng([n, 1600])
+        alpha = np.full(n, 0.1)  # sparse: p* has zeros, p has weights down to the floor
+        for _ in range(60):
+            p_star = ProbabilityVector(rng.dirichlet(alpha))
+            p = ProbabilityVector(np.maximum(rng.dirichlet(alpha), 1e-300))
+            d = UtilityFunction(rng.choice([-1.0, 1.0], n) * MAX_UTILITY)
+            report = verify_inaccessibility(p_star, p, d)
+            extremes = np.array([report.max_score, report.min_score])
+            assert np.isfinite(extremes).all()
+            assert np.abs(extremes).max() <= MAX_UTILITY * (1 + 1e-12)
 
     def test_report_consistency(self):
         report = verify_inaccessibility(PSTAR3, UNIFORM3, UtilityFunction([0.1, -0.2, 0.05]))

@@ -77,13 +77,13 @@ def test_sample_axis_is_bitwise_the_single_call(n, samples):
     d = rng.uniform(-1.0, 1.0, (samples, n))
     pstar[0, 0] = 0.0  # a zero in p*, and a p* no longer normalised
     labels = _scan.cached_labels(n)[-8192:]  # a contiguous run keeps (S, rows, n) small
-    scores = _scan.chunk_scores(labels, _scan._score_table(pstar, p, d))
+    scores = _scan.chunk_scores(labels, _scan._increments(_scan._score_table(pstar, p, d)))
     posteriors = _scan.chunk_posteriors(labels, _scan._ratio_table(pstar, p), p)
     assert scores.shape == (samples, labels.shape[0])
     assert posteriors.shape == (samples, *labels.shape)
     for s in range(samples):
         table, ratio = _scan._score_table(pstar[s], p[s], d[s]), _scan._ratio_table(pstar[s], p[s])
-        assert np.array_equal(scores[s], _scan.chunk_scores(labels, table))
+        assert np.array_equal(scores[s], _scan.chunk_scores(labels, _scan._increments(table)))
         assert np.array_equal(posteriors[s], _scan.chunk_posteriors(labels, ratio, p[s]))
 
 
@@ -355,10 +355,10 @@ def test_chunk_scores_match_oracle(n):
     pstar, p, d, posteriors = oracle_case(n)
     oracle = np.array([brute_expectation(d, q) for q in posteriors])
     old = bincount_scores(_scan.cached_labels(n), pstar, p, d)
-    table = _scan._score_table(pstar, p, d)
+    delta = _scan._increments(_scan._score_table(pstar, p, d))
     for chunk_rows in SPLITS:
         scores = np.concatenate([
-            _scan.chunk_scores(labels, table)
+            _scan.chunk_scores(labels, delta)
             for labels in _scan.iter_label_chunks(n, chunk_rows=chunk_rows)
         ])
         assert np.abs(scores - old).max() <= TOL_REORDER
@@ -390,10 +390,12 @@ def contiguous_runs(n, rows, per_chunk=4):
 def carry_scores(labels, table):
     """The scores chunk_scores must equal bit for bit: each row's carry on its own.
 
-    Per row, s starts at 0 and each label in turn takes s = (s - W[old]) + W[new],
-    with old the mask so far of the block the label joins (0 for a new block) and new
-    that mask with the label's outcome added.  No row reads another's partial total;
-    the loop runs over the labels, for all rows (and samples of a stacked W) at once."""
+    Per row, s starts at 0 and each label in turn takes s = s + Delta[new], with old
+    the mask so far of the block the label joins (0 for a new block) and new that
+    mask with the label's outcome i added.  Outcome i is the highest in new, so
+    Delta[new] = W[new] - W[old], taken here from W itself, not from _increments.
+    No row reads another's partial total; the loop runs over the labels, for all rows
+    (and samples of a stacked W) at once."""
     rows, n = labels.shape
     row = np.arange(rows)
     masks = np.zeros((rows, n), dtype=np.intp)
@@ -402,7 +404,7 @@ def carry_scores(labels, table):
         old = masks[row, labels[:, i]]
         new = old | (1 << i)
         masks[row, labels[:, i]] = new
-        s = (s - table.take(old, axis=-1)) + table.take(new, axis=-1)
+        s = s + (table.take(new, axis=-1) - table.take(old, axis=-1))
     return s
 
 
@@ -423,7 +425,7 @@ def assert_prefix_masks_and_totals(labels, tables):
     heads = group_heads(labels)
     expect, _ = _scan._block_masks(labels[heads, :-1], n)
     for table in tables:
-        masks, totals = _scan._prefix_totals(labels, heads, n - 1, n, table)
+        masks, totals = _scan._prefix_totals(labels, heads, n - 1, n, _scan._increments(table))
         assert np.array_equal(masks, expect)
         assert totals.tobytes() == carry_scores(labels[heads, :-1], table).tobytes()
 
@@ -462,8 +464,26 @@ def test_chunk_scores_are_bitwise_the_carry(n):
     for chunk_rows in SPLITS:
         for labels in itertools.islice(contiguous_runs(n, chunk_rows), 64):
             for table in (*singles, stacked):
-                got = _scan.chunk_scores(labels, table)
+                got = _scan.chunk_scores(labels, _scan._increments(table))
                 assert got.tobytes() == carry_scores(labels, table).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_increments_sum_back_to_the_table(n):
+    stacked, singles = carry_tables(n, 11)
+    for table in singles:
+        delta = _scan._increments(table)
+        assert delta[0] == 0.0
+        # walk each subset's chain S, S without its top outcome, ..., {} from the top bit down
+        chain, total = np.arange(1 << n), np.zeros(1 << n)
+        for i in reversed(range(n)):
+            has = (chain >> i) & 1 == 1
+            total[has] += delta[chain[has]]
+            chain[has] ^= 1 << i
+        assert np.abs(total - table).max() <= 4 * n * np.finfo(float).eps * np.abs(table).max()
+    delta = _scan._increments(stacked)
+    for s, table in enumerate(singles):
+        assert delta[s].tobytes() == _scan._increments(table).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -487,7 +507,7 @@ def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
 
         return wrapper
 
-    for name in ("_score_table", "_ratio_table"):
+    for name in ("_score_table", "_ratio_table", "_increments"):
         monkeypatch.setattr(_scan, name, counted(getattr(_scan, name)))
 
     def tables(scan):
@@ -498,16 +518,18 @@ def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
             collections.deque(result, 0)
         return dict(built)
 
+    # each score pass turns its one W into increments once, here, not per chunk or worker
     utility = UtilityFunction(d)
     verify = functools.partial(verify_inaccessibility, p_star, p, utility, workers=workers)
-    assert tables(verify) == {"_score_table": 1}
-    assert tables(lambda: _scan.iter_scored_chunks(n, ps, pw, d)) == {"_score_table": 1}
+    assert tables(verify) == {"_score_table": 1, "_increments": 1}
+    streamed = tables(lambda: _scan.iter_scored_chunks(n, ps, pw, d))
+    assert streamed == {"_score_table": 1, "_increments": 1}
     # W of the blend and of the original, subtracted into one table; the mixture
     # residual reads one R of each
     eps_check = functools.partial(
         monotonicity.epsilon_mixture_check, p_star, p, utility, eps, workers=workers
     )
-    assert tables(eps_check) == {"_score_table": 2, "_ratio_table": 2}
+    assert tables(eps_check) == {"_score_table": 2, "_ratio_table": 2, "_increments": 1}
     # p* = p: one class, so the merge stays small
     assert tables(lambda: _scan.class_scan(n, pw, pw, workers=workers)) == {"_ratio_table": 1}
 
@@ -572,7 +594,7 @@ def test_zero_target_mass_gives_zero_multiplier():
     assert (target_mass == 0.0).any()
     assert np.all(q[target_mass == 0.0] == 0.0)
     assert np.abs(q - bincount_posteriors(labels, pstar, p)).max() <= TOL_REORDER
-    scores = _scan.chunk_scores(labels, _scan._score_table(pstar, p, d))
+    scores = _scan.chunk_scores(labels, _scan._increments(_scan._score_table(pstar, p, d)))
     # rounding scales with the size of the utilities
     assert np.abs(scores - bincount_scores(labels, pstar, p, d)).max() <= TOL_REORDER * 50
 
@@ -689,7 +711,7 @@ def test_streaming_path_equals_cached_path():
     table = _scan._score_table(p_star.as_array(), p.as_array(), d)
     cached = _scan.score_scan(n, table)
     streamed_chunks = [
-        _scan.chunk_scores(labels, table)
+        _scan.chunk_scores(labels, _scan._increments(table))
         for labels in _scan.iter_label_chunks(n, chunk_rows=16)
     ]
     streamed = np.concatenate(streamed_chunks)

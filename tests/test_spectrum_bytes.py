@@ -1,9 +1,11 @@
 """The bytes of ``spectrum`` and ``realize``, pinned by one sha256.
 
-``SHA256`` was last recorded when the score kernel began to carry each
-prefix's total from its parent: 43 ``realize`` min and max scores
-(``report.min_score``, ``report.max_score``) moved, each by at most
-4.5e-16, and every other byte stayed.  It covers, in order: the
+``SHA256`` was last recorded when the score carry began to add one entry
+of the increment table Delta(S) = W(S) - W(S without its highest
+outcome) per label, where it subtracted one entry of W and added
+another: 91 ``realize`` min and max scores (69 ``report.min_score``,
+22 ``report.max_score``, in 87 of the 253 outputs) moved, each by at
+most 8.9e-16, and every other byte stayed.  It covers, in order: the
 ``spectrum`` JSON of three seeded blind-spot pairs per n = 3..8; the
 ``realize`` JSON of every achievable degree k of each pair at n <= 5,
 and of the lowest, middle and top k above that; and one
@@ -18,7 +20,7 @@ import numpy as np
 from inacc import ProbabilityVector, in_blind_spot
 from inacc.cli import run_command
 
-SHA256 = "d0df250f084d080bed0733e50377353e41d1dc898f335a4c2b3ad3d17fd1bc6d"
+SHA256 = "ba0d2d18a4e32b6db10be5c426f5a5aacddce1a49511922d96658724939e04aa"
 PAIRS_PER_N = 3
 #: above this n only the lowest, middle and top achievable degrees are realized
 EVERY_K_MAX_N = 5
