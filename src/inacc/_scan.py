@@ -398,7 +398,11 @@ def _prefix_totals(
 def _carry(
     masks: np.ndarray, totals: np.ndarray, at: np.ndarray, i: int, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One carry step: outcome i joins block masks[at] of each prefix (masks change in place)."""
+    """One carry step: outcome i joins block masks[at] of each prefix (masks change in place).
+
+    Outcome i is the highest in the block's new mask, so the total adds
+    Delta at that mask, W[new] - W[old]: one gather and one rounding.
+    """
     new = masks[at] | (1 << i)
     masks[at] = new
     return masks, totals + delta.take(new, axis=-1)
