@@ -108,6 +108,13 @@ FLAG_CASES = [
     ["sweep", "--n", "3", "--samples", "0"],
     ["sweep", "--n", "11", "--samples", "1"],
     ["sweep", "--n", "3", "--samples", "2", "--seed", "-1"],
+    # each caller that builds a subset table for a scan: two batches with a class pass,
+    # a ratio table with zeros in the mixture residual, 678,568 streamed csv rows
+    ["sweep", "--n", "8", "--samples", "300"],
+    ["epsilon", "--pstar", "0.5,0.5,0", "--p", P, "--d", D, "--eps", "0.3"],
+    ["verify", "--pstar", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1,0.45",
+     "--p", "uniform:11", "--d", "0.5,-0.4,0.3,-0.2,0.1,0,-0.1,0.2,-0.3,0.4,-0.5",
+     "--format", "csv"],
 ]
 
 ERROR_CASES = [

@@ -7,15 +7,16 @@ partitions, columns = outcomes), holding about one chunk at a time.
 
 The kernels take tables over the 2^n subsets of the outcomes (4,096
 entries at n = 12), not measures: R(S) = p*(S)/p(S) (``_ratio_table``)
-and W(S) = R(S) (d p)(S) (``_score_table``).  Each table is built once,
-in the calling process, and handed to the scan's workers; ``score_scan``
-takes its table from its caller.  A posterior is R gathered at each
-outcome's block (``_block_masks``, one bincount per chunk).  E_{q_Pi}[d]
-is the sum of W over the blocks of Pi, carried one label at a time
-through the increment table Delta(S) = W(S) - W(S without its highest
-outcome) (``_increments``, n slice subtractions, built once per pass by
-the caller): when outcome i joins a block whose mask so far is m (0 for
-a new block), the total becomes total + Delta[m | bit i].  Each RGS
+and W(S) = R(S) (d p)(S) (``_score_table``), the only functions here
+that take p* or d.  Each table is built once, in the calling process,
+and handed to the scan's workers: every scan takes the tables its caller
+built.  A posterior is R gathered at each outcome's block
+(``_block_masks``, one bincount per chunk).  E_{q_Pi}[d] is the sum of W
+over the blocks of Pi, carried one label at a time through the
+increment table Delta(S) = W(S) - W(S without its highest outcome)
+(``_increments``, n slice subtractions, built once per pass by the
+scan): when outcome i joins a block whose mask so far is m (0 for a new
+block), the total becomes total + Delta[m | bit i].  Each RGS
 prefix takes its masks and total from its parent, one label shorter
 (``_prefix_totals``); small levels run the carry from the empty prefix,
 and each row takes the last step from its sibling group's prefix.  A
@@ -65,19 +66,19 @@ The class scan buckets each chunk's posteriors on a 1e-12 grid; the
 parts are concatenated and merged by single linkage within TOL_DEDUP,
 all in array operations (no Python loop per bucket or class).
 
-The scans also take measures with a leading sample axis, shaped
-(S, n): the subset tables become (S, 2^n), scores (S, rows) and
-posteriors (S, rows, n), and each sample's row is bitwise the one the
-1-D call gives.  The sweep answers a batch of samples this way with one
-``score_scan``, whose fields then hold one entry per sample.
+The scans also take tables with a leading sample axis, built from
+measures shaped (S, n): the subset tables become (S, 2^n), scores
+(S, rows) and posteriors (S, rows, n), and each sample's row is bitwise
+the one the 1-D call gives.  The sweep answers a batch of samples this
+way with one ``score_scan``, whose fields then hold one entry per sample.
 
 ``certify_singletons`` proves from the subset table alone that a
 sample's posterior classes are all singletons: distinct partitions put
 some outcome i in different blocks B, B', so their posteriors differ at
 i by |R(B) - R(B')| p_i, and the certificate checks that every such gap
 exceeds TOL_DEDUP.  The sweep runs the class pass only on the samples it
-does not certify, and a one-pair class scan skips the single linkage
-for a pair it certifies.
+does not certify, reading the rows of the same R, and a one-pair class
+scan skips the single linkage for a pair it certifies.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -105,7 +106,9 @@ RUN_GRAIN = 32
 LABEL_MAX_N = 129
 #: a packed label row: label j is byte j of its little-endian uint64 words, on any host
 _WORD = np.dtype("<u8")
-#: a level of at most this many RGS prefixes runs the score carry from the empty prefix
+#: a level of at most this many RGS prefixes runs the score carry from the empty prefix;
+#: a serial n = 12 chunk_scores pass (2-vCPU Xeon) took 1.09x as long when every level
+#: recursed (0) and 1.9x when every level looped (2^40), with the same score bytes
 _MASK_BASE = 256
 
 
@@ -361,23 +364,25 @@ def _increments(table: np.ndarray) -> np.ndarray:
 
 
 def _prefix_totals(
-    labels: np.ndarray, rows: np.ndarray, k: int, width: int, delta: np.ndarray
+    labels: np.ndarray, rows: np.ndarray, k: int, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(masks, totals) of the k-label prefixes labels[rows, :k], each carried from its parent.
 
-    masks is ``_block_masks(labels[rows, :k], width)[0]``, and totals[..., j]
-    the sum of W over the blocks of prefix j, carried one label at a time
-    from the empty prefix through Delta = ``_increments(W)``: label i joins
-    block b, whose mask so far is old (0 for a new block), so the total
-    becomes total + Delta[old | bit i], one rounding per step.  Each total
-    is thus a function of its prefix's labels alone.  The prefixes must be
-    distinct and in lexicographic order, as the sibling-group heads of a
-    contiguous run of the enumeration are.  Their parents, one label
-    shorter, then change wherever label k - 1 does not increase, as sibling
-    groups do; a prefix copies its parent's masks and total and takes the
-    carry step for label k - 1.  Levels of at most _MASK_BASE prefixes run
-    every step, column by column, from the empty prefix.
+    masks is ``_block_masks(labels[rows, :k], labels.shape[1])[0]``, and
+    totals[..., j] the sum of W over the blocks of prefix j, carried one
+    label at a time from the empty prefix through Delta = ``_increments(W)``:
+    label i joins block b, whose mask so far is old (0 for a new block), so
+    the total becomes total + Delta[old | bit i], one rounding per step.
+    Each total is thus a function of its prefix's labels alone.  The
+    prefixes must be distinct and in lexicographic order, as the
+    sibling-group heads of a contiguous run of the enumeration are.  Their
+    parents, one label shorter, then change wherever label k - 1 does not
+    increase, as sibling groups do; a prefix copies its parent's masks and
+    total and takes the carry step for label k - 1.  Levels of at most
+    _MASK_BASE prefixes run every step, column by column, from the empty
+    prefix.
     """
+    width = labels.shape[1]
     if rows.size <= _MASK_BASE or k == 1:
         head = labels[rows, :k].astype(np.intp)
         masks = np.zeros(rows.size * width, dtype=np.intp)
@@ -389,7 +394,7 @@ def _prefix_totals(
     col = labels[rows, k - 1].astype(np.intp)
     edges = _group_edges(col)
     sizes = edges[1:] - edges[:-1]
-    masks, totals = _prefix_totals(labels, rows[edges[:-1]], k - 1, width, delta)
+    masks, totals = _prefix_totals(labels, rows[edges[:-1]], k - 1, delta)
     masks = np.repeat(masks.reshape(-1, width), sizes, axis=0).ravel()
     totals = np.repeat(totals, sizes, axis=-1)
     return _carry(masks, totals, np.arange(0, masks.size, width) + col, k - 1, delta)
@@ -431,7 +436,7 @@ def chunk_scores(labels: np.ndarray, delta: np.ndarray) -> np.ndarray:
     last = labels[:, -1].astype(np.intp)
     edges = _group_edges(last)
     sizes = edges[1:] - edges[:-1]
-    masks, total = _prefix_totals(labels, edges[:-1], n - 1, n, delta)
+    masks, total = _prefix_totals(labels, edges[:-1], n - 1, delta)
     own = masks[np.repeat(np.arange(0, masks.size, n), sizes) + last]
     # take(axis=-1) gathers along the subset axis of a 1-D or (S, 2^n) table; it is
     # about twice as fast as an Ellipsis index on the 1-D one
@@ -482,10 +487,6 @@ class ScoreScan:
         rgs = tuple(arg.tolist()) if arg.ndim == 1 else list(map(tuple, arg.tolist()))
         return cls(count, hi.tolist(), lo.tolist(), rgs, le.tolist())
 
-    @classmethod
-    def of_chunks(cls, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> "ScoreScan":
-        return cls.of_stats(_fold_stats(chunks))
-
 
 def _score_stats(labels: np.ndarray, scores: np.ndarray) -> tuple:
     """(count, max, min, argmax labels, degree) along the last axis.
@@ -517,15 +518,11 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _fold_stats(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
-    """Stats of (labels, scores) chunks given in enumeration order."""
-    return functools.reduce(_merge_stats, (_score_stats(lb, scores) for lb, scores in chunks))
-
-
 def _score_worker(args: tuple) -> tuple:
     prefix, maxes, n, chunk_rows, delta = args
     chunks = _label_chunks(n, chunk_rows, prefix, maxes)
-    return _fold_stats((lb, chunk_scores(lb, delta)) for lb in chunks)
+    stats = (_score_stats(lb, chunk_scores(lb, delta)) for lb in chunks)
+    return functools.reduce(_merge_stats, stats)
 
 
 def score_scan(n: int, table: np.ndarray, workers: int = 1) -> ScoreScan:
@@ -543,11 +540,9 @@ def score_scan(n: int, table: np.ndarray, workers: int = 1) -> ScoreScan:
     return ScoreScan.of_stats(_reduce(_score_worker, (delta,), _merge_stats, n, workers))
 
 
-def iter_scored_chunks(
-    n: int, pstar: np.ndarray, p: np.ndarray, d: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, scores) per chunk, single-threaded, for per-partition details."""
-    delta = _increments(_score_table(pstar, p, d))
+def iter_scored_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, scores) per chunk of the caller's W, single-threaded, for per-partition details."""
+    delta = _increments(table)
     for labels in _label_chunks(n, CHUNK_ROWS):
         yield labels, chunk_scores(labels, delta)
 
@@ -631,27 +626,28 @@ def _class_worker(args: tuple) -> list:
 
 
 def class_scan(
-    n: int, pstar: np.ndarray, p: np.ndarray, workers: int = 1
+    n: int, ratio: np.ndarray, p: np.ndarray, workers: int = 1
 ) -> list[tuple[tuple[float, ...], int]] | np.ndarray:
     """Distinct Jeffrey posteriors with multiplicities, lexicographic order.
 
+    ``ratio`` is R = ``_ratio_table(pstar, p)``, built by the caller.
     Posteriors are bucketed on a 1e-12 grid first, then buckets whose
     representatives sit within ``TOL_DEDUP`` in max-norm are merged, so
     sub-tolerance collisions count as genuine multiplicity.
 
-    Measures of shape (S, n) answer S samples in one pass and return the
-    largest multiplicity of each sample, an (S,) int array: the largest
-    count of the classes the call with that sample alone would list.  The
-    buckets and the linkage carry the sample index as a first coordinate,
-    and samples lie at least 1 apart in it, so no class spans two samples.
+    A (S, 2^n) table with (S, n) p answers S samples in one pass and
+    returns the largest multiplicity of each sample, an (S,) int array: the
+    largest count of the classes the call with that sample alone would
+    list.  The buckets and the linkage carry the sample index as a first
+    coordinate, and samples lie at least 1 apart in it, so no class spans
+    two samples.
     """
-    ratio = _ratio_table(pstar, p)
     parts = _reduce(_class_worker, (ratio, p), operator.add, n, workers)
-    if pstar.ndim == 1:
+    if p.ndim == 1:
         return _merge_within_tolerance(parts, linked=not certify_singletons(ratio, p))
     reps, counts = _fold_buckets(parts)
-    root = _single_linkage(reps, TOL_DEDUP, CHUNK_ROWS)
-    largest = np.zeros(pstar.shape[0], dtype=np.int64)
+    root = _single_linkage(reps, CHUNK_ROWS)
+    largest = np.zeros(p.shape[0], dtype=np.int64)
     sizes = np.bincount(root, weights=counts).astype(np.int64)[root]
     np.maximum.at(largest, reps[:, 0].astype(np.intp), sizes)
     return largest
@@ -685,21 +681,22 @@ def _merge_within_tolerance(
     reps, counts = _fold_buckets(parts)
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]
-    root = _single_linkage(reps, TOL_DEDUP, chunk_rows) if linked else np.arange(counts.size)
+    root = _single_linkage(reps, chunk_rows) if linked else np.arange(counts.size)
     totals = np.bincount(root, weights=counts).astype(np.int64)
     roots = np.flatnonzero(root == np.arange(root.size))
     return list(zip(map(tuple, reps[roots].tolist()), totals[roots].tolist()))
 
 
-def _single_linkage(points: np.ndarray, tol: float, block: int) -> np.ndarray:
-    """root[i] = the smallest index joined to point i by hops of max-norm <= tol.
+def _single_linkage(points: np.ndarray, block: int) -> np.ndarray:
+    """root[i] = the smallest index joined to point i by hops of max-norm <= TOL_DEDUP.
 
     Candidate pairs come from a window on a generic projection c.x: a
-    max-norm gap <= tol moves c.x by at most tol |c|_1, so a reach of twice
-    that misses no pair.  (All-ones would not do: every posterior sums to
-    one.)  Pairs are expanded at most ``block`` at a time, and a window
-    entry already joined to its row through a run of equal roots is
-    skipped, so a dense cluster links in about size/block rounds.
+    max-norm gap <= TOL_DEDUP moves c.x by at most TOL_DEDUP |c|_1, so a
+    reach of twice that misses no pair.  (All-ones would not do: every
+    posterior sums to one.)  Pairs are expanded at most ``block`` at a
+    time, and a window entry already joined to its row through a run of
+    equal roots is skipped, so a dense cluster links in about size/block
+    rounds.
     """
     m = points.shape[0]
     root = np.arange(m)
@@ -707,7 +704,7 @@ def _single_linkage(points: np.ndarray, tol: float, block: int) -> np.ndarray:
     proj = points @ c
     pos = np.argsort(proj, kind="stable")
     proj = proj[pos]
-    hi = np.searchsorted(proj, proj + 2.0 * tol * c.sum(), side="right")
+    hi = np.searchsorted(proj, proj + 2.0 * TOL_DEDUP * c.sum(), side="right")
     nxt = np.arange(1, m + 1)  # next window entry each row has not examined
     while True:
         # positions [i, run_end[i]) share row i's root, so pairing them adds nothing
@@ -724,7 +721,7 @@ def _single_linkage(points: np.ndarray, tol: float, block: int) -> np.ndarray:
         row = np.searchsorted(ends, k, side="right")
         col = lo[row] + k - (ends[row] - width[row])
         a, b = pos[row], pos[col]
-        close = np.abs(points[a] - points[b]).max(axis=1) <= tol
+        close = np.abs(points[a] - points[b]).max(axis=1) <= TOL_DEDUP
         _union(root, a[close], b[close])
         nxt = lo + np.clip(taken - (ends - width), 0, width)
 
@@ -754,19 +751,20 @@ def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _mixture_residual(
-    n: int, pstar: np.ndarray, p: np.ndarray, p_eps: np.ndarray, eps: float
+    ratio: np.ndarray, ratio_eps: np.ndarray, p: np.ndarray, eps: float
 ) -> float:
     """max |q_eps(i) - ((1-eps) q(i) + eps p(i))| over all Pi and i.
 
-    q_Pi(i) depends only on the block B that holds i, and for n >= 3 every
-    nonempty proper subset B is a block of the proper non-trivial partition
-    {B, complement}, so checking each pair (B, i in B) once covers the scan.
+    ``ratio`` and ``ratio_eps`` are the R = ``_ratio_table`` of p* and of
+    p_eps against p, built by the caller.  q_Pi(i) = R(B) p_i depends only
+    on the block B that holds i, and for n >= 3 every nonempty proper
+    subset B is a block of the proper non-trivial partition {B, complement},
+    so checking each pair (B, i in B) once covers the scan: the blocks
+    ``_blocks_holding`` lists for i, gathered as ``certify_singletons`` does.
     """
-    proper = slice(1, (1 << n) - 1)
-    member = _subset_bits(n)[proper] > 0
-    q = _ratio_table(pstar, p)[proper, None] * p
-    q_eps = _ratio_table(p_eps, p)[proper, None] * p
-    return float(np.abs(q_eps - ((1.0 - eps) * q + eps * p))[member].max())
+    blocks, p_col = _blocks_holding(p.size), p[:, None]
+    q, q_eps = ratio[blocks] * p_col, ratio_eps[blocks] * p_col
+    return float(np.abs(q_eps - ((1.0 - eps) * q + eps * p_col)).max())
 
 
 # ---------------------------------------------------------------------------

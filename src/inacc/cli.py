@@ -353,7 +353,8 @@ def _cmd_verify(args) -> JsonReport | None:
     options = _scan_options(args)
     if args.format == "csv":
         n = _check_scan_inputs(p_star, p, d, max_outcomes=options["max_outcomes"])
-        chunks = _scan.iter_scored_chunks(n, p_star.as_array(), p.as_array(), d.as_array())
+        table = _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
+        chunks = _scan.iter_scored_chunks(n, table)
         writer = csv.writer(sys.stdout)
         writer.writerow(ROW_FIELDS)
         writer.writerows(partition_rows(chunks))

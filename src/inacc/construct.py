@@ -296,13 +296,13 @@ def verify_inaccessibility(
             f"keeping the details of {total} partitions refused (limit {MAX_JSON_ROWS}); "
             "pass keep_partitions=False for the counts and extrema"
         )
-    ps, pw, dw = p_star.as_array(), p.as_array(), d.as_array()
+    table = _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
     rows = None
     if keep_partitions:
-        (rows,) = _scan.iter_scored_chunks(n, ps, pw, dw)
-        scan = _scan.ScoreScan.of_chunks([rows])
+        (rows,) = _scan.iter_scored_chunks(n, table)
+        scan = _scan.ScoreScan.of_stats(_scan._score_stats(*rows))
     else:
-        scan = _scan.score_scan(n, _scan._score_table(ps, pw, dw), workers=workers)
+        scan = _scan.score_scan(n, table, workers=workers)
     if scan.count != total:
         raise VerificationFailed(f"scan saw {scan.count} partitions, expected {total}")
     return InaccessibilityReport(

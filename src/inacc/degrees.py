@@ -108,7 +108,8 @@ def posterior_classes(
             f"posterior classes over {n} outcomes refused "
             f"(limit {MAX_CLASS_OUTCOMES}, whatever max_outcomes says)"
         )
-    classes = _scan.class_scan(n, p_star.as_array(), p.as_array(), workers=workers)
+    ps, pw = p_star.as_array(), p.as_array()
+    classes = _scan.class_scan(n, _scan._ratio_table(ps, pw), pw, workers=workers)
     total = sum(count for _, count in classes)
     expected = proper_nontrivial_count(n)
     if total != expected:

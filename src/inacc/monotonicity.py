@@ -209,9 +209,10 @@ def sweep(
         for deg in scan.num_le[:size]:
             histogram[deg] = histogram.get(deg, 0) + 1
 
-        uncertified = np.flatnonzero(~_scan.certify_singletons(_scan._ratio_table(ps, pw), pw))
+        ratio = _scan._ratio_table(ps, pw)
+        uncertified = np.flatnonzero(~_scan.certify_singletons(ratio, pw))
         if uncertified.size:
-            largest = _scan.class_scan(n, ps[uncertified], pw[uncertified])
+            largest = _scan.class_scan(n, ratio[uncertified], pw[uncertified])
             collisions += int((largest > 1).sum())
 
         top = np.array(scan.max_score[size:])
@@ -379,7 +380,8 @@ def epsilon_mixture_check(
     table -= (1.0 - epsilon) * _scan._score_table(ps, pw, d.as_array())
     scan = _scan.score_scan(n, table, workers=workers)
     post_res = max(abs(scan.max_score), abs(scan.min_score))
-    mix_res = _scan._mixture_residual(n, ps, pw, pe, epsilon)
+    ratios = _scan._ratio_table(ps, pw), _scan._ratio_table(pe, pw)
+    mix_res = _scan._mixture_residual(*ratios, pw, epsilon)
     global_res = abs(expectation(d_eps, p_eps) - (1.0 - epsilon) * expectation(d, p_star))
     return EpsilonMixtureCheck(
         epsilon=epsilon,

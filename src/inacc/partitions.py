@@ -20,7 +20,8 @@ from typing import Iterable, Iterator
 from . import _scan
 from .core import MIN_OUTCOMES, OutOfRange, TooSmall
 
-#: Bell-triangle recurrence is exact but quadratic; cap keeps it instant.
+#: Bell(26) is the first count ``_scan._completions`` saturates to the int64 maximum
+#: (Bell(25) = 4,638,590,332,229,999,353 < 2^63 - 1)
 BELL_MAX_N = 25
 
 
@@ -110,16 +111,10 @@ class NotProper:
 
 @functools.lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
-    """Bell(n) via the Bell-triangle recurrence, exact integers."""
+    """Bell(n), exact: the root count of the scan engine's RGS completion table."""
     if not 1 <= n <= BELL_MAX_N:
         raise OutOfRange(f"bell_number supports 1 <= n <= {BELL_MAX_N}, got {n}")
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
+    return int(_scan._completions(n)[n - 1, 0])
 
 
 def proper_nontrivial_count(n: int) -> int:

@@ -376,8 +376,8 @@ def _offset_scans(monkeypatch, offset):
     """
     chunks, scan = _scan.iter_scored_chunks, _scan.score_scan
 
-    def doctored_chunks(n, pstar, p, d):
-        for labels, scores in chunks(n, pstar, p, d):
+    def doctored_chunks(n, table):
+        for labels, scores in chunks(n, table):
             yield labels, scores + offset
 
     def doctored_scan(n, table, **kw):

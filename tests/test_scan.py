@@ -165,9 +165,8 @@ def test_verdicts_from_the_max_are_the_counted_verdicts(n, workers):
     ps, pw = p_star.as_array(), p.as_array()
     d = decision_batch(rng, n, ps, pw)
     pstar_s, p_s = np.tile(ps, (len(d), 1)), np.tile(pw, (len(d), 1))
-    rows = np.concatenate(
-        [scores for _, scores in _scan.iter_scored_chunks(n, pstar_s, p_s, d)], axis=-1
-    )
+    table = _scan._score_table(pstar_s, p_s, d)
+    rows = np.concatenate([scores for _, scores in _scan.iter_scored_chunks(n, table)], axis=-1)
     count = rows.shape[-1]
     counted = ((rows <= TOL_NUM).sum(axis=-1) == count, (rows < -TOL_NUM).sum(axis=-1) == count)
     batched = _scan.score_scan(n, _scan._score_table(pstar_s, p_s, d), workers=workers)
@@ -188,8 +187,11 @@ def test_batched_class_scan_gives_each_largest_multiplicity(n):
     pstar = rng.dirichlet(np.full(n, 0.05), 5)  # zeros in p*: shared posteriors
     pstar[1] = p[1]  # every partition in one class
     pstar[2] = rng.dirichlet(np.ones(n))  # generic: one class per partition
-    largest = _scan.class_scan(n, pstar, p)
-    expected = [max(count for _, count in _scan.class_scan(n, ps, pw)) for ps, pw in zip(pstar, p)]
+    largest = _scan.class_scan(n, _scan._ratio_table(pstar, p), p)
+    expected = [
+        max(count for _, count in _scan.class_scan(n, _scan._ratio_table(ps, pw), pw))
+        for ps, pw in zip(pstar, p)
+    ]
     assert largest.tolist() == expected
     assert expected[1] == bell_number(n) - 2 and expected[2] == 1
 
@@ -425,7 +427,7 @@ def assert_prefix_masks_and_totals(labels, tables):
     heads = group_heads(labels)
     expect, _ = _scan._block_masks(labels[heads, :-1], n)
     for table in tables:
-        masks, totals = _scan._prefix_totals(labels, heads, n - 1, n, _scan._increments(table))
+        masks, totals = _scan._prefix_totals(labels, heads, n - 1, _scan._increments(table))
         assert np.array_equal(masks, expect)
         assert totals.tobytes() == carry_scores(labels[heads, :-1], table).tobytes()
 
@@ -522,16 +524,31 @@ def test_each_scan_builds_its_tables_once_in_the_caller(workers, monkeypatch):
     utility = UtilityFunction(d)
     verify = functools.partial(verify_inaccessibility, p_star, p, utility, workers=workers)
     assert tables(verify) == {"_score_table": 1, "_increments": 1}
-    streamed = tables(lambda: _scan.iter_scored_chunks(n, ps, pw, d))
-    assert streamed == {"_score_table": 1, "_increments": 1}
+    # a scan given its table builds only its increments, and a class scan nothing
+    table, ratio = _scan._score_table(ps, pw, d), _scan._ratio_table(pw, pw)
+    assert tables(lambda: _scan.iter_scored_chunks(n, table)) == {"_increments": 1}
+    # p* = p: one class, so the merge stays small
+    assert tables(lambda: _scan.class_scan(n, ratio, pw, workers=workers)) == {}
+    assert tables(lambda: posterior_classes(p, p, workers=workers)) == {"_ratio_table": 1}
     # W of the blend and of the original, subtracted into one table; the mixture
     # residual reads one R of each
     eps_check = functools.partial(
         monotonicity.epsilon_mixture_check, p_star, p, utility, eps, workers=workers
     )
     assert tables(eps_check) == {"_score_table": 2, "_ratio_table": 2, "_increments": 1}
-    # p* = p: one class, so the merge stays small
-    assert tables(lambda: _scan.class_scan(n, pw, pw, workers=workers)) == {"_ratio_table": 1}
+    # the sweep answers 300 samples at n = 8 in batches of 15, and two batches run a
+    # class pass: each batch's one R serves certify_singletons and its class pass alike
+    batches = -(-300 // (_scan.CHUNK_ROWS // (bell_number(8) - 2)))
+    class_scan, passes = _scan.class_scan, []
+
+    def counted_pass(*args):
+        passes.append(args)
+        return class_scan(*args)
+
+    monkeypatch.setattr(_scan, "class_scan", counted_pass)
+    sweep = tables(lambda: monotonicity.sweep(n=8, samples=300, seed=0))
+    assert len(passes) == 2
+    assert sweep == {"_score_table": batches, "_ratio_table": batches, "_increments": batches}
 
 
 def test_batched_sweep_equals_one_sample_batches(monkeypatch):
@@ -577,9 +594,35 @@ def test_mixture_residual_matches_row_scan(n):
             table -= (1.0 - eps) * _scan._score_table(pstar, pw, d)
             scan = _scan.score_scan(n, table)
             assert scan.count == labels.shape[0]
-            mix_res = _scan._mixture_residual(n, pstar, pw, p_eps, eps)
+            ratios = _scan._ratio_table(pstar, pw), _scan._ratio_table(p_eps, pw)
+            mix_res = _scan._mixture_residual(*ratios, pw, eps)
             assert abs(mix_res - mix) <= TOL_REORDER
             assert abs(max(abs(scan.max_score), abs(scan.min_score)) - expect) <= TOL_REORDER
+
+
+def subset_member_residual(ratio, ratio_eps, p, eps):
+    """The mixture residual over a boolean mask of (nonempty proper subset, member) pairs."""
+    n = p.size
+    proper = slice(1, (1 << n) - 1)
+    member = (np.arange(1 << n)[proper, None] >> np.arange(n)) & 1 == 1
+    q, q_eps = ratio[proper, None] * p, ratio_eps[proper, None] * p
+    return float(np.abs(q_eps - ((1.0 - eps) * q + eps * p))[member].max())
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_mixture_residual_is_bitwise_the_membership_formula(n):
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed, 41])
+        pstar, p = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if seed % 3 == 0:  # zeros in p*, so R and R_eps have zeros
+            pstar[rng.choice(n, n // 2, replace=False)] = 0.0
+            pstar /= pstar.sum()
+        eps = float(rng.uniform(0.05, 0.95))
+        # the blend, and an unrelated measure whose residual is large
+        for p_eps in ((1.0 - eps) * pstar + eps * p, rng.dirichlet(np.ones(n))):
+            ratios = _scan._ratio_table(pstar, p), _scan._ratio_table(p_eps, p)
+            got = _scan._mixture_residual(*ratios, p, eps)
+            assert got == subset_member_residual(*ratios, p, eps)
 
 
 def test_zero_target_mass_gives_zero_multiplier():
@@ -736,9 +779,10 @@ def test_parallel_scan_agrees_with_serial():
     eps_serial = monotonicity.epsilon_mixture_check(p_star, p, utility, 0.3, workers=1)
     assert monotonicity.epsilon_mixture_check(p_star, p, utility, 0.3, workers=2) == eps_serial
     # p* = p makes every posterior p: one class holding every partition
-    classes = _scan.class_scan(n, pw, pw, workers=1)
+    ratio = _scan._ratio_table(pw, pw)
+    classes = _scan.class_scan(n, ratio, pw, workers=1)
     assert [count for _, count in classes] == [bell_number(n) - 2]
-    assert _scan.class_scan(n, pw, pw, workers=2) == classes
+    assert _scan.class_scan(n, ratio, pw, workers=2) == classes
 
 
 def test_pooled_class_scan_merges_classes_across_runs():
@@ -750,20 +794,21 @@ def test_pooled_class_scan_merges_classes_across_runs():
     pstar = p * ratio / (p * ratio).sum()
     # some buckets hold rows of both runs that a pool of two processes gets
     prefix, maxes, bounds = _scan._frontier(n, 2)
+    table = _scan._ratio_table(pstar, p)
 
     def bucket_keys(a, b):
-        task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, _scan._ratio_table(pstar, p), p)
+        task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, table, p)
         return {key.tobytes() for keys, _, _ in _scan._class_worker(task) for key in keys}
 
     assert bucket_keys(bounds[0], bounds[1]) & bucket_keys(bounds[1], bounds[2])
-    classes = _scan.class_scan(n, pstar, p, workers=1)
+    classes = _scan.class_scan(n, table, p, workers=1)
     assert len(classes) == 1023
-    assert _scan.class_scan(n, pstar, p, workers=2) == classes
+    assert _scan.class_scan(n, table, p, workers=2) == classes
 
 
 def test_class_scan_counts():
-    p = ProbabilityVector.uniform(4)
-    classes = _scan.class_scan(4, p.as_array(), p.as_array())
+    p = ProbabilityVector.uniform(4).as_array()
+    classes = _scan.class_scan(4, _scan._ratio_table(p, p), p)
     assert len(classes) == 1
     assert classes[0][1] == bell_number(4) - 2
 
@@ -803,7 +848,7 @@ def test_dense_cluster_is_one_class(n):
     # seven candidate pairs per round: the linkage takes many rounds
     classes = _scan._merge_within_tolerance(buckets, 7)
     assert [count for _, count in classes] == [bell_number(n) - 2]
-    assert _scan.class_scan(n, pstar, p) == classes
+    assert _scan.class_scan(n, _scan._ratio_table(pstar, p), p) == classes
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -822,7 +867,7 @@ def test_certified_pair_skips_the_linkage(n, monkeypatch):
         raise AssertionError("a certified pair ran the linkage")
 
     monkeypatch.setattr(_scan, "_single_linkage", no_linkage)
-    assert _scan.class_scan(n, ps, pw) == linked
+    assert _scan.class_scan(n, ratio, pw) == linked
 
 
 def tied_pair(rng, n):

@@ -110,7 +110,7 @@ def test_lazy_details_equal_eager_ones(n):
     eager = tuple(
         (SetPartition(row), score)
         for labels, scores in _scan.iter_scored_chunks(
-            n, p_star.as_array(), p.as_array(), d.as_array()
+            n, _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
         )
         for row, score in zip(labels.tolist(), scores.tolist())
     )

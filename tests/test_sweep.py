@@ -64,7 +64,7 @@ def test_credence_redraws_are_capped(monkeypatch):
 
 def largest_multiplicity(pstar, p):
     """The largest class multiplicity of one pair, from the full class scan."""
-    return max(count for _, count in _scan.class_scan(len(p), pstar, p))
+    return max(count for _, count in _scan.class_scan(len(p), _scan._ratio_table(pstar, p), p))
 
 
 def normalized(w):
@@ -145,7 +145,8 @@ def sweep_pairs(n, samples, seed, alpha):
 def test_sweep_collisions_equal_a_class_scan_of_every_sample(n, alpha):
     samples, seed = 60, 1400 + n
     ps, pw = sweep_pairs(n, samples, seed, alpha)
-    every = int((_scan.class_scan(n, ps, pw) > 1).sum())
-    certified = _scan.certify_singletons(_scan._ratio_table(ps, pw), pw)
+    ratio = _scan._ratio_table(ps, pw)
+    every = int((_scan.class_scan(n, ratio, pw) > 1).sum())
+    certified = _scan.certify_singletons(ratio, pw)
     assert 0 < certified.sum() < samples  # both paths taken
     assert sweep(n=n, samples=samples, seed=seed, dirichlet_alpha=alpha).multiplicity_collisions == every
