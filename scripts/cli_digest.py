@@ -115,6 +115,13 @@ FLAG_CASES = [
     ["verify", "--pstar", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1,0.45",
      "--p", "uniform:11", "--d", "0.5,-0.4,0.3,-0.2,0.1,0,-0.1,0.2,-0.3,0.4,-0.5",
      "--format", "csv"],
+    # posterior classes: 11 classes, two of multiplicity 2; the middle achievable degree
+    # of that pair; and 21,145 singleton classes in about 8 MB of JSON at n = 9
+    ["spectrum", "--pstar", "0.1,0.2,0.3,0.4", "--p", "uniform:4", "--format", "table"],
+    ["realize", "--pstar", "0.1,0.2,0.3,0.4", "--p", "uniform:4", "--k", "7"],
+    ["spectrum", "--pstar", "0.1060485686782918,0.030484743315274027,0.5312599867756885,"
+     "0.03621437062081371,0.01140134966194121,0.17787580778722714,0.04928101786143099,"
+     "0.05449754509293646,0.002936610206396084", "--p", "uniform:9", "--seed", "1"],
 ]
 
 ERROR_CASES = [

@@ -21,6 +21,7 @@ from .core import (
     NotInBlindSpot,
     NotInjective,
     OutOfRange,
+    PosteriorClasses,
     PriorHasZero,
     ProbabilityVector,
     PStarHasZero,
@@ -63,7 +64,6 @@ from .construct import (
 )
 from .degrees import (
     DegreeSpectrum,
-    PosteriorClass,
     RealizedDegree,
     achievable_degrees,
     degree,

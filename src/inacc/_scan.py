@@ -62,9 +62,9 @@ witness is the lexicographically smallest row that attains the max.  The
 TOL_NUM tie rule is applied here alone: ``_non_positive`` counts a row
 into the degree, and ``_verdicts`` reads the verdicts off the max.
 
-The class scan buckets each chunk's posteriors on a 1e-12 grid; the
-parts are concatenated and merged by single linkage within TOL_DEDUP,
-all in array operations (no Python loop per bucket or class).
+The class scan buckets each chunk's posteriors on a 1e-12 grid, then
+merges the parts by single linkage within TOL_DEDUP into one class table
+(one pair or a stack of samples alike), with no Python loop per bucket or class.
 
 The scans also take tables with a leading sample axis, built from
 measures shaped (S, n): the subset tables become (S, 2^n), scores
@@ -77,8 +77,8 @@ sample's posterior classes are all singletons: distinct partitions put
 some outcome i in different blocks B, B', so their posteriors differ at
 i by |R(B) - R(B')| p_i, and the certificate checks that every such gap
 exceeds TOL_DEDUP.  The sweep runs the class pass only on the samples it
-does not certify, reading the rows of the same R, and a one-pair class
-scan skips the single linkage for a pair it certifies.
+does not certify, reading the rows of the same R, and a class scan skips
+the single linkage when it certifies every sample.
 """
 
 from __future__ import annotations
@@ -625,66 +625,44 @@ def _class_worker(args: tuple) -> list:
     return acc
 
 
-def class_scan(
-    n: int, ratio: np.ndarray, p: np.ndarray, workers: int = 1
-) -> list[tuple[tuple[float, ...], int]] | np.ndarray:
-    """Distinct Jeffrey posteriors with multiplicities, lexicographic order.
+def class_scan(n: int, ratio: np.ndarray, p: np.ndarray, workers: int = 1) -> np.ndarray:
+    """Distinct Jeffrey posteriors with multiplicities (``_merge_within_tolerance``'s table).
 
     ``ratio`` is R = ``_ratio_table(pstar, p)``, built by the caller.
     Posteriors are bucketed on a 1e-12 grid first, then buckets whose
     representatives sit within ``TOL_DEDUP`` in max-norm are merged, so
-    sub-tolerance collisions count as genuine multiplicity.
-
-    A (S, 2^n) table with (S, n) p answers S samples in one pass and
-    returns the largest multiplicity of each sample, an (S,) int array: the
-    largest count of the classes the call with that sample alone would
-    list.  The buckets and the linkage carry the sample index as a first
-    coordinate, and samples lie at least 1 apart in it, so no class spans
-    two samples.
+    sub-tolerance collisions count as genuine multiplicity.  A (S, 2^n)
+    table with (S, n) p answers S samples in one pass: each posterior
+    leads with its sample index, at least 1 apart, so no class spans two
+    samples, and a sample's records are bitwise the one-sample call's.
     """
     parts = _reduce(_class_worker, (ratio, p), operator.add, n, workers)
-    if p.ndim == 1:
-        return _merge_within_tolerance(parts, linked=not certify_singletons(ratio, p))
-    reps, counts = _fold_buckets(parts)
-    root = _single_linkage(reps, CHUNK_ROWS)
-    largest = np.zeros(p.shape[0], dtype=np.int64)
-    sizes = np.bincount(root, weights=counts).astype(np.int64)[root]
-    np.maximum.at(largest, reps[:, 0].astype(np.intp), sizes)
-    return largest
-
-
-def _fold_buckets(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, counts) of the distinct buckets in ``parts``.
-
-    A bucket keeps the representative of the first part that has it.  A
-    single part (every scan of cached labels) has distinct keys already
-    and skips the fold.
-    """
-    if len(parts) == 1:
-        _, reps, counts = parts[0]
-        return reps, counts
-    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
-    order, starts = _runs(keys)
-    return reps[order[starts]], np.add.reduceat(counts[order], starts)
+    return _merge_within_tolerance(parts, linked=not certify_singletons(ratio, p).all())
 
 
 def _merge_within_tolerance(
     parts: list, chunk_rows: int = CHUNK_ROWS, linked: bool = True
-) -> list[tuple[tuple[float, ...], int]]:
+) -> np.ndarray:
     """Single-linkage classes of the buckets in ``parts``, in max-norm <= TOL_DEDUP.
 
-    Each class is labelled by its lexicographically first representative
-    and counts the rows of all its buckets (see ``_fold_buckets``).  With
-    ``linked`` false the linkage is skipped and every bucket is its own
-    class, as it is for a pair that ``certify_singletons`` certifies.
+    A structured array, one record per class in lexicographic order: the
+    ``posterior`` that is its buckets' first representative (a bucket keeps
+    that of the first part that has it), and the ``multiplicity`` that
+    counts their rows.  With ``linked`` false every bucket is its own class,
+    as for a pair that ``certify_singletons`` certifies.
     """
-    reps, counts = _fold_buckets(parts)
+    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
+    if len(parts) > 1:
+        order, starts = _runs(keys)
+        reps, counts = reps[order[starts]], np.add.reduceat(counts[order], starts)
     order = np.lexsort(reps.T[::-1])
     reps, counts = reps[order], counts[order]
     root = _single_linkage(reps, chunk_rows) if linked else np.arange(counts.size)
-    totals = np.bincount(root, weights=counts).astype(np.int64)
     roots = np.flatnonzero(root == np.arange(root.size))
-    return list(zip(map(tuple, reps[roots].tolist()), totals[roots].tolist()))
+    table = np.empty(roots.size, [("posterior", float, reps.shape[1:]), ("multiplicity", np.int64)])
+    table["posterior"] = reps[roots]
+    table["multiplicity"] = np.bincount(root, weights=counts)[roots]
+    return table
 
 
 def _single_linkage(points: np.ndarray, block: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Finite probability vectors, utility functions, tolerances and errors.
+"""Finite probability vectors, posterior class tables, utility functions, tolerances and errors.
 
 Outcome spaces are X = {1, ..., n} with n >= 3 (1-based labels at the API
 surface, 0-based tuples internally).  Everything is double precision; all
@@ -154,6 +154,59 @@ class ProbabilityVector:
         return math.fsum(self.weights[i - 1] for i in outcomes)
 
 
+@dataclass(frozen=True, eq=False)
+class PosteriorClasses:
+    """Distinct Jeffrey posteriors, the rows of ``posteriors``, with their ``multiplicities``.
+
+    Validated once, for the faults and with the errors ``ProbabilityVector``
+    checks per row; each row is then divided by its ``math.fsum``, bit for
+    bit the weights a ``ProbabilityVector`` stores.  Ragged rows, or a
+    multiplicity count off the row count, raise DimensionMismatch; no rows,
+    or a multiplicity not an integer >= 1, OutOfRange.  Both arrays are read-only.
+    """
+
+    posteriors: np.ndarray
+    multiplicities: np.ndarray
+
+    def __init__(self, posteriors, multiplicities):
+        if not isinstance(posteriors, np.ndarray) and len({np.shape(r) for r in posteriors}) > 1:
+            raise DimensionMismatch("posterior rows of mixed lengths")
+        q, m = np.asarray(posteriors, dtype=np.float64), np.asarray(multiplicities)
+        if q.shape[:1] == (0,):
+            raise OutOfRange("need at least one posterior class")
+        if q.ndim != 2 or m.shape != q.shape[:1]:
+            raise DimensionMismatch(f"{m.shape} multiplicities for posteriors of shape {q.shape}")
+        if q.shape[1] < MIN_OUTCOMES:
+            raise TooSmall(f"need at least {MIN_OUTCOMES} outcomes, got {q.shape[1]}")
+        if not np.isfinite(q).all() or (q < 0.0).any():
+            raise NotAProbability("posterior weights must be finite and non-negative")
+        totals = np.array([math.fsum(row) for row in q.tolist()])
+        off = np.flatnonzero(np.abs(totals - 1.0) > TOL_NORM)
+        if off.size:
+            raise NotAProbability(f"posterior {off[0]} sums to {float(totals[off[0]])!r}, not 1")
+        if m.dtype.kind not in "iu" or (m < 1).any():
+            raise OutOfRange("multiplicities must be integers >= 1")
+        self._set(q / totals[:, None], m.astype(np.int64))
+
+    def _set(self, posteriors: np.ndarray, multiplicities: np.ndarray) -> None:
+        for name, value in (("posteriors", posteriors), ("multiplicities", multiplicities)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def take(self, rows) -> "PosteriorClasses":
+        """The classes at indices ``rows``, in that order, not validated (nor renormalized) again."""
+        out = object.__new__(PosteriorClasses)
+        out._set(self.posteriors[rows], self.multiplicities[rows])
+        return out
+
+    def __len__(self) -> int:
+        return self.multiplicities.size
+
+    @property
+    def n(self) -> int:
+        return self.posteriors.shape[1]
+
+
 @dataclass(frozen=True)
 class UtilityFunction:
     """Real payoff per outcome; entries must be finite."""
@@ -199,7 +252,7 @@ def _expectations(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in (values * weights).tolist()])
 
 
-def require_same_n(*items: ProbabilityVector | UtilityFunction) -> int:
+def require_same_n(*items: ProbabilityVector | PosteriorClasses | UtilityFunction) -> int:
     """Common outcome count of the arguments, or DimensionMismatch."""
     ns = {item.n for item in items}
     if len(ns) != 1:

@@ -6,15 +6,14 @@ can only select an initial segment of those classes (ordered by score),
 so the realizable degrees are exactly the cumulative multiplicity sums,
 plus zero.  Realization thresholds a perturbed score g_eta = g + eta*u,
 where u is a random direction separating the class scores and eta is
-small enough to keep the posterior maximum below E_{p*}[g_eta].
+small enough to keep the posterior maximum below E_{p*}[g_eta].  The classes
+stay one table of arrays, ``core.PosteriorClasses``, from the class scan to the report.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,12 +25,15 @@ from .core import (
     NotAchievable,
     NotInBlindSpot,
     OutOfRange,
+    PosteriorClasses,
     ProbabilityVector,
     RefusedTooLarge,
     SeparationBelowTolerance,
     SeparationFailed,
     UtilityFunction,
     VerificationFailed,
+    _expectations,
+    _json_value,
     expectation,
     require_same_n,
     require_seed,
@@ -49,8 +51,7 @@ from .partitions import SetPartition, proper_nontrivial_count
 #: attempts before giving up on a separating direction / usable eta
 MAX_SEPARATION_ATTEMPTS = 64
 #: posterior classes are refused above this n, whatever max_outcomes says:
-#: a generic pair has one class per partition, and one ProbabilityVector
-#: each is 4.2M objects at n = 12
+#: the class scan alone took 34 to 49 s and 2.2 GB at n = 12 (2-vCPU Xeon)
 MAX_CLASS_OUTCOMES = 11
 
 
@@ -84,22 +85,16 @@ def degree(
     ).degree
 
 
-@dataclass(frozen=True)
-class PosteriorClass:
-    posterior: ProbabilityVector
-    multiplicity: int
-
-
 def posterior_classes(
     p_star: ProbabilityVector,
     p: ProbabilityVector,
     *,
     workers: int = 1,
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-) -> tuple[PosteriorClass, ...]:
+) -> PosteriorClasses:
     """Distinct Jeffrey posteriors with multiplicities summing to |P|.
 
-    Dedup radius is TOL_DEDUP in max-norm; output is ordered
+    Dedup radius is TOL_DEDUP in max-norm; the rows are ordered
     lexicographically by posterior weights for reproducibility.
     """
     n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
@@ -109,22 +104,20 @@ def posterior_classes(
             f"(limit {MAX_CLASS_OUTCOMES}, whatever max_outcomes says)"
         )
     ps, pw = p_star.as_array(), p.as_array()
-    classes = _scan.class_scan(n, _scan._ratio_table(ps, pw), pw, workers=workers)
-    total = sum(count for _, count in classes)
+    table = _scan.class_scan(n, _scan._ratio_table(ps, pw), pw, workers=workers)
+    total = int(table["multiplicity"].sum())
     expected = proper_nontrivial_count(n)
     if total != expected:
         raise VerificationFailed(f"multiplicities sum to {total}, expected {expected}")
-    return tuple(
-        PosteriorClass(posterior=ProbabilityVector(rep), multiplicity=count)
-        for rep, count in classes
-    )
+    return PosteriorClasses(table["posterior"], table["multiplicity"])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def find_separating_direction(
-    classes: Sequence[PosteriorClass],
-    *,
-    seed: int = 0,
-    max_attempts: int = MAX_SEPARATION_ATTEMPTS,
+    classes: PosteriorClasses, *, seed: int = 0, max_attempts: int = MAX_SEPARATION_ATTEMPTS
 ) -> UtilityFunction:
     """A direction u making the class expectations pairwise distinct.
 
@@ -132,12 +125,13 @@ def find_separating_direction(
     (min gap > TOL_SEP); the hyperplanes where two classes tie are a null
     set, so a handful of attempts suffices unless classes coincide or are
     too many for their scores to sit TOL_SEP apart.  SeparationFailed
-    reports the widest smallest gap the attempts reached.
+    reports the widest smallest gap the attempts reached; max_attempts
+    must be a positive integer (OutOfRange).
     """
-    if not classes:
-        raise OutOfRange("need at least one posterior class")
     require_seed(seed)
-    reps = _class_matrix(classes)
+    if not _is_int(max_attempts) or max_attempts < 1:
+        raise OutOfRange(f"max_attempts must be a positive integer, got {max_attempts!r}")
+    reps = classes.posteriors
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(max_attempts):
@@ -150,12 +144,6 @@ def find_separating_direction(
         f"no separating direction after {max_attempts} attempts: the widest smallest gap "
         f"between class scores was {best!r}, not above TOL_SEP = {TOL_SEP!r}"
     )
-
-
-def _class_matrix(classes: Sequence[PosteriorClass], *measures) -> np.ndarray:
-    """The class posteriors as rows; DimensionMismatch unless they and ``measures`` share n."""
-    require_same_n(*measures, *(c.posterior for c in classes))
-    return np.asarray([c.posterior.weights for c in classes], dtype=np.float64)
 
 
 def _smallest_gap(scores: np.ndarray) -> float:
@@ -188,7 +176,7 @@ def perturbed_score(
     u: UtilityFunction,
     eta_fraction: float = 0.5,
     *,
-    classes: Sequence[PosteriorClass],
+    classes: PosteriorClasses,
 ) -> PerturbedScore:
     """Perturb g along u without losing the posterior-vs-target gap.
 
@@ -198,20 +186,15 @@ def perturbed_score(
     posterior score strictly below E_{p*}[g_eta].  eta_fraction = 0 is
     honored literally (no perturbation) and only the checks remain.
     """
-    require_same_n(p_star, p, u)
+    require_same_n(p_star, p, u, classes)
     if not 0.0 <= eta_fraction < 1.0:
         raise OutOfRange(f"eta_fraction must lie in [0,1), got {eta_fraction}")
     _require_blind_spot(p_star, p)
     g = log_density_ratio(p_star, p)
-    reps = _class_matrix(classes, p)
-    g_arr = g.as_array()
-    u_arr = u.as_array()
-    g_scores = reps @ g_arr
-    delta = expectation(g, p_star) - float(g_scores.max())
+    reps, g_arr, u_arr = classes.posteriors, g.as_array(), u.as_array()
+    delta = expectation(g, p_star) - float((reps @ g_arr).max())
     if delta <= TOL_NUM:
-        raise SeparationBelowTolerance(
-            f"posterior-vs-target gap {delta!r} within tolerance of zero"
-        )
+        raise SeparationBelowTolerance(f"posterior-vs-target gap {delta!r} within tolerance of zero")
     scale = float(np.abs(reps @ u_arr).max()) + abs(expectation(u, p_star))
     eta = 0.0 if scale <= TOL_NUM else eta_fraction * delta / (2.0 * scale)
     for _ in range(MAX_SEPARATION_ATTEMPTS):
@@ -226,22 +209,18 @@ def perturbed_score(
     raise SeparationFailed("no eta kept class scores distinct under the gap bound")
 
 
-@dataclass(frozen=True)
-class SpectrumClass(JsonReport):
-    posterior: ProbabilityVector
-    multiplicity: int
-    score: float  # E_q[g_eta]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeSpectrum(JsonReport):
     """Posterior classes ordered by perturbed score, with cumulative sums.
 
-    ``achievable`` is {0} plus every cumulative sum K_1 < ... < K_L; when
-    all multiplicities are 1 this is the full range 0..Bell(n)-2.
+    ``classes`` is the class table in score order and ``scores`` their
+    E_q[g_eta]; JSON lists each class as its posterior, multiplicity and
+    score.  ``achievable`` is {0} plus every cumulative sum K_1 < ... < K_L;
+    when all multiplicities are 1 this is the full range 0..Bell(n)-2.
     """
 
-    classes: tuple[SpectrumClass, ...]
+    classes: PosteriorClasses
+    scores: np.ndarray
     cumulative: tuple[int, ...]
     achievable: tuple[int, ...]
     eta: float
@@ -251,10 +230,17 @@ class DegreeSpectrum(JsonReport):
     e_pstar_score: float  # E_{p*}[g_eta]
 
     def __post_init__(self):
-        if _smallest_gap(np.array([c.score for c in self.classes])) <= TOL_SEP:
+        if _smallest_gap(self.scores) <= TOL_SEP:
             raise VerificationFailed("class scores are not separated")
-        if self.cumulative and self.cumulative[-1] != sum(c.multiplicity for c in self.classes):
+        if self.cumulative and self.cumulative[-1] != int(self.classes.multiplicities.sum()):
             raise VerificationFailed("cumulative sums do not match multiplicities")
+
+    def to_json_dict(self) -> dict:
+        table = self.classes
+        rows = zip(table.posteriors.tolist(), table.multiplicities.tolist(), self.scores.tolist())
+        report = {"classes": [{"posterior": q, "multiplicity": m, "score": s} for q, m, s in rows]}
+        # every other field as JsonReport writes it, after classes and scores
+        return report | {f.name: _json_value(getattr(self, f.name)) for f in fields(self)[2:]}
 
 
 def achievable_degrees(
@@ -276,27 +262,13 @@ def achievable_degrees(
     classes = posterior_classes(p_star, p, workers=workers, max_outcomes=max_outcomes)
     u = find_separating_direction(classes, seed=seed)
     ps = perturbed_score(p_star, p, u, eta_fraction, classes=classes)
-    scored = sorted(
-        (
-            SpectrumClass(
-                posterior=c.posterior,
-                multiplicity=c.multiplicity,
-                score=expectation(ps.g_eta, c.posterior),
-            )
-            for c in classes
-        ),
-        key=lambda sc: sc.score,
-    )
-    cumulative = tuple(itertools.accumulate(sc.multiplicity for sc in scored))
+    scores = _expectations(ps.g_eta.as_array(), classes.posteriors)
+    order = np.argsort(scores, kind="stable")
+    ranked = classes.take(order)
+    cumulative = tuple(np.cumsum(ranked.multiplicities).tolist())
     return DegreeSpectrum(
-        classes=tuple(scored),
-        cumulative=cumulative,
-        achievable=(0, *cumulative),
-        eta=ps.eta,
-        u=u,
-        seed=seed,
-        g_eta=ps.g_eta,
-        e_pstar_score=expectation(ps.g_eta, p_star),
+        classes=ranked, scores=scores[order], cumulative=cumulative, achievable=(0, *cumulative),
+        eta=ps.eta, u=u, seed=seed, g_eta=ps.g_eta, e_pstar_score=expectation(ps.g_eta, p_star),
     )
 
 
@@ -325,28 +297,23 @@ def realize_degree(
     Thresholds the perturbed score at a constant c chosen between the
     k-th and (k+1)-th class scores (one below every score for k = 0;
     halfway up to E_{p*}[g_eta] above the last class for the maximum
-    degree), then re-verifies the degree exhaustively.
+    degree), then re-verifies the degree exhaustively.  k must be an int
+    or a numpy integer, not a bool (OutOfRange).
     """
+    if not _is_int(k):
+        raise OutOfRange(f"k must be an integer, got {k!r}")
     if spectrum is None:
         spectrum = achievable_degrees(
-            p_star,
-            p,
-            eta_fraction=eta_fraction,
-            seed=seed,
-            workers=workers,
-            max_outcomes=max_outcomes,
+            p_star, p, eta_fraction=eta_fraction, seed=seed, workers=workers, max_outcomes=max_outcomes
         )
     if k not in spectrum.achievable:
-        raise NotAchievable(
-            f"degree {k} not in the achievable set {list(spectrum.achievable)}"
-        )
-    scores = [c.score for c in spectrum.classes]
+        raise NotAchievable(f"degree {k} not in the achievable set {list(spectrum.achievable)}")
+    upper = np.append(spectrum.scores, spectrum.e_pstar_score)
     if k == 0:
-        c = scores[0] - 1.0
+        c = float(upper[0]) - 1.0
     else:
-        upper = (*scores, spectrum.e_pstar_score)
         idx = spectrum.cumulative.index(k)
-        c = 0.5 * (upper[idx] + upper[idx + 1])
+        c = 0.5 * float(upper[idx] + upper[idx + 1])
     d = spectrum.g_eta.shifted(c)
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False

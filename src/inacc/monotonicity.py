@@ -212,8 +212,8 @@ def sweep(
         ratio = _scan._ratio_table(ps, pw)
         uncertified = np.flatnonzero(~_scan.certify_singletons(ratio, pw))
         if uncertified.size:
-            largest = _scan.class_scan(n, ratio[uncertified], pw[uncertified])
-            collisions += int((largest > 1).sum())
+            table = _scan.class_scan(n, ratio[uncertified], pw[uncertified])
+            collisions += np.unique(table["posterior"][table["multiplicity"] > 1, 0]).size
 
         top = np.array(scan.max_score[size:])
         e_pstar = _expectations(d, ps[idx])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from inacc import (
     DimensionMismatch,
     NotAchievable,
+    NotAProbability,
     NotInBlindSpot,
     OutOfRange,
+    PosteriorClasses,
     ProbabilityVector,
     RefusedTooLarge,
     SeparationFailed,
+    TooSmall,
     UtilityFunction,
     VerificationFailed,
     achievable_degrees,
@@ -28,7 +32,7 @@ from inacc import (
     realize_degree,
 )
 from inacc import _scan
-from inacc.degrees import PosteriorClass
+from inacc.core import _expectations
 
 from conftest import random_positive_pair
 from oracles import brute_degree, brute_posterior_classes
@@ -79,8 +83,8 @@ class TestPosteriorClasses:
     def test_fixture_three_singleton_classes(self):
         classes = posterior_classes(PSTAR3, UNIFORM3)
         assert len(classes) == 3
-        assert all(c.multiplicity == 1 for c in classes)
-        posteriors = {tuple(round(w, 6) for w in c.posterior.weights) for c in classes}
+        assert (classes.multiplicities == 1).all()
+        posteriors = {tuple(round(w, 6) for w in row) for row in classes.posteriors.tolist()}
         assert posteriors == {(0.4, 0.4, 0.2), (0.35, 0.3, 0.35), (0.5, 0.25, 0.25)}
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -88,12 +92,12 @@ class TestPosteriorClasses:
         p = ProbabilityVector.uniform(n)
         classes = posterior_classes(p, p)
         assert len(classes) == 1
-        assert classes[0].multiplicity == bell_number(n) - 2
-        assert classes[0].posterior.weights == pytest.approx(p.weights, abs=1e-12)
+        assert classes.multiplicities.tolist() == [bell_number(n) - 2]
+        assert classes.posteriors[0].tolist() == pytest.approx(p.weights, abs=1e-12)
 
     @pytest.mark.parametrize("max_outcomes", [13, 16])
     def test_refused_above_n11(self, max_outcomes):
-        # one object per class would be 4.2M objects; refused before any scan
+        # the class scan alone takes tens of seconds and GBs at n = 12; refused before it
         p = ProbabilityVector.uniform(12)
         with pytest.raises(RefusedTooLarge, match="11"):
             posterior_classes(p, p, max_outcomes=max_outcomes)
@@ -102,7 +106,7 @@ class TestPosteriorClasses:
         rng = np.random.default_rng(11)
         p_star, p = blind_spot_pairs(rng, 4, 1)[0]
         classes = posterior_classes(p_star, p)
-        assert sum(c.multiplicity for c in classes) == 13
+        assert classes.multiplicities.sum() == 13
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_brute_force_dedup(self, n):
@@ -113,18 +117,51 @@ class TestPosteriorClasses:
             ours = posterior_classes(p_star, p)
             brute = brute_posterior_classes(list(p_star.weights), list(p.weights), n)
             assert len(ours) == len(brute)
-            assert sorted(c.multiplicity for c in ours) == sorted(m for _, m in brute)
-            for c in ours:
+            assert sorted(ours.multiplicities.tolist()) == sorted(m for _, m in brute)
+            for posterior, multiplicity in zip(ours.posteriors.tolist(), ours.multiplicities):
                 match = min(
                     brute,
-                    key=lambda item: max(
-                        abs(a - b) for a, b in zip(item[0], c.posterior.weights)
-                    ),
+                    key=lambda item: max(abs(a - b) for a, b in zip(item[0], posterior)),
                 )
-                assert max(
-                    abs(a - b) for a, b in zip(match[0], c.posterior.weights)
-                ) <= 1e-9
-                assert match[1] == c.multiplicity
+                assert max(abs(a - b) for a, b in zip(match[0], posterior)) <= 1e-9
+                assert match[1] == multiplicity
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rows_are_the_weights_of_probability_vectors(self, n):
+        # the per-row path the table replaced: one ProbabilityVector per class
+        def per_row(p_star, p):
+            ps, pw = p_star.as_array(), p.as_array()
+            table = _scan.class_scan(n, _scan._ratio_table(ps, pw), pw)
+            return [ProbabilityVector(row).weights for row in table["posterior"].tolist()]
+
+        rng = np.random.default_rng(1600 + n)
+        pairs = [random_positive_pair(rng, n), (ProbabilityVector.uniform(n),) * 2]
+        if n == 4:  # two classes of multiplicity 2
+            pairs.append((ProbabilityVector([0.1, 0.2, 0.3, 0.4]), ProbabilityVector.uniform(4)))
+        for p_star, p in pairs:
+            classes = posterior_classes(p_star, p)
+            assert classes.posteriors.tobytes() == np.array(per_row(p_star, p)).tobytes()
+        if n == 4:
+            assert sorted(classes.multiplicities.tolist()) == [1] * 9 + [2, 2]
+
+    @pytest.mark.parametrize(
+        "rows, multiplicities, error",
+        [
+            ([[math.nan, 0.5, 0.5]], [1], NotAProbability),
+            ([[0.6, 0.5, -0.1]], [1], NotAProbability),
+            ([[0.5, 0.3, 0.2 + 1e-6]], [1], NotAProbability),
+            ([[0.5, 0.5]], [1], TooSmall),
+            ([[0.5, 0.3, 0.2]], [0], OutOfRange),
+            ([[0.5, 0.3, 0.2]], [1, 1], DimensionMismatch),
+        ],
+        ids=["nan", "negative", "sum-off-1e-6", "n=2", "multiplicity-0", "count-mismatch"],
+    )
+    def test_malformed_tables_raise_typed_errors(self, rows, multiplicities, error):
+        with pytest.raises(error):
+            PosteriorClasses(rows, multiplicities)
+        if multiplicities == [1]:  # a row fault: ProbabilityVector raises the same error
+            with pytest.raises(error):
+                ProbabilityVector(rows[0])
 
 
 class TestSeparatingDirection:
@@ -136,38 +173,42 @@ class TestSeparatingDirection:
     def test_fixture_classes_separated(self):
         classes = posterior_classes(PSTAR3, UNIFORM3)
         u = find_separating_direction(classes, seed=0)
-        vals = sorted(expectation(u, c.posterior) for c in classes)
+        vals = sorted(_expectations(u.as_array(), classes.posteriors))
         assert all(b - a > 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_known_direction_works_on_fixture(self):
         # first coordinates of the three posteriors are already distinct
         classes = posterior_classes(PSTAR3, UNIFORM3)
-        vals = sorted(c.posterior.weights[0] for c in classes)
+        vals = sorted(classes.posteriors[:, 0].tolist())
         assert vals == pytest.approx([0.35, 0.4, 0.5], abs=1e-12)
 
     def test_duplicate_representatives_fail(self):
-        dup = PosteriorClass(posterior=PSTAR3, multiplicity=1)
+        dup = PosteriorClasses([PSTAR3.weights] * 2, [1, 1])
         with pytest.raises(SeparationFailed):
-            find_separating_direction([dup, dup], max_attempts=8)
+            find_separating_direction(dup, max_attempts=8)
 
     def test_failure_reports_the_widest_smallest_gap(self):
         # two distinct classes 1e-10 apart: every direction leaves them within TOL_SEP
-        near = [
-            PosteriorClass(posterior=ProbabilityVector(w), multiplicity=1)
-            for w in ([0.5, 0.3, 0.2], [0.5 + 1e-10, 0.3 - 1e-10, 0.2])
-        ]
+        near = PosteriorClasses([[0.5, 0.3, 0.2], [0.5 + 1e-10, 0.3 - 1e-10, 0.2]], [1, 1])
         with pytest.raises(SeparationFailed, match="not above TOL_SEP = 1e-09") as info:
             find_separating_direction(near, max_attempts=8)
         widest = float(re.search(r"was (\S+),", str(info.value)).group(1))
         assert 0.0 < widest <= 2e-10 * (1 + 1e-6)
 
     def test_classes_of_another_outcome_count(self):
-        three = PosteriorClass(posterior=PSTAR3, multiplicity=1)
-        four = PosteriorClass(posterior=ProbabilityVector.uniform(4), multiplicity=1)
+        four = ProbabilityVector.uniform(4).weights
+        with pytest.raises(DimensionMismatch):  # ragged rows
+            PosteriorClasses([PSTAR3.weights, four], [1, 1])
         with pytest.raises(DimensionMismatch):
-            find_separating_direction([three, four])
-        with pytest.raises(DimensionMismatch):
-            perturbed_score(PSTAR3, UNIFORM3, UtilityFunction([1, 0, 0]), classes=[four])
+            perturbed_score(
+                PSTAR3, UNIFORM3, UtilityFunction([1, 0, 0]), classes=PosteriorClasses([four], [1])
+            )
+
+    @pytest.mark.parametrize("max_attempts", [0, -3, 2.5, True])
+    def test_max_attempts_must_be_a_positive_integer(self, max_attempts):
+        # no direction is tried, so no gap could be reported
+        with pytest.raises(OutOfRange, match="max_attempts"):
+            find_separating_direction(posterior_classes(PSTAR3, UNIFORM3), max_attempts=max_attempts)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
@@ -183,7 +224,7 @@ class TestPerturbedScore:
         u = find_separating_direction(classes, seed=0)
         out = perturbed_score(PSTAR3, UNIFORM3, u, classes=classes)
         assert out.eta > 0.0
-        scores = sorted(expectation(out.g_eta, c.posterior) for c in classes)
+        scores = sorted(_expectations(out.g_eta.as_array(), classes.posteriors))
         assert all(b - a > 1e-9 for a, b in zip(scores, scores[1:]))
         assert expectation(out.g_eta, PSTAR3) > scores[-1]
 
@@ -200,7 +241,7 @@ class TestPerturbedScore:
         u = UtilityFunction([1.0, -1.0, 1.0])  # adversarial-ish direction
         classes = posterior_classes(PSTAR3, UNIFORM3)
         out = perturbed_score(PSTAR3, UNIFORM3, u, eta_fraction=0.999, classes=classes)
-        top = max(expectation(out.g_eta, c.posterior) for c in classes)
+        top = max(_expectations(out.g_eta.as_array(), classes.posteriors))
         assert expectation(out.g_eta, PSTAR3) > top
 
     def test_requires_blind_spot(self):
@@ -215,12 +256,14 @@ class TestPerturbedScore:
         first = perturbed_score(PSTAR3, UNIFORM3, u, classes=classes)
         # a mixture of the lowest and highest classes that scores the middle one's
         # E_q[g_eta] at the first eta; it moves neither the gap nor the scale of u
-        reps = np.array([c.posterior.weights for c in classes])
+        reps = classes.posteriors
         scores = reps @ first.g_eta.as_array()
         lo, mid, hi = np.argsort(scores)
         t = (scores[mid] - scores[lo]) / (scores[hi] - scores[lo])
-        tie = PosteriorClass(ProbabilityVector(((1 - t) * reps[lo] + t * reps[hi]).tolist()), 1)
-        out = perturbed_score(PSTAR3, UNIFORM3, u, classes=(*classes, tie))
+        tie = (1 - t) * reps[lo] + t * reps[hi]
+        out = perturbed_score(
+            PSTAR3, UNIFORM3, u, classes=PosteriorClasses(np.vstack([reps, tie]), [1] * 4)
+        )
         assert out.eta == first.eta / 2
 
     @pytest.mark.parametrize("eta_fraction", [0.0, 0.5])
@@ -229,7 +272,7 @@ class TestPerturbedScore:
         u = find_separating_direction(classes, seed=0)
         with pytest.raises(SeparationFailed, match="no eta"):
             perturbed_score(
-                PSTAR3, UNIFORM3, u, eta_fraction=eta_fraction, classes=(*classes, classes[0])
+                PSTAR3, UNIFORM3, u, eta_fraction=eta_fraction, classes=classes.take([0, 1, 2, 0])
             )
 
 
@@ -238,15 +281,15 @@ class TestAchievableDegrees:
         spectrum = achievable_degrees(PSTAR3, UNIFORM3)
         assert spectrum.achievable == (0, 1, 2, 3)
         assert spectrum.cumulative == (1, 2, 3)
-        assert [c.multiplicity for c in spectrum.classes] == [1, 1, 1]
-        scores = [c.score for c in spectrum.classes]
+        assert spectrum.classes.multiplicities.tolist() == [1, 1, 1]
+        scores = spectrum.scores.tolist()
         assert scores == sorted(scores)
 
     def test_n4_all_distinct_full_range(self):
         rng = np.random.default_rng(21)
         p_star, p = blind_spot_pairs(rng, 4, 1)[0]
         spectrum = achievable_degrees(p_star, p)
-        if all(c.multiplicity == 1 for c in spectrum.classes):
+        if (spectrum.classes.multiplicities == 1).all():
             assert spectrum.achievable == tuple(range(14))
         assert spectrum.cumulative[-1] == 13
 
@@ -256,9 +299,11 @@ class TestAchievableDegrees:
 
     def test_spectrum_refuses_tied_scores(self):
         spectrum = achievable_degrees(PSTAR3, UNIFORM3)
-        first = spectrum.classes[0]
+        tied = [0, 0, 2]
         with pytest.raises(VerificationFailed, match="not separated"):
-            dataclasses.replace(spectrum, classes=(first, first, spectrum.classes[2]))
+            dataclasses.replace(
+                spectrum, classes=spectrum.classes.take(tied), scores=spectrum.scores[tied]
+            )
 
     def test_spectrum_refuses_cumulative_sums_off_the_multiplicities(self):
         spectrum = achievable_degrees(PSTAR3, UNIFORM3)
@@ -294,7 +339,7 @@ class TestRealizeDegree:
         realized = realize_degree(PSTAR3, UNIFORM3, 2)
         assert realized.report.degree == 2
         assert realized.report.e_pstar > 0.0
-        scores = sorted(c.score for c in realized.spectrum.classes)
+        scores = sorted(realized.spectrum.scores.tolist())
         assert scores[1] < realized.c < scores[2]
 
     def test_k0_empty_set(self):
@@ -310,6 +355,13 @@ class TestRealizeDegree:
     def test_unachievable_degree(self):
         with pytest.raises(NotAchievable):
             realize_degree(PSTAR3, UNIFORM3, 5)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_k_must_be_an_integer(self, k):
+        # True == 1 and 1.0 == 1 sit in the achievable set, but neither is a degree
+        with pytest.raises(OutOfRange, match="k must be an integer"):
+            realize_degree(PSTAR3, UNIFORM3, k)
+        assert realize_degree(PSTAR3, UNIFORM3, np.int64(1)).report.degree == 1
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_achievable_degree_realizes(self, n):
@@ -340,8 +392,8 @@ class TestSpectrumLaws:
 
     def test_threshold_monotonicity(self):
         spectrum = achievable_degrees(PSTAR3, UNIFORM3)
-        lo = min(c.score for c in spectrum.classes) - 1.0
-        hi = max(c.score for c in spectrum.classes) + 1.0
+        lo = spectrum.scores.min() - 1.0
+        hi = spectrum.scores.max() + 1.0
         degrees = [
             degree(PSTAR3, UNIFORM3, spectrum.g_eta.shifted(c))
             for c in np.linspace(lo, hi, 40)
@@ -355,5 +407,5 @@ class TestSpectrumLaws:
         for p_star, p in pairs:
             spectrum = achievable_degrees(p_star, p)
             full = spectrum.achievable == tuple(range(bell_number(n) - 1))
-            all_mult_one = all(c.multiplicity == 1 for c in spectrum.classes)
+            all_mult_one = (spectrum.classes.multiplicities == 1).all()
             assert full == all_mult_one

@@ -180,20 +180,29 @@ def test_verdicts_from_the_max_are_the_counted_verdicts(n, workers):
     assert counted[1].any() and not counted[1].all()
 
 
-@pytest.mark.parametrize("n", [4, 7])
-def test_batched_class_scan_gives_each_largest_multiplicity(n):
+def same_table(a, b):
+    """Two class tables hold the same records, bit for bit."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_stacked_class_scan_equals_each_one_pair_scan(n):
     rng = np.random.default_rng(30 + n)
     p = rng.dirichlet(np.ones(n), 5)
-    pstar = rng.dirichlet(np.full(n, 0.05), 5)  # zeros in p*: shared posteriors
+    pstar = rng.dirichlet(np.full(n, 0.05), 5)  # alpha = 0.05, zeros in p*: shared posteriors
     pstar[1] = p[1]  # every partition in one class
     pstar[2] = rng.dirichlet(np.ones(n))  # generic: one class per partition
-    largest = _scan.class_scan(n, _scan._ratio_table(pstar, p), p)
-    expected = [
-        max(count for _, count in _scan.class_scan(n, _scan._ratio_table(ps, pw), pw))
-        for ps, pw in zip(pstar, p)
-    ]
-    assert largest.tolist() == expected
-    assert expected[1] == bell_number(n) - 2 and expected[2] == 1
+    stacked = _scan.class_scan(n, _scan._ratio_table(pstar, p), p)
+    sample = stacked["posterior"][:, 0]
+    assert np.array_equal(sample, np.sort(sample))  # lexicographic: samples in order
+    for s in range(5):
+        single = _scan.class_scan(n, _scan._ratio_table(pstar[s], p[s]), p[s])
+        mine = stacked[sample == s]
+        assert mine["posterior"][:, 1:].tobytes() == single["posterior"].tobytes()
+        assert mine["multiplicity"].tolist() == single["multiplicity"].tolist()
+    largest = [stacked["multiplicity"][sample == s].max() for s in range(5)]
+    assert largest[1] == bell_number(n) - 2 and largest[2] == 1
+    assert max(largest[0], *largest[3:]) > 1  # a collision outside the constructed samples
 
 
 @functools.lru_cache(maxsize=None)
@@ -781,8 +790,8 @@ def test_parallel_scan_agrees_with_serial():
     # p* = p makes every posterior p: one class holding every partition
     ratio = _scan._ratio_table(pw, pw)
     classes = _scan.class_scan(n, ratio, pw, workers=1)
-    assert [count for _, count in classes] == [bell_number(n) - 2]
-    assert _scan.class_scan(n, ratio, pw, workers=2) == classes
+    assert classes["multiplicity"].tolist() == [bell_number(n) - 2]
+    assert same_table(_scan.class_scan(n, ratio, pw, workers=2), classes)
 
 
 def test_pooled_class_scan_merges_classes_across_runs():
@@ -803,7 +812,7 @@ def test_pooled_class_scan_merges_classes_across_runs():
     assert bucket_keys(bounds[0], bounds[1]) & bucket_keys(bounds[1], bounds[2])
     classes = _scan.class_scan(n, table, p, workers=1)
     assert len(classes) == 1023
-    assert _scan.class_scan(n, table, p, workers=2) == classes
+    assert same_table(_scan.class_scan(n, table, p, workers=2), classes)
 
 
 def test_class_scan_counts():
@@ -832,7 +841,8 @@ def test_class_scan_links_chains(chunk_rows):
         (np.round(reps[::2], 12), reps[::2] + 1e-13, np.array([4, 1])),
     ]
     merged = _scan._merge_within_tolerance(parts, chunk_rows)
-    assert merged == [(tuple(a), 10)]
+    assert merged["posterior"].tolist() == [a.tolist()]
+    assert merged["multiplicity"].tolist() == [10]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -848,7 +858,7 @@ def test_dense_cluster_is_one_class(n):
     # seven candidate pairs per round: the linkage takes many rounds
     classes = _scan._merge_within_tolerance(buckets, 7)
     assert [count for _, count in classes] == [bell_number(n) - 2]
-    assert _scan.class_scan(n, _scan._ratio_table(pstar, p), p) == classes
+    assert same_table(_scan.class_scan(n, _scan._ratio_table(pstar, p), p), classes)
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -867,7 +877,7 @@ def test_certified_pair_skips_the_linkage(n, monkeypatch):
         raise AssertionError("a certified pair ran the linkage")
 
     monkeypatch.setattr(_scan, "_single_linkage", no_linkage)
-    assert _scan.class_scan(n, ratio, pw) == linked
+    assert same_table(_scan.class_scan(n, ratio, pw), linked)
 
 
 def tied_pair(rng, n):
@@ -884,17 +894,17 @@ def test_posterior_classes_match_brute_force(n):
     for p_star, p in (random_positive_pair(rng, n), tied_pair(rng, n), tied_pair(rng, n)):
         ours = posterior_classes(p_star, p)
         brute = brute_posterior_classes(list(p_star.weights), list(p.weights), n)
-        assert sorted(c.multiplicity for c in ours) == sorted(m for _, m in brute)
-        for c in ours:
+        assert sorted(ours.multiplicities.tolist()) == sorted(m for _, m in brute)
+        for posterior, multiplicity in zip(ours.posteriors.tolist(), ours.multiplicities):
             gap, count = min(
-                (max(abs(a - b) for a, b in zip(q, c.posterior.weights)), m) for q, m in brute
+                (max(abs(a - b) for a, b in zip(q, posterior)), m) for q, m in brute
             )
             assert gap <= 1e-9
-            assert count == c.multiplicity
+            assert count == multiplicity
 
 
 def test_posterior_classes_cover_every_partition_at_n10():
     n = 10
     p_star, p = random_positive_pair(np.random.default_rng(10), n)
     classes = posterior_classes(p_star, p)
-    assert sum(c.multiplicity for c in classes) == bell_number(n) - 2
+    assert classes.multiplicities.sum() == bell_number(n) - 2

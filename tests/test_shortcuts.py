@@ -49,7 +49,7 @@ def replay_sweep(n, samples, seed, alpha=1.0):
         members += member
         deg = degree(p_star, p, UtilityFunction(rng.uniform(-1.0, 1.0, n)))
         histogram[deg] = histogram.get(deg, 0) + 1
-        if any(c.multiplicity > 1 for c in posterior_classes(p_star, p)):
+        if (posterior_classes(p_star, p).multiplicities > 1).any():
             collisions += 1
         if member:
             try:

@@ -64,7 +64,7 @@ def test_credence_redraws_are_capped(monkeypatch):
 
 def largest_multiplicity(pstar, p):
     """The largest class multiplicity of one pair, from the full class scan."""
-    return max(count for _, count in _scan.class_scan(len(p), _scan._ratio_table(pstar, p), p))
+    return _scan.class_scan(len(p), _scan._ratio_table(pstar, p), p)["multiplicity"].max()
 
 
 def normalized(w):
@@ -146,7 +146,9 @@ def test_sweep_collisions_equal_a_class_scan_of_every_sample(n, alpha):
     samples, seed = 60, 1400 + n
     ps, pw = sweep_pairs(n, samples, seed, alpha)
     ratio = _scan._ratio_table(ps, pw)
-    every = int((_scan.class_scan(n, ratio, pw) > 1).sum())
+    # the samples with a class of multiplicity > 1, in a class scan of all of them
+    table = _scan.class_scan(n, ratio, pw)
+    every = len(set(table["posterior"][table["multiplicity"] > 1, 0].tolist()))
     certified = _scan.certify_singletons(ratio, pw)
     assert 0 < certified.sum() < samples  # both paths taken
     assert sweep(n=n, samples=samples, seed=seed, dirichlet_alpha=alpha).multiplicity_collisions == every
