@@ -8,21 +8,23 @@ partitions, columns = outcomes), holding about one chunk at a time.
 The kernels take tables over the 2^n subsets of the outcomes (4,096
 entries at n = 12), not measures: R(S) = p*(S)/p(S) (``_ratio_table``)
 and W(S) = R(S) (d p)(S) (``_score_table``), the only functions here
-that take p* or d.  Each table is built once, in the calling process,
-and handed to the scan's workers: every scan takes the tables its caller
-built.  A posterior is R gathered at each outcome's block
-(``_block_masks``, one bincount per chunk).  E_{q_Pi}[d] is the sum of W
-over the blocks of Pi, carried one label at a time through the
-increment table Delta(S) = W(S) - W(S without its highest outcome)
-(``_increments``, n slice subtractions, built once per pass by the
-scan): when outcome i joins a block whose mask so far is m (0 for a new
-block), the total becomes total + Delta[m | bit i].  Each RGS
-prefix takes its masks and total from its parent, one label shorter
-(``_prefix_totals``); small levels run the carry from the empty prefix,
-and each row takes the last step from its sibling group's prefix.  A
-score is thus n additions of one rounding each, the same steps whatever
-the chunk, and depends on the row's labels alone.  Delta is linear in
-W, so for fixed labels a score is linear in the table.
+that take p* or d.  Their subset sums add each subset's outcomes left to
+right in increasing order (``_subset_sums``, n doubling steps), never by
+a matrix product, so no BLAS kernel moves a table.  Each table is built
+once, by the caller, and handed to the scan's workers.  A posterior is R
+gathered at each outcome's block (``_block_masks``, one bincount per
+chunk).  E_{q_Pi}[d] is the sum of W over the blocks of Pi, carried one
+label at a time through the increment table Delta(S) = W(S) - W(S
+without its highest outcome) (``_increments``, n slice subtractions,
+built once per pass by the scan): when outcome i joins a block whose
+mask so far is m (0 for a new block), the total becomes total +
+Delta[m | bit i].  Each RGS prefix takes its masks and total from its
+parent, one label shorter (``_prefix_totals``); small levels run the
+carry from the empty prefix, and each row takes the last step from its
+sibling group's prefix.  A score is thus n additions of one rounding
+each, the same steps whatever the chunk, and depends on the row's labels
+alone.  Delta is linear in W, so for fixed labels a score is linear in
+the table.
 
 Row order is lexicographic in the RGS encoding; the object-level
 iterator in :mod:`inacc.partitions` reads these rows, and a test pins
@@ -286,22 +288,20 @@ def _reduce(worker: Callable, common: tuple, merge: Callable, n: int, workers: i
 # chunk kernels
 
 
-@functools.lru_cache(maxsize=4)
-def _subset_bits(n: int) -> np.ndarray:
-    """bits[S, i] = 1.0 if outcome i is in subset S, for all 2^n subsets (read-only)."""
-    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    bits.setflags(write=False)
-    return bits
-
-
 def _subset_sums(vecs: np.ndarray) -> np.ndarray:
     """out[..., S] = sum of vecs[..., i] over the outcomes i in S, for all 2^n subsets S.
 
-    Stacked vectors go through one 2-D matmul: a 3-D stack may take a
-    different BLAS path and differ from the unstacked rows in the last bit.
+    n doubling steps, the mirror of ``_increments``: out[2^i : 2^(i+1)] =
+    out[: 2^i] + vecs[i] from out[0] = 0, on a (2^n, vectors) layout.  So
+    each entry adds its outcomes left to right in increasing order, on any
+    BLAS, and a stacked row is bitwise the unstacked one.
     """
     n = vecs.shape[-1]
-    return (vecs.reshape(-1, n) @ _subset_bits(n).T).reshape(*vecs.shape[:-1], 1 << n)
+    flat = vecs.reshape(-1, n)
+    out = np.zeros((1 << n, flat.shape[0]))
+    for i in range(n):
+        np.add(out[: 1 << i], flat[:, i], out=out[1 << i : 2 << i])
+    return np.ascontiguousarray(out.T).reshape(*vecs.shape[:-1], 1 << n)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -352,7 +352,7 @@ def _cmd_verify(args) -> JsonReport | None:
     p_star, p, d = _inputs(args, "d")
     options = _scan_options(args)
     if args.format == "csv":
-        n = _check_scan_inputs(p_star, p, d, max_outcomes=options["max_outcomes"])
+        n = _check_scan_inputs(p_star, p, d, **options)
         table = _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
         chunks = _scan.iter_scored_chunks(n, table)
         writer = csv.writer(sys.stdout)
@@ -360,7 +360,7 @@ def _cmd_verify(args) -> JsonReport | None:
         writer.writerows(partition_rows(chunks))
         return None
     if args.full:
-        n = _check_scan_inputs(p_star, p, d, max_outcomes=options["max_outcomes"])
+        n = _check_scan_inputs(p_star, p, d, **options)
         _refuse_long_listing(
             proper_nontrivial_count(n), "verify --full", "use --format csv, or drop --full"
         )

@@ -36,6 +36,7 @@ from .core import (
     UtilityFunction,
     VerificationFailed,
     _expectations,
+    _is_int,
     expectation,
     require_pair,
     require_same_n,
@@ -247,13 +248,20 @@ def _check_scan_inputs(
     p: ProbabilityVector,
     *utilities: UtilityFunction,
     max_outcomes: int,
+    workers: int = 1,
 ) -> int:
     """The outcome count n, once the inputs pass the checks every scan needs.
 
-    All arguments share n, the credence p is strictly positive, every
-    utility is within MAX_UTILITY in magnitude, and n is within the
-    resource guard, which no max_outcomes lifts past MAX_SCAN_OUTCOMES.
+    The knobs come first: max_outcomes must be an integer and workers a
+    positive one, by ``core._is_int`` (OutOfRange).  Then all arguments
+    share n, the credence p is strictly positive, every utility is within
+    MAX_UTILITY in magnitude, and n is within the resource guard, which no
+    max_outcomes lifts past MAX_SCAN_OUTCOMES.
     """
+    if not _is_int(max_outcomes):
+        raise OutOfRange(f"max_outcomes must be an integer, got {max_outcomes!r}")
+    if not _is_int(workers) or workers < 1:
+        raise OutOfRange(f"workers must be a positive integer, got {workers!r}")
     n = require_pair(p_star, p, *utilities)
     for d in utilities:
         top = float(np.abs(d.as_array()).max())
@@ -287,7 +295,7 @@ def verify_inaccessibility(
     details come from one single-threaded pass, whatever ``workers`` is,
     and are refused (RefusedTooLarge) above MAX_JSON_ROWS partitions.
     """
-    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
+    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes, workers=workers)
     total = proper_nontrivial_count(n)
     if keep_partitions is None:
         keep_partitions = total <= KEEP_DETAILS_MAX
@@ -397,7 +405,7 @@ def construct_inaccessible_decision(
     """
     if not 0.0 < eps_fraction < 1.0:
         raise OutOfRange(f"eps_fraction must lie in (0,1), got {eps_fraction}")
-    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
+    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes, workers=workers)
     bs = in_blind_spot(p_star, p)
     if not bs.member:
         raise NotInBlindSpot(

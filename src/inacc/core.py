@@ -280,9 +280,14 @@ def require_pair(
     return n
 
 
+def _is_int(value) -> bool:
+    """The one integer rule of every count and knob: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_seed(seed: int) -> None:
     """OutOfRange unless seed is a nonnegative integer, as numpy's generators need."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise OutOfRange(f"seed must be a nonnegative integer, got {seed!r}")
 
 

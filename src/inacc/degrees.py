@@ -8,6 +8,9 @@ plus zero.  Realization thresholds a perturbed score g_eta = g + eta*u,
 where u is a random direction separating the class scores and eta is
 small enough to keep the posterior maximum below E_{p*}[g_eta].  The classes
 stay one table of arrays, ``core.PosteriorClasses``, from the class scan to the report.
+A class product E_q[x] is an elementwise product and numpy's row sum, never
+a matrix product, so no BLAS kernel moves eta or a reported score; the
+reported scores and E_{p*} are ``math.fsum`` sums.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .core import (
     UtilityFunction,
     VerificationFailed,
     _expectations,
+    _is_int,
     _json_value,
     expectation,
     require_same_n,
@@ -97,7 +101,7 @@ def posterior_classes(
     Dedup radius is TOL_DEDUP in max-norm; the rows are ordered
     lexicographically by posterior weights for reproducibility.
     """
-    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes)
+    n = _check_scan_inputs(p_star, p, max_outcomes=max_outcomes, workers=workers)
     if n > MAX_CLASS_OUTCOMES:
         raise RefusedTooLarge(
             f"posterior classes over {n} outcomes refused "
@@ -110,10 +114,6 @@ def posterior_classes(
     if total != expected:
         raise VerificationFailed(f"multiplicities sum to {total}, expected {expected}")
     return PosteriorClasses(table["posterior"], table["multiplicity"])
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def find_separating_direction(
@@ -136,7 +136,7 @@ def find_separating_direction(
     best = 0.0
     for _ in range(max_attempts):
         u = rng.uniform(-1.0, 1.0, reps.shape[1])
-        gap = _smallest_gap(reps @ u)
+        gap = _smallest_gap((reps * u).sum(axis=-1))
         if gap > TOL_SEP:
             return UtilityFunction(u)
         best = max(best, gap)
@@ -192,15 +192,15 @@ def perturbed_score(
     _require_blind_spot(p_star, p)
     g = log_density_ratio(p_star, p)
     reps, g_arr, u_arr = classes.posteriors, g.as_array(), u.as_array()
-    delta = expectation(g, p_star) - float((reps @ g_arr).max())
+    delta = expectation(g, p_star) - float((reps * g_arr).sum(axis=-1).max())
     if delta <= TOL_NUM:
         raise SeparationBelowTolerance(f"posterior-vs-target gap {delta!r} within tolerance of zero")
-    scale = float(np.abs(reps @ u_arr).max()) + abs(expectation(u, p_star))
+    scale = float(np.abs((reps * u_arr).sum(axis=-1)).max()) + abs(expectation(u, p_star))
     eta = 0.0 if scale <= TOL_NUM else eta_fraction * delta / (2.0 * scale)
     for _ in range(MAX_SEPARATION_ATTEMPTS):
         candidate = g_arr + eta * u_arr
-        class_scores = reps @ candidate
-        margin = float(np.dot(p_star.as_array(), candidate) - class_scores.max())
+        class_scores = (reps * candidate).sum(axis=-1)
+        margin = math.fsum(p_star.as_array() * candidate) - float(class_scores.max())
         if _smallest_gap(class_scores) > TOL_SEP and margin > TOL_NUM:
             return PerturbedScore(g_eta=UtilityFunction(candidate), eta=eta)
         if eta == 0.0:
@@ -268,7 +268,7 @@ def achievable_degrees(
     cumulative = tuple(np.cumsum(ranked.multiplicities).tolist())
     return DegreeSpectrum(
         classes=ranked, scores=scores[order], cumulative=cumulative, achievable=(0, *cumulative),
-        eta=ps.eta, u=u, seed=seed, g_eta=ps.g_eta, e_pstar_score=expectation(ps.g_eta, p_star),
+        eta=ps.eta, u=u, seed=int(seed), g_eta=ps.g_eta, e_pstar_score=expectation(ps.g_eta, p_star),
     )
 
 

@@ -38,6 +38,7 @@ from .core import (
     TheoremViolation,
     UtilityFunction,
     _expectations,
+    _is_int,
     expectation,
     require_pair,
     require_seed,
@@ -140,9 +141,10 @@ def sweep(
     the standing positivity assumption holds with well-conditioned ratios;
     after MAX_CREDENCE_DRAWS draws for one sample the sweep raises
     OutOfRange (an alpha this small almost never clears the floor).
-    For each sample a uniform random advantage function is drawn and its
-    degree recorded; blind-spot pairs additionally run the construction
-    and the monotonicity check.
+    n and samples must be integers (``core._is_int``) and alpha no bool,
+    else OutOfRange.  For each sample a uniform random advantage function
+    is drawn and its degree recorded; blind-spot pairs additionally run
+    the construction and the monotonicity check.
 
     Samples are drawn one at a time, each through ``ProbabilityVector``,
     and answered in batches of max(1, CHUNK_ROWS // (Bell(n) - 2))
@@ -159,6 +161,11 @@ def sweep(
     between two subset ratios), and one class pass answers the rest.  The
     counts are those of the public functions run on each sample in turn.
     """
+    for name, count in (("n", n), ("samples", samples)):
+        if not _is_int(count):
+            raise OutOfRange(f"{name} must be an integer, got {count!r}")
+    if isinstance(dirichlet_alpha, bool):
+        raise OutOfRange(f"alpha must be a number, not a bool, got {dirichlet_alpha!r}")
     if not 3 <= n <= SWEEP_MAX_N:
         raise OutOfRange(f"sweep supports 3 <= n <= {SWEEP_MAX_N}, got {n}")
     if samples < 1:
@@ -223,9 +230,9 @@ def sweep(
         hypotheses, conclusion = _theorem_parts(e_pstar, e_p, top)
         violations += int((hypotheses & ~conclusion).sum())
     return SweepSummary(
-        n=n,
-        samples=samples,
-        seed=seed,
+        n=int(n),
+        samples=int(samples),
+        seed=int(seed),
         alpha=dirichlet_alpha,
         blind_spot_frequency=members / samples,
         degree_histogram=histogram,
@@ -369,7 +376,7 @@ def epsilon_mixture_check(
     """
     if not 0.0 < epsilon < 1.0:
         raise OutOfRange(f"epsilon must lie in (0,1), got {epsilon}")
-    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes)
+    n = _check_scan_inputs(p_star, p, d, max_outcomes=max_outcomes, workers=workers)
     p_eps = ProbabilityVector(
         (1.0 - epsilon) * a + epsilon * b for a, b in zip(p_star.weights, p.weights)
     )

@@ -13,12 +13,11 @@ set, because Bell(13) is already ~2.8e7.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import _scan
-from .core import MIN_OUTCOMES, OutOfRange, TooSmall
+from .core import MIN_OUTCOMES, OutOfRange, TooSmall, _is_int
 
 #: Bell(26) is the first count ``_scan._completions`` saturates to the int64 maximum
 #: (Bell(25) = 4,638,590,332,229,999,353 < 2^63 - 1)
@@ -109,12 +108,16 @@ class NotProper:
     reason: str
 
 
-@functools.lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
-    """Bell(n), exact: the root count of the scan engine's RGS completion table."""
+    """Bell(n), exact: the root count of the scan engine's RGS completion table.
+
+    n must be an integer (``core._is_int``) in 1..BELL_MAX_N, else OutOfRange.
+    """
+    if not _is_int(n):
+        raise OutOfRange(f"bell_number needs an integer n, got {n!r}")
     if not 1 <= n <= BELL_MAX_N:
         raise OutOfRange(f"bell_number supports 1 <= n <= {BELL_MAX_N}, got {n}")
-    return int(_scan._completions(n)[n - 1, 0])
+    return int(_scan._completions(int(n))[n - 1, 0])
 
 
 def proper_nontrivial_count(n: int) -> int:

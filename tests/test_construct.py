@@ -22,12 +22,14 @@ from inacc import (
     expectation,
     kl_divergence,
     log_density_ratio,
+    posterior_classes,
     posterior_gap_decomposition,
     radon_nikodym,
     verify_inaccessibility,
 )
 from inacc import _scan
-from inacc.construct import MAX_JSON_ROWS, MAX_UTILITY, _adjacent_pair_margin
+from inacc.construct import MAX_JSON_ROWS, MAX_UTILITY, _adjacent_pair_margin, _check_scan_inputs
+from inacc.monotonicity import epsilon_mixture_check
 
 from conftest import random_positive_pair
 from oracles import (
@@ -296,6 +298,40 @@ class TestVerify:
                 p_star, ProbabilityVector.uniform(17), UtilityFunction([0.0] * 17),
                 max_outcomes=17,
             )
+
+    @pytest.mark.parametrize("max_outcomes", [math.nan, 16.0, True, "16", None], ids=repr)
+    def test_max_outcomes_must_be_an_integer(self, max_outcomes):
+        # NaN compares false both ways, so min(nan, 16) would lift the ceiling at n = 17
+        u = ProbabilityVector.uniform(17)
+        with pytest.raises(OutOfRange, match="max_outcomes"):
+            _check_scan_inputs(u, u, max_outcomes=max_outcomes)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None], ids=repr)
+    def test_workers_must_be_a_positive_integer(self, workers):
+        u = ProbabilityVector.uniform(4)
+        with pytest.raises(OutOfRange, match="workers"):
+            _check_scan_inputs(u, u, max_outcomes=13, workers=workers)
+
+    def test_numpy_integer_knobs_pass(self):
+        u = ProbabilityVector.uniform(4)
+        assert _check_scan_inputs(u, u, max_outcomes=np.int64(13), workers=np.int32(2)) == 4
+
+    @pytest.mark.parametrize("call", ["verify", "construct", "classes", "epsilon"])
+    def test_every_scan_refuses_bad_workers_before_a_table(self, monkeypatch, call):
+        def no_table(*args):
+            raise AssertionError("built a table before checking workers")
+
+        monkeypatch.setattr(_scan, "_subset_sums", no_table)
+        p_star, p = ProbabilityVector([0.5, 0.3, 0.2]), ProbabilityVector.uniform(3)
+        d = UtilityFunction([1.0, -1.0, 0.0])
+        run = {
+            "verify": lambda: verify_inaccessibility(p_star, p, d, workers=0),
+            "construct": lambda: construct_inaccessible_decision(p_star, p, workers=0),
+            "classes": lambda: posterior_classes(p_star, p, workers=0),
+            "epsilon": lambda: epsilon_mixture_check(p_star, p, d, 0.5, workers=0),
+        }[call]
+        with pytest.raises(OutOfRange, match="workers"):
+            run()
 
     def test_kept_details_are_refused_before_scanning(self, monkeypatch):
         # Bell(11) - 2 = 678,568 rows is above MAX_JSON_ROWS, whatever max_outcomes allows

@@ -333,6 +333,10 @@ class TestAchievableDegrees:
         assert a.u.values == b.u.values
         assert a.eta == b.eta
 
+    def test_a_numpy_seed_is_reported_as_an_int(self):
+        report = achievable_degrees(PSTAR3, UNIFORM3, seed=np.int64(7)).to_json_dict()
+        assert report == achievable_degrees(PSTAR3, UNIFORM3, seed=7).to_json_dict()
+
 
 class TestRealizeDegree:
     def test_fixture_k2(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,22 @@ class TestBellNumbers:
 
     def test_wide_integers(self):
         assert bell_number(25) == 4638590332229999353
+
+    @pytest.mark.parametrize("n", [5.0, True, "5"])
+    def test_non_integers_are_refused(self, n):
+        with pytest.raises(OutOfRange, match="integer"):
+            bell_number(n)
+
+    def test_a_float_is_refused_after_a_numpy_integer(self):
+        # the numpy integer equals 5, so a keyed cache would hand 5.0 its count
+        assert bell_number(np.int64(5)) == 52
+        with pytest.raises(OutOfRange):
+            bell_number(5.0)
+
+    def test_a_numpy_integer_counts_after_a_float(self):
+        with pytest.raises(OutOfRange):
+            bell_number(5.0)
+        assert bell_number(np.int64(5)) == 52
 
 
 class TestEnumeration:

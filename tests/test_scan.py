@@ -70,7 +70,7 @@ def bincount_posteriors(labels, pstar, p):
 @pytest.mark.parametrize("n", range(3, 11))
 @pytest.mark.parametrize("samples", [1, 2, 8, 37])
 def test_sample_axis_is_bitwise_the_single_call(n, samples):
-    # a stacked call must not reach another BLAS path or another reduction order
+    # a stacked call must not take another summation order: no table entry goes through BLAS
     rng = np.random.default_rng([n, samples])
     pstar = rng.dirichlet(np.ones(n), samples)
     p = rng.dirichlet(np.ones(n), samples)
@@ -359,6 +359,19 @@ def test_block_sums_small_case():
     table = _scan._subset_sums(vec)
     masks, _ = _scan._block_masks(labels, 3)
     assert table[masks].reshape(2, 3) == pytest.approx(out, abs=TOL_REORDER)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_subset_sums_add_left_to_right_in_outcome_order(n):
+    # the fixed order a rounding bound can be derived from: ((v_a + v_b) + v_c) + ..., a < b < c
+    vecs = np.random.default_rng(n).normal(size=(2, n)) * np.logspace(0, 12, n)
+    table = _scan._subset_sums(vecs)
+    for s in range(1 << n):
+        total = np.zeros(2)
+        for i in range(n):
+            if s >> i & 1:
+                total = total + vecs[:, i]
+        assert table[:, s].tobytes() == total.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])

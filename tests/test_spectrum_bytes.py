@@ -1,15 +1,17 @@
 """The bytes of ``spectrum`` and ``realize``, pinned by one sha256.
 
-``SHA256`` was last recorded when the score carry began to add one entry
-of the increment table Delta(S) = W(S) - W(S without its highest
-outcome) per label, where it subtracted one entry of W and added
-another: 91 ``realize`` min and max scores (69 ``report.min_score``,
-22 ``report.max_score``, in 87 of the 253 outputs) moved, each by at
-most 8.9e-16, and every other byte stayed.  It covers, in order: the
-``spectrum`` JSON of three seeded blind-spot pairs per n = 3..8; the
-``realize`` JSON of every achievable degree k of each pair at n <= 5,
-and of the lowest, middle and top k above that; and one
-``realize --format table``.
+``SHA256`` was last recorded when the spectrum's class products stopped
+going through a matrix product (now elementwise products and numpy's row
+sum, and E_{p*} in eta's margin by ``math.fsum``), so that no BLAS kernel
+moves them.  Floats moved in 57 of the 253 outputs (8 ``spectrum``, 49
+``realize``), each by at most 2.3e-16: eta, class scores and g_eta in
+``spectrum``; c, d and the report's e_p, e_pstar, min_score and
+max_score in ``realize``.  No degree, achievable set or other byte moved.
+
+It covers, in order: the ``spectrum`` JSON of three seeded blind-spot
+pairs per n = 3..8; the ``realize`` JSON of every achievable degree k of
+each pair at n <= 5, and of the lowest, middle and top k above that; and
+one ``realize --format table``.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import numpy as np
 from inacc import ProbabilityVector, in_blind_spot
 from inacc.cli import run_command
 
-SHA256 = "ba0d2d18a4e32b6db10be5c426f5a5aacddce1a49511922d96658724939e04aa"
+SHA256 = "052397bbc31f783df9096f1f520ba3c6d85b2460e2848e1ec8e29915fd2ec766"
 PAIRS_PER_N = 3
 #: above this n only the lowest, middle and top achievable degrees are realized
 EVERY_K_MAX_N = 5

@@ -50,6 +50,24 @@ def test_sweep_report_is_pinned(n, samples, seed, alpha, text):
     assert json.dumps(summary.to_json_dict(), sort_keys=True) == text
 
 
+@pytest.mark.parametrize(
+    "args", [(5, True), (5, 2.5), (5.0, 3), (True, 3), (5, np.float64(3.0))], ids=repr
+)
+def test_counts_must_be_integers(args):
+    with pytest.raises(OutOfRange, match="must be an integer"):
+        sweep(*args)
+
+
+def test_alpha_must_not_be_a_bool():
+    with pytest.raises(OutOfRange, match="bool"):
+        sweep(5, 3, dirichlet_alpha=True)
+
+
+def test_numpy_integers_are_reported_as_ints():
+    report = sweep(np.int64(3), np.int32(4), seed=np.int64(2)).to_json_dict()
+    assert report == sweep(3, 4, seed=2).to_json_dict()
+
+
 def test_credence_redraws_are_capped(monkeypatch):
     # at n = 8, alpha = 0.01 fewer than one draw in 200,000 clears DIRICHLET_FLOOR;
     # with no cap this sweep ran for minutes
