@@ -46,9 +46,11 @@ being unmapped, or trimmed, and faulted back in at every chunk.  The
 setting is process-wide: every later allocation in the process follows
 it, and fork-pool children inherit it.
 
-Every scan is a worker that folds the chunks of ``_label_chunks`` into a
-partial result, plus a merge for two partial results; ``_reduce`` runs
-the worker in this process or hands each process of a fork pool one
+Every scan is a worker that folds the chunks of ``iter_label_chunks``
+into a partial result, plus a merge for two partial results.  No label
+matrix is kept between scans: every scan streams its rows, at every n.
+``_reduce`` runs the worker in this process or, when each run would get
+at least one chunk of rows, hands each process of a fork pool one
 contiguous run of the enumeration, and folds the parts in submission
 order.  The runs hold about equal rows: a prefix's subtree size follows
 from its length and largest label by the Bell recurrence, so the RGS
@@ -100,8 +102,9 @@ from .core import TOL_DEDUP, TOL_NUM, OutOfRange
 
 #: most rows in one chunk; keeps kernel temporaries around a few MB
 CHUNK_ROWS = 1 << 16
-#: full label matrix is cached up to this n (Bell(10)-2 = 115,973 rows)
-CACHE_MAX_N = 10
+#: read by no library code: perfbench takes it as the largest n whose scans skip
+#: enumeration, and every scan streams its rows, so at 0 its row check holds at every n
+CACHE_MAX_N = 0
 #: no RGS prefix handed to the pool holds more than 1/RUN_GRAIN of a run's rows
 RUN_GRAIN = 32
 #: int8 labels reach 127, the top label of n - 1 blocks at this n
@@ -251,37 +254,19 @@ def iter_label_chunks(
             yield labels[i : i + chunk_rows]
 
 
-@functools.lru_cache(maxsize=8)
-def cached_labels(n: int) -> np.ndarray:
-    """Full proper non-trivial label matrix for small n (read-only)."""
-    assert n <= CACHE_MAX_N
-    mat = np.concatenate(list(iter_label_chunks(n)), axis=0)
-    mat.setflags(write=False)
-    return mat
-
-
-def _label_chunks(
-    n: int,
-    chunk_rows: int,
-    prefix: np.ndarray | None = None,
-    maxes: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """The chunks every scan reads: the cached matrix up to CACHE_MAX_N, else a stream."""
-    if n <= CACHE_MAX_N:
-        return iter((cached_labels(n),))
-    return iter_label_chunks(n, chunk_rows, prefix, maxes)
-
-
 def _reduce(worker: Callable, common: tuple, merge: Callable, n: int, workers: int):
     """Run worker((prefix, maxes, n, CHUNK_ROWS) + common) over the whole enumeration.
 
-    Cached labels are always scanned in this process, and so is every scan
-    when one worker is asked for or only one CPU is usable.  Otherwise the
+    The scan runs in this process when one worker is asked for, when only
+    one CPU is usable, or when the Bell(n) rows give each of the
+    min(workers, usable CPUs) runs less than one chunk.  Otherwise the
     pool's parts are folded with ``merge`` in submission order.
     """
-    if n <= CACHE_MAX_N or workers <= 1 or _usable_cpus() <= 1:
-        return worker((None, None, n, CHUNK_ROWS) + common)
-    return functools.reduce(merge, _parallel_map(worker, common, n, workers, CHUNK_ROWS))
+    if workers > 1:
+        runs = min(workers, _usable_cpus())
+        if runs > 1 and _completions(n)[n - 1, 0] >= runs * CHUNK_ROWS:
+            return functools.reduce(merge, _parallel_map(worker, common, n, workers, CHUNK_ROWS))
+    return worker((None, None, n, CHUNK_ROWS) + common)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +505,7 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
 
 def _score_worker(args: tuple) -> tuple:
     prefix, maxes, n, chunk_rows, delta = args
-    chunks = _label_chunks(n, chunk_rows, prefix, maxes)
+    chunks = iter_label_chunks(n, chunk_rows, prefix, maxes)
     stats = (_score_stats(lb, chunk_scores(lb, delta)) for lb in chunks)
     return functools.reduce(_merge_stats, stats)
 
@@ -543,7 +528,7 @@ def score_scan(n: int, table: np.ndarray, workers: int = 1) -> ScoreScan:
 def iter_scored_chunks(n: int, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(labels, scores) per chunk of the caller's W, single-threaded, for per-partition details."""
     delta = _increments(table)
-    for labels in _label_chunks(n, CHUNK_ROWS):
+    for labels in iter_label_chunks(n):
         yield labels, chunk_scores(labels, delta)
 
 
@@ -620,7 +605,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _class_worker(args: tuple) -> list:
     prefix, maxes, n, chunk_rows, ratio, p = args
     acc: list = []
-    for labels in _label_chunks(n, chunk_rows, prefix, maxes):
+    for labels in iter_label_chunks(n, chunk_rows, prefix, maxes):
         _class_chunk(acc, labels, ratio, p)
     return acc
 

@@ -175,10 +175,9 @@ class InaccessibilityReport(JsonReport):
     Scores within TOL_NUM of zero count as zero: they land in the
     inaccessible set but break strictness.  The verdicts are read off the
     max and must agree with the degree.  Per-partition details are kept
-    only for desk-size enumerations (or on request).  Kept details are the
-    scan's one (labels, scores) pair of arrays: details stop at
-    MAX_JSON_ROWS = Bell(10) - 2 rows, and every n <= CACHE_MAX_N = 10
-    scans the cached label matrix in one chunk.  ``per_partition`` and
+    only for desk-size enumerations (or on request), up to MAX_JSON_ROWS
+    = Bell(10) - 2 rows.  Kept details are one (labels, scores) pair of
+    arrays, the scan's chunks concatenated.  ``per_partition`` and
     ``inaccessible_set`` build their SetPartition objects on first read,
     and the JSON is written from the arrays.
     """
@@ -307,7 +306,8 @@ def verify_inaccessibility(
     table = _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
     rows = None
     if keep_partitions:
-        (rows,) = _scan.iter_scored_chunks(n, table)
+        labels, scores = zip(*_scan.iter_scored_chunks(n, table))
+        rows = np.concatenate(labels), np.concatenate(scores)
         scan = _scan.ScoreScan.of_stats(_scan._score_stats(*rows))
     else:
         scan = _scan.score_scan(n, table, workers=workers)

@@ -134,6 +134,8 @@ class ProbabilityVector:
 
     @classmethod
     def uniform(cls, n: int) -> "ProbabilityVector":
+        if not _is_int(n):
+            raise OutOfRange(f"uniform needs an integer n, got {n!r}")
         if n < MIN_OUTCOMES:
             raise TooSmall(f"need at least {MIN_OUTCOMES} outcomes, got {n}")
         return cls([1.0 / n] * n)
@@ -221,6 +223,8 @@ class UtilityFunction:
 
     @classmethod
     def zero(cls, n: int) -> "UtilityFunction":
+        if not _is_int(n):
+            raise OutOfRange(f"zero needs an integer n, got {n!r}")
         return cls([0.0] * n)
 
     @property

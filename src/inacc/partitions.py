@@ -133,7 +133,10 @@ def enumerate_proper_nontrivial(n: int) -> Iterator[SetPartition]:
     Yields each partition exactly once; two runs over the same n produce
     identical sequences.  The total count is Bell(n) - 2.  Chunks are read
     in slices of 1,024 rows, so only a slice at a time becomes Python lists.
+    n must be an integer (``core._is_int``), else OutOfRange.
     """
+    if not _is_int(n):
+        raise OutOfRange(f"enumerate_proper_nontrivial needs an integer n, got {n!r}")
     if n < MIN_OUTCOMES:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
     for labels in _scan.iter_label_chunks(n, chunk_rows=1024):
@@ -143,6 +146,8 @@ def enumerate_proper_nontrivial(n: int) -> Iterator[SetPartition]:
 
 def pair_partition(i: int, j: int, n: int) -> SetPartition:
     """The partition of {1..n} whose only non-singleton block is {i+1, j+1} (0-based i != j)."""
+    if not all(map(_is_int, (i, j, n))):
+        raise OutOfRange(f"pair_partition needs integers, got i = {i!r}, j = {j!r}, n = {n!r}")
     i, j = sorted((int(i), int(j)))
     if not 0 <= i < j < n:
         raise OutOfRange(f"need two distinct outcomes among 0..{n - 1}, got {i} and {j}")
@@ -153,8 +158,10 @@ def adjacent_pair_partition(m: int, n: int) -> SetPartition:
     """The partition whose only non-singleton block is {m, m+1}.
 
     Indices refer to whatever outcome ordering the caller is working in;
-    requires 1 <= m <= n-1.
+    requires integers (``core._is_int``) with 1 <= m <= n-1.
     """
+    if not (_is_int(m) and _is_int(n)):
+        raise OutOfRange(f"adjacent_pair_partition needs integers, got m = {m!r}, n = {n!r}")
     if n < MIN_OUTCOMES:
         raise TooSmall(f"need n >= {MIN_OUTCOMES}, got {n}")
     if not 1 <= m <= n - 1:

@@ -442,6 +442,18 @@ class TestFormats:
         assert len(rows) == 50
         assert table[1:] == [[str(row[key]) for key in header] for row in rows]
 
+    def test_full_rows_span_chunks(self, capsys):
+        # n = 10: Bell(10) - 2 = 115,973 kept rows, more than one scan chunk
+        argv = ["verify", "--pstar", "0.05,0.2,0.1,0.15,0.05,0.1,0.05,0.1,0.15,0.05",
+                "--p", "uniform:10", "--d", "0.4,-0.2,0.1,-0.3,0.05,0.2,-0.1,0.3,-0.4,0.1"]
+        report = run_json(capsys, [*argv, "--full"])
+        rows = report["per_partition"]
+        assert len(rows) == report["partition_count"] == 115973
+        assert sum(row["in_inaccessible_set"] for row in rows) == report["degree"] > 0
+        assert run_command([*argv, "--format", "csv"]) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert table[1:] == [[str(row[key]) for key in table[0]] for row in rows]
+
     def test_partitions_csv(self, capsys):
         code = run_command(["partitions", "--n", "4", "--format", "csv"])
         assert code == 0

@@ -403,6 +403,23 @@ class TestVerify:
             expectation(UtilityFunction([0.1, -0.2, 0.05]), PSTAR3)
         )
 
+    def test_kept_details_span_chunks(self):
+        # Bell(10) - 2 = 115,973 kept rows stream in more than one chunk
+        n = 10
+        rng = np.random.default_rng(1010)
+        p_star, p = random_positive_pair(rng, n)
+        d = UtilityFunction(rng.uniform(-1, 1, n))
+        table = _scan._score_table(p_star.as_array(), p.as_array(), d.as_array())
+        labels, scores = zip(*_scan.iter_scored_chunks(n, table))
+        assert len(labels) > 1
+        kept = verify_inaccessibility(p_star, p, d, keep_partitions=True)
+        counted = verify_inaccessibility(p_star, p, d, keep_partitions=False)
+        # degree, extrema and argmax alike; the kept rows take no part in ==
+        assert kept == counted
+        assert 0 < kept.degree < kept.partition_count
+        assert kept._rows[0].tobytes() == np.concatenate(labels).tobytes()
+        assert kept._rows[1].tobytes() == np.concatenate(scores).tobytes()
+
 
 def _offset_scans(monkeypatch, offset):
     """Shift every score the scans report by ``offset``, kept rows and maxima alike.

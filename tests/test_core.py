@@ -10,6 +10,7 @@ from inacc import (
     DimensionMismatch,
     NonFiniteUtility,
     NotAProbability,
+    OutOfRange,
     PriorHasZero,
     ProbabilityVector,
     TooSmall,
@@ -69,6 +70,10 @@ class TestProbabilityVector:
     def test_uniform(self):
         assert ProbabilityVector.uniform(4).weights == (0.25,) * 4
 
+    def test_uniform_refuses_a_float_n(self):
+        with pytest.raises(OutOfRange, match="integer"):
+            ProbabilityVector.uniform(3.0)
+
     def test_mass(self):
         pv = ProbabilityVector([0.5, 0.3, 0.2])
         assert pv.mass([1, 3]) == pytest.approx(0.7)
@@ -82,6 +87,13 @@ class TestUtilityFunction:
     def test_rejects_infinity(self):
         with pytest.raises(NonFiniteUtility):
             UtilityFunction([1.0, float("inf"), 0.0])
+
+    def test_zero(self):
+        assert UtilityFunction.zero(np.int64(3)).values == (0.0,) * 3
+
+    def test_zero_refuses_a_float_n(self):
+        with pytest.raises(OutOfRange, match="integer"):
+            UtilityFunction.zero(3.0)
 
     def test_shift_and_minus(self):
         f = UtilityFunction([1.0, 2.0, 3.0])

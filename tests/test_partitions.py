@@ -16,6 +16,8 @@ from inacc import (
     proper_nontrivial_count,
 )
 
+from inacc.partitions import pair_partition
+
 from oracles import blocks_to_rgs, brute_proper_partitions
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
@@ -70,6 +72,13 @@ class TestEnumeration:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             next(enumerate_proper_nontrivial(2))
+
+    def test_a_float_n_is_refused(self):
+        with pytest.raises(OutOfRange, match="integer"):
+            next(enumerate_proper_nontrivial(5.0))
+
+    def test_a_numpy_integer_n_counts(self):
+        assert sum(1 for _ in enumerate_proper_nontrivial(np.int64(4))) == 13
 
     def test_int8_labels_bound_n(self):
         # 128 blocks take labels 0..127, the most int8 holds
@@ -173,6 +182,25 @@ class TestAdjacentPair:
             adjacent_pair_partition(3, 3)
         with pytest.raises(OutOfRange):
             adjacent_pair_partition(0, 4)
+
+    def test_a_float_index_is_refused(self):
+        # int(1.5) would give the partition of {1,2}
+        with pytest.raises(OutOfRange, match="integer"):
+            adjacent_pair_partition(1.5, 4)
+
+    def test_a_float_n_is_refused(self):
+        with pytest.raises(OutOfRange, match="integer"):
+            adjacent_pair_partition(1, 4.0)
+
+    def test_a_float_pair_index_is_refused(self):
+        # int(1.7) would give the partition of {1,2}
+        with pytest.raises(OutOfRange, match="integer"):
+            pair_partition(0, 1.7, 4)
+
+    def test_numpy_integer_indices_count(self):
+        # ratio_order hands pair_partition numpy integers
+        assert pair_partition(np.intp(2), np.int64(0), np.int64(4)).rgs == (0, 1, 0, 2)
+        assert adjacent_pair_partition(np.int64(1), np.int64(3)).blocks() == ((1, 2), (3,))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_structure(self, n):

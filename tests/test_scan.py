@@ -26,11 +26,16 @@ from oracles import (
 )
 
 
+def all_rows(n):
+    """The whole enumeration as one label matrix: the default stream's chunks, concatenated."""
+    return np.concatenate(list(_scan.iter_label_chunks(n)), axis=0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_chunks_match_object_enumeration(n):
     # the oracle enumerates block families; sorted RGS is the engine's row order
     oracle = sorted(blocks_to_rgs(blocks, n) for blocks in brute_proper_partitions(n))
-    rows = np.concatenate(list(_scan.iter_label_chunks(n)), axis=0)
+    rows = all_rows(n)
     assert rows.shape == (bell_number(n) - 2, n)
     assert [tuple(row) for row in rows.tolist()] == oracle
     assert [pi.rgs for pi in enumerate_proper_nontrivial(n)] == oracle
@@ -76,7 +81,7 @@ def test_sample_axis_is_bitwise_the_single_call(n, samples):
     p = rng.dirichlet(np.ones(n), samples)
     d = rng.uniform(-1.0, 1.0, (samples, n))
     pstar[0, 0] = 0.0  # a zero in p*, and a p* no longer normalised
-    labels = _scan.cached_labels(n)[-8192:]  # a contiguous run keeps (S, rows, n) small
+    labels = all_rows(n)[-8192:]  # a contiguous run keeps (S, rows, n) small
     scores = _scan.chunk_scores(labels, _scan._increments(_scan._score_table(pstar, p, d)))
     posteriors = _scan.chunk_posteriors(labels, _scan._ratio_table(pstar, p), p)
     assert scores.shape == (samples, labels.shape[0])
@@ -158,8 +163,8 @@ def decision_batch(rng, n, pstar, p):
 
 @pytest.mark.parametrize("n, workers", [(n, 1) for n in range(3, 9)] + [(11, 1), (11, 2)])
 def test_verdicts_from_the_max_are_the_counted_verdicts(n, workers):
-    # n <= 8 scans the cached labels; n = 11 streams chunks, and with two workers
-    # merges pool parts
+    # n <= 8 scans one chunk; n = 11 streams several, and with two workers merges
+    # pool parts
     rng = np.random.default_rng([n, workers, 12])
     p_star, p = random_positive_pair(rng, n)
     ps, pw = p_star.as_array(), p.as_array()
@@ -207,7 +212,7 @@ def test_stacked_class_scan_equals_each_one_pair_scan(n):
 
 @functools.lru_cache(maxsize=None)
 def oracle_case(n):
-    """(p*, p, d, oracle posteriors) for a seeded pair; rows in cached-label order."""
+    """(p*, p, d, oracle posteriors) for a seeded pair; rows in enumeration order."""
     rng = np.random.default_rng(100 + n)
     p_star, p = random_positive_pair(rng, n)
     d = rng.uniform(-1.0, 1.0, size=n)
@@ -216,7 +221,7 @@ def oracle_case(n):
         blocks_to_rgs(blocks, n): brute_jeffrey(ps, pw, blocks)
         for blocks in brute_proper_partitions(n)
     }
-    rows = [by_rgs[tuple(int(x) for x in row)] for row in _scan.cached_labels(n)]
+    rows = [by_rgs[tuple(int(x) for x in row)] for row in all_rows(n)]
     return p_star.as_array(), p.as_array(), d, rows
 
 
@@ -225,7 +230,7 @@ def test_chunk_splitting_preserves_order(chunk_rows):
     n = 9
     chunks = list(_scan.iter_label_chunks(n, chunk_rows=chunk_rows))
     assert max(chunk.shape[0] for chunk in chunks) <= chunk_rows
-    assert np.array_equal(np.concatenate(chunks, axis=0), _scan.cached_labels(n))
+    assert np.array_equal(np.concatenate(chunks, axis=0), all_rows(n))
 
 
 def grown_rows(n, prefix, maxes):
@@ -378,7 +383,7 @@ def test_subset_sums_add_left_to_right_in_outcome_order(n):
 def test_chunk_scores_match_oracle(n):
     pstar, p, d, posteriors = oracle_case(n)
     oracle = np.array([brute_expectation(d, q) for q in posteriors])
-    old = bincount_scores(_scan.cached_labels(n), pstar, p, d)
+    old = bincount_scores(all_rows(n), pstar, p, d)
     delta = _scan._increments(_scan._score_table(pstar, p, d))
     for chunk_rows in SPLITS:
         scores = np.concatenate([
@@ -584,7 +589,7 @@ def test_batched_sweep_equals_one_sample_batches(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
 def test_chunk_posteriors_match_oracle(n):
     pstar, p, _, posteriors = oracle_case(n)
-    old = bincount_posteriors(_scan.cached_labels(n), pstar, p)
+    old = bincount_posteriors(all_rows(n), pstar, p)
     ratio = _scan._ratio_table(pstar, p)
     for chunk_rows in SPLITS:
         q = np.concatenate([
@@ -597,7 +602,7 @@ def test_chunk_posteriors_match_oracle(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_mixture_residual_matches_row_scan(n):
-    labels = _scan.cached_labels(n)
+    labels = all_rows(n)
     for seed in range(10):
         rng = np.random.default_rng([n, seed])
         p_star, p = random_positive_pair(rng, n)
@@ -652,7 +657,7 @@ def test_zero_target_mass_gives_zero_multiplier():
     pstar = np.array([0.5, 0.0, 0.3, 0.0, 0.2])
     p = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     d = np.array([1.0, -50.0, 0.5, -50.0, -1.0])
-    labels = _scan.cached_labels(5)
+    labels = all_rows(5)
     q = _scan.chunk_posteriors(labels, _scan._ratio_table(pstar, p), p)
     masks, index = _scan._block_masks(labels, 5)
     target_mass = _scan._subset_sums(pstar)[masks[index]]
@@ -699,11 +704,13 @@ def test_pool_asks_for_no_more_processes_than_cpus(monkeypatch):
     p_star, p = random_positive_pair(rng, n)
     table = _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n))
     serial = _scan.score_scan(n, table, workers=1)
-    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(_scan, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "asked", [])
-    assert _scan.score_scan(n, table, workers=10**6) == serial
-    assert InlinePool.asked == [_scan._usable_cpus()] == [3]
+    # Bell(11) = 678,570 rows: at least a chunk for each of 2 or 3 runs
+    for cpus, workers in [(3, 10**6), (2, 2)]:
+        monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(InlinePool, "asked", [])
+        assert _scan.score_scan(n, table, workers=workers) == serial
+        assert InlinePool.asked == [_scan._usable_cpus()] == [cpus]
 
 
 def subtree_sizes(n, prefix, maxes):
@@ -750,7 +757,11 @@ def test_runs_chain_into_the_enumeration():
         for a, b in zip(bounds[:-1], bounds[1:])
         for chunk in _scan.iter_label_chunks(n, prefix=prefix[a:b], maxes=maxes[a:b])
     ]
-    assert np.array_equal(np.concatenate(chained), np.concatenate(list(_scan.iter_label_chunks(n))))
+    assert np.array_equal(np.concatenate(chained), all_rows(n))
+
+
+def no_pool(*_):
+    raise AssertionError("an in-process scan reached the fork pool")
 
 
 def test_one_usable_cpu_scans_in_process(monkeypatch):
@@ -759,34 +770,56 @@ def test_one_usable_cpu_scans_in_process(monkeypatch):
     p_star, p = random_positive_pair(rng, n)
     args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
     serial = _scan.score_scan(*args, workers=1)
-
-    def no_pool(*_):
-        raise AssertionError("a one-CPU scan reached the fork pool")
-
     monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(_scan, "_parallel_map", no_pool)
     assert _scan.score_scan(*args, workers=4) == serial
 
 
-def test_streaming_path_equals_cached_path():
-    n = 6
-    rng = np.random.default_rng(3)
+def no_affinity(pid):
+    raise AssertionError("a serial scan asked for the usable CPUs")
+
+
+@pytest.mark.parametrize(
+    "n, cpus",
+    [
+        (10, 2),  # Bell(10) = 115,975 rows: less than a chunk for each of 2 runs
+        (11, 11),  # Bell(11) = 678,570 rows: less than a chunk for each of 11 runs
+    ],
+)
+def test_scans_stay_in_process_below_a_chunk_per_run(monkeypatch, n, cpus):
+    # no process starts: a scan that would reach the pool fails instead
+    rng = np.random.default_rng([17, n])
     p_star, p = random_positive_pair(rng, n)
-    d = rng.normal(size=n)
-    table = _scan._score_table(p_star.as_array(), p.as_array(), d)
-    cached = _scan.score_scan(n, table)
-    streamed_chunks = [
-        _scan.chunk_scores(labels, _scan._increments(table))
-        for labels in _scan.iter_label_chunks(n, chunk_rows=16)
-    ]
-    streamed = np.concatenate(streamed_chunks)
-    assert streamed.size == cached.count
-    assert float(streamed.max()) == pytest.approx(cached.max_score, abs=1e-15)
-    assert int((streamed <= 1e-9).sum()) == cached.num_le
+    args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", no_affinity)
+    serial = _scan.score_scan(*args, workers=1)
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_scan, "_parallel_map", no_pool)
+    assert _scan.score_scan(*args, workers=cpus) == serial
+
+
+@pytest.mark.parametrize("n", [6, 9, 10])
+def test_scores_do_not_depend_on_chunk_edges(n):
+    rng = np.random.default_rng([3, n])
+    p_star, p = random_positive_pair(rng, n)
+    table = _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n))
+    delta = _scan._increments(table)
+    whole = _scan.chunk_scores(all_rows(n), delta)
+    # one row per chunk takes seconds at n >= 9
+    for chunk_rows in (1, 7, 16, 4096) if n == 6 else (7, 16, 4096):
+        streamed = np.concatenate([
+            _scan.chunk_scores(labels, delta)
+            for labels in _scan.iter_label_chunks(n, chunk_rows=chunk_rows)
+        ])
+        assert streamed.tobytes() == whole.tobytes()
+    scan = _scan.score_scan(n, table)
+    assert whole.size == scan.count
+    assert whole.max() == scan.max_score and whole.min() == scan.min_score
+    assert int(_scan._non_positive(whole).sum()) == scan.num_le
 
 
 def test_parallel_scan_agrees_with_serial():
-    n = 11  # above the cache threshold so the parallel path engages
+    n = 11  # Bell(11) rows give each of two runs more than a chunk, so the pool engages
     rng = np.random.default_rng(4)
     p_star, p = random_positive_pair(rng, n)
     ps, pw = p_star.as_array(), p.as_array()
@@ -866,7 +899,7 @@ def test_dense_cluster_is_one_class(n):
     pstar = p * (1.0 + 3e-10 * rng.uniform(-1.0, 1.0, n))
     pstar /= pstar.sum()
     buckets: list = []
-    _scan._class_chunk(buckets, _scan.cached_labels(n), _scan._ratio_table(pstar, p), p)
+    _scan._class_chunk(buckets, all_rows(n), _scan._ratio_table(pstar, p), p)
     assert len(buckets[0][0]) > 100  # so the merge, not the 1e-12 grid, makes one class
     # seven candidate pairs per round: the linkage takes many rounds
     classes = _scan._merge_within_tolerance(buckets, 7)
@@ -882,7 +915,7 @@ def test_certified_pair_skips_the_linkage(n, monkeypatch):
     ratio = _scan._ratio_table(ps, pw)
     assert _scan.certify_singletons(ratio, pw)
     buckets: list = []
-    _scan._class_chunk(buckets, _scan.cached_labels(n), ratio, pw)
+    _scan._class_chunk(buckets, all_rows(n), ratio, pw)
     linked = _scan._merge_within_tolerance(buckets)
     assert len(linked) == bell_number(n) - 2
 
