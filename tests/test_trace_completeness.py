@@ -79,9 +79,11 @@ def spectrum_cycle(call) -> None:
         call(["realize", *base, "--k", str(k)])
 
 
-def sweep_op(call) -> None:
+def sweep_ops(call) -> None:
+    """Two sweep ops: a label matrix kept from the first would go uncounted in the second."""
     n, samples = workloads.SWEEP_N, workloads.SWEEP_SAMPLES
-    call(["sweep", "--n", str(n), "--samples", str(samples), "--seed", "3"])
+    for seed in ("3", "4"):
+        call(["sweep", "--n", str(n), "--samples", str(samples), "--seed", seed])
 
 
 def test_a_serial_cycle_traces_every_row():
@@ -99,6 +101,6 @@ def test_a_spectrum_cycle_traces_every_row():
     assert run.completeness(totals, 4, workloads.SPECTRUM_N, 1, _scan.CACHE_MAX_N) == []
 
 
-def test_a_sweep_op_traces_every_row():
-    totals = traced(sweep_op)
-    assert run.completeness(totals, 1, workloads.SWEEP_N, 1, _scan.CACHE_MAX_N) == []
+def test_sweep_ops_trace_every_row():
+    totals = traced(sweep_ops)
+    assert run.completeness(totals, 2, workloads.SWEEP_N, 1, _scan.CACHE_MAX_N) == []
