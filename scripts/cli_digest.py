@@ -99,6 +99,9 @@ FLAG_CASES = [
     ["realize", "--pstar", PS5, "--p", P5, "--k", "10", "--seed", "2"],
     ["realize", *PAIR, "--k", "0"],
     ["monotonicity", *PAIR, "--d", "-1,2,-0.5"],
+    # max score in (0, TOL_NUM] with a tiny positive E_p[d]: inside the pair-sum bound
+    ["monotonicity", "--pstar", "0.33333,0.33333666666666667,0.3333333333333333", "--p",
+     "uniform:3", "--d=-9.999566667074831e-06,1.0000433333611834e-05,4.833332129932084e-10"],
     ["certificate", "--pstar", PS5, "--p", P5],
     ["epsilon", "--pstar", PS5, "--p", P5, "--d", D5, "--eps", "0.1"],
     ["sweep", "--n", "4", "--samples", "20", "--seed", "7", "--alpha", "0.5"],

@@ -44,17 +44,18 @@ per process (``_set_heap_policy``; a no-op without glibc's mallopt).
 The kernels' per-chunk temporaries are then reused in place instead of
 being unmapped, or trimmed, and faulted back in at every chunk.  The
 setting is process-wide: every later allocation in the process follows
-it, and fork-pool children inherit it.
+it, and forked pool children inherit it.
 
 Every scan is a worker that folds the chunks of ``iter_label_chunks``
 into a partial result, plus a merge for two partial results.  No label
 matrix is kept between scans: every scan streams its rows, at every n.
 ``_reduce`` runs the worker in this process or, when each run would get
-at least one chunk of rows, hands each process of a fork pool one
-contiguous run of the enumeration, and folds the parts in submission
-order.  The runs hold about equal rows: a prefix's subtree size follows
-from its length and largest label by the Bell recurrence, so the RGS
-prefixes are cut by row count without enumerating them.  Each row's
+at least one chunk of rows, forks one child process per contiguous run
+of the enumeration (no executor: each child answers through its own
+pipe), and folds the parts in run order.  The runs hold about equal
+rows: a prefix's subtree size follows from its length and largest label
+by the Bell recurrence, so the RGS prefixes are cut by row count without
+enumerating them.  Each row's
 score and posterior do not depend on where chunk edges fall, so parallel
 results equal the single-threaded ones.
 
@@ -89,10 +90,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -126,7 +127,7 @@ def _set_heap_policy() -> bool:
     trims the heap's free top above 128 KiB, so every chunk faults its
     temporaries' pages back in.  A fixed 32 MiB mmap threshold and a
     64 MiB trim threshold keep them in the heap for the next chunk.  Run
-    once per process, at import; fork-pool children inherit it.  Without
+    once per process, at import; forked pool children inherit it.  Without
     a C library handle or a mallopt (not glibc) nothing changes.
     """
     try:
@@ -257,12 +258,13 @@ def iter_label_chunks(
 def _reduce(worker: Callable, common: tuple, merge: Callable, n: int, workers: int):
     """Run worker((prefix, maxes, n, CHUNK_ROWS) + common) over the whole enumeration.
 
-    The scan runs in this process when one worker is asked for, when only
-    one CPU is usable, or when the Bell(n) rows give each of the
-    min(workers, usable CPUs) runs less than one chunk.  Otherwise the
-    pool's parts are folded with ``merge`` in submission order.
+    The scan runs in this process when one worker is asked for, when the
+    platform has no ``os.fork``, when only one CPU is usable, or when the
+    Bell(n) rows give each of the min(workers, usable CPUs) runs less than
+    one chunk.  Otherwise each run's part comes from a forked child, and the
+    parts are folded with ``merge`` in run order.
     """
-    if workers > 1:
+    if workers > 1 and hasattr(os, "fork"):
         runs = min(workers, _usable_cpus())
         if runs > 1 and _completions(n)[n - 1, 0] >= runs * CHUNK_ROWS:
             return functools.reduce(merge, _parallel_map(worker, common, n, workers, CHUNK_ROWS))
@@ -780,18 +782,6 @@ def _frontier(n: int, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return prefix, mx, bounds
 
 
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix fallback
-        return multiprocessing.get_context()
-
-
-def _pool_size(asked: int, cpus: int, tasks: int) -> int:
-    """Processes to start: the ask, never above the usable CPUs or the tasks."""
-    return max(1, min(asked, cpus, tasks))
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -799,23 +789,75 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_run(worker: Callable, task: tuple):
+    """(pid, read end of its pipe): a child process that runs worker(task).
+
+    The child pickles (True, result) or (False, exception) into the pipe
+    and leaves through ``os._exit``, so it runs none of the caller's
+    atexit handlers and flushes none of the stdio buffers it inherited.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = (True, worker(task))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write, "wb") as out:
+                pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
 def _parallel_map(
     worker: Callable, common: tuple, n: int, workers: int, chunk_rows: int
 ) -> list:
-    """worker(task) for each run of the enumeration, in a fork pool; one result per run, in order.
+    """worker(task) for each run of the enumeration, one forked child each; one result per run, in order.
 
     The enumeration is cut into min(workers, usable CPUs) contiguous runs
-    of about equal rows (see ``_frontier``), one process each, and a run's
-    task is (prefixes, maxes, n, chunk_rows) + common.
+    of about equal rows (see ``_frontier``), and a run's task is
+    (prefixes, maxes, n, chunk_rows) + common.  The pipes are read in run
+    order: a worker's exception is raised here, and a child that ends
+    without a result raises RuntimeError.  Every child is reaped before
+    this returns or raises; on an error or an interrupt the rest are
+    killed first.
     """
-    cpus = _usable_cpus()
-    prefix, mx, bounds = _frontier(n, min(workers, cpus))
+    prefix, mx, bounds = _frontier(n, min(workers, _usable_cpus()))
     tasks = [
         (prefix[a:b], mx[a:b], n, chunk_rows) + common
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    size = _pool_size(workers, cpus, len(tasks))
-    with ProcessPoolExecutor(max_workers=size, mp_context=_pool_context()) as pool:
-        futures = [pool.submit(worker, t) for t in tasks]
-        return [f.result() for f in futures]
+    children = []
+    reaped = 0
+    results = []
+    try:
+        for task in tasks:
+            children.append(_fork_run(worker, task))
+        for run, (pid, pipe) in enumerate(children):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped = run + 1
+            if status != 0:
+                raise RuntimeError(
+                    f"pool run {run} of {len(tasks)} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children[reaped:]:
+            pipe.close()
+            if len(results) < len(tasks):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

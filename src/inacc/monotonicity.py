@@ -82,16 +82,19 @@ def check_monotonicity(
 ) -> MonotonicityCheck:
     """Check the hypotheses exhaustively and the conclusion E_p[d] < 0.
 
-    If the hypotheses hold but the conclusion fails, a TheoremViolation
-    is raised: that combination is mathematically impossible, so it can
-    only mean numerics beyond tolerance or an implementation bug, and it
-    must surface rather than be absorbed.
+    The hypotheses read the max posterior score through the ``TOL_NUM``
+    tie rule, so a max in (0, TOL_NUM] counts as inaccessible, and with it
+    a small positive E_p[d] fails the conclusion without breaking the
+    theorem.  A TheoremViolation is raised only when, besides, E_p[d]
+    breaks the pair-sum bound of ``_violations`` by more than TOL_NUM:
+    that can only mean numerics beyond tolerance or an implementation bug,
+    and it must surface rather than be absorbed.
     """
     report = verify_inaccessibility(
         p_star, p, d, workers=workers, max_outcomes=max_outcomes, keep_partitions=False
     )
     hypotheses, conclusion = _theorem_parts(report.e_pstar, report.e_p, report.max_score)
-    if hypotheses and not conclusion:
+    if _violations(p.n, report.e_pstar, report.e_p, report.max_score):
         raise TheoremViolation(
             f"inaccessible decision with E_p[d] = {report.e_p!r} >= 0 "
             f"(E_p*[d] = {report.e_pstar!r}, max posterior score = {report.max_score!r})"
@@ -111,6 +114,24 @@ def _theorem_parts(e_pstar, e_p, max_score):
     Scalars give bools; arrays give the two parts elementwise.
     """
     return (e_pstar > 0.0) & _scan._verdicts(max_score)[0], e_p < 0.0
+
+
+def _violations(n, e_pstar, e_p, max_score):
+    """Where the theorem fails past rounding: the hypotheses hold, the conclusion fails,
+    and E_p[d] > (n - 1) max - (n - 2) E_p*[d] + TOL_NUM.
+
+    With r = p*/p and f(i, j) = p_i p_j / (p_i + p_j) (r_i - r_j)(d_i - d_j),
+    the partition whose only non-singleton block is {i, j} scores
+    E_p*[d] - f(i, j), so min f >= E_p*[d] - max.  Summing over all pairs,
+    E_p*[d] - E_p[d] = sum_{i<j} f(i, j)(p_i + p_j) >= (n - 1) min f, since
+    the weights p_i + p_j add up to n - 1.  Together, for every d,
+    E_p[d] <= (n - 1) max - (n - 2) E_p*[d], and when max <= 0 < E_p*[d]
+    that bound is negative: the theorem's conclusion with a margin.
+    Scalars give a bool; arrays give the rule elementwise.
+    """
+    hypotheses = _theorem_parts(e_pstar, e_p, max_score)[0]
+    bound = (n - 1) * max_score - (n - 2) * e_pstar
+    return hypotheses & (e_p >= 0.0) & (e_p > bound + TOL_NUM)
 
 
 @dataclass(frozen=True)
@@ -227,8 +248,7 @@ def sweep(
         _require_sound(e_pstar, top, delta, epsilon, "strict")
         constructed += idx.size
         e_p = _expectations(d, pw[idx])
-        hypotheses, conclusion = _theorem_parts(e_pstar, e_p, top)
-        violations += int((hypotheses & ~conclusion).sum())
+        violations += int(_violations(n, e_pstar, e_p, top).sum())
     return SweepSummary(
         n=int(n),
         samples=int(samples),

@@ -94,6 +94,26 @@ class TestCheckMonotonicity:
         with pytest.raises(TheoremViolation):
             check_monotonicity(PSTAR3, UNIFORM3, UtilityFunction([1, 1, 1]))
 
+    def test_tie_band_probes_raise_nothing(self):
+        # max in (0, TOL_NUM] reads as inaccessible, so a tiny positive E_p[d] fails
+        # the conclusion; the pair-sum bound E_p[d] <= 2 max - E_p*[d] (n = 3) still holds
+        rows = []
+        for a in (1e-5, 2e-5, 3e-5, 4e-5):
+            p_star = ProbabilityVector(np.array([1 - a, 1 + a, 1.0]) / 3)
+            g = log_density_ratio(p_star, UNIFORM3)
+            top = verify_inaccessibility(p_star, UNIFORM3, g).max_score
+            for lift in (2e-10, 5e-10, 9e-10):
+                check = check_monotonicity(p_star, UNIFORM3, g.shifted(top - lift))
+                assert check.hypotheses_hold
+                assert check.e_p <= 2 * check.max_posterior_score - check.e_pstar
+                rows.append((check.e_pstar, check.e_p, check.max_posterior_score, check.conclusion_holds))
+        e_pstar, e_p, top, conclusion = map(np.array, zip(*rows))
+        assert (~conclusion).sum() == 8
+        # the sweep's array form of the rule agrees, and E_p[d] past the bound still counts
+        assert not mono._violations(3, e_pstar, e_p, top).any()
+        bound = 2 * top - e_pstar
+        assert mono._violations(3, e_pstar, np.maximum(bound, 0.0) + 2e-9, top).all()
+
 
 class TestAppendixCertificate:
     def test_fixture_values(self):

@@ -1,7 +1,6 @@
 """The chunked label-matrix engine against the brute-force oracles."""
 
 import collections
-import concurrent.futures
 import functools
 import itertools
 import os
@@ -669,48 +668,67 @@ def test_zero_target_mass_gives_zero_multiplier():
     assert np.abs(scores - bincount_scores(labels, pstar, p, d)).max() <= TOL_REORDER * 50
 
 
-@pytest.mark.parametrize(
-    "asked, cpus, tasks, used",
-    [(1, 2, 16, 1), (2, 2, 16, 2), (8, 2, 64, 2), (10**6, 2, 16, 2), (4, 8, 3, 3), (0, 2, 16, 1)],
-)
-def test_pool_size_clamps_to_cpus_and_tasks(asked, cpus, tasks, used):
-    assert _scan._pool_size(asked, cpus, tasks) == used
-
-
-class InlinePool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs each task here."""
-
-    asked: list = []
-
-    def __init__(self, max_workers, mp_context):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        future = concurrent.futures.Future()
-        future.set_result(fn(task))
-        return future
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_asks_for_no_more_processes_than_cpus(monkeypatch):
-    # no process starts: the fake pool runs the runs in this process
-    n = 11
+    n = 11  # Bell(11) = 678,570 rows: at least a chunk for each of 2 or 3 runs
     rng = np.random.default_rng(41)
     p_star, p = random_positive_pair(rng, n)
     table = _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n))
     serial = _scan.score_scan(n, table, workers=1)
-    monkeypatch.setattr(_scan, "ProcessPoolExecutor", InlinePool)
-    # Bell(11) = 678,570 rows: at least a chunk for each of 2 or 3 runs
-    for cpus, workers in [(3, 10**6), (2, 2)]:
+    real_fork = os.fork
+    forked = []
+
+    def counting_fork():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(_scan.os, "fork", counting_fork)
+    # (asked, usable CPUs, forks): one or no worker forks nothing, else min(asked, CPUs)
+    for asked, cpus, forks in [(0, 2, 0), (1, 2, 0), (2, 2, 2), (8, 2, 2), (10**6, 2, 2),
+                               (2, 3, 2), (10**6, 3, 3)]:
         monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(InlinePool, "asked", [])
-        assert _scan.score_scan(n, table, workers=workers) == serial
-        assert InlinePool.asked == [_scan._usable_cpus()] == [cpus]
+        forked.clear()
+        assert _scan.score_scan(n, table, workers=asked) == serial
+        assert len(forked) == forks, (asked, cpus)
+        assert_no_child_left()
+
+
+def first_run(task):
+    """True for the run that starts the enumeration: its first prefix is all zeros."""
+    return not task[0][0].any()
+
+
+def fail_first_run(task):
+    if first_run(task):
+        raise ValueError("the first run failed")
+    time.sleep(60)
+
+
+def kill_first_run(task):
+    if first_run(task):
+        os._exit(3)
+    time.sleep(60)
+
+
+@pytest.mark.parametrize(
+    "worker, error, message",
+    [
+        (fail_first_run, ValueError, "^the first run failed$"),
+        (kill_first_run, RuntimeError, r"run 0 of 2 ended without a result \(exit status 3\)"),
+    ],
+)
+def test_a_failed_run_raises_at_once_and_leaves_no_child(monkeypatch, worker, error, message):
+    # the other run would sleep for a minute: it is killed, not waited for
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0, 1})
+    start = time.perf_counter()
+    with pytest.raises(error, match=message):
+        _scan._parallel_map(worker, (), 11, 2, _scan.CHUNK_ROWS)
+    assert time.perf_counter() - start < 30.0
+    assert_no_child_left()
 
 
 def subtree_sizes(n, prefix, maxes):
@@ -773,6 +791,18 @@ def test_one_usable_cpu_scans_in_process(monkeypatch):
     monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(_scan, "_parallel_map", no_pool)
     assert _scan.score_scan(*args, workers=4) == serial
+
+
+def test_no_fork_scans_in_process(monkeypatch):
+    n = 11
+    rng = np.random.default_rng(18)
+    p_star, p = random_positive_pair(rng, n)
+    args = (n, _scan._score_table(p_star.as_array(), p.as_array(), rng.normal(size=n)))
+    serial = _scan.score_scan(*args, workers=1)
+    monkeypatch.setattr(_scan.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(_scan.os, "fork")
+    monkeypatch.setattr(_scan, "_parallel_map", no_pool)
+    assert _scan.score_scan(*args, workers=2) == serial
 
 
 def no_affinity(pid):
@@ -838,6 +868,7 @@ def test_parallel_scan_agrees_with_serial():
     classes = _scan.class_scan(n, ratio, pw, workers=1)
     assert classes["multiplicity"].tolist() == [bell_number(n) - 2]
     assert same_table(_scan.class_scan(n, ratio, pw, workers=2), classes)
+    assert_no_child_left()
 
 
 def test_pooled_class_scan_merges_classes_across_runs():
