@@ -55,9 +55,8 @@ of the enumeration (no executor: each child answers through its own
 pipe), and folds the parts in run order.  The runs hold about equal
 rows: a prefix's subtree size follows from its length and largest label
 by the Bell recurrence, so the RGS prefixes are cut by row count without
-enumerating them.  Each row's
-score and posterior do not depend on where chunk edges fall, so parallel
-results equal the single-threaded ones.
+enumerating them.  Each row's score and posterior do not depend on where
+chunk edges fall, so parallel results equal the single-threaded ones.
 
 Scores have one fold, in ``score_scan``, read by ``verify``, the epsilon
 check and the sweep alike: ``_score_stats`` reduces a chunk along its
