@@ -125,6 +125,18 @@ FLAG_CASES = [
     ["spectrum", "--pstar", "0.1060485686782918,0.030484743315274027,0.5312599867756885,"
      "0.03621437062081371,0.01140134966194121,0.17787580778722714,0.04928101786143099,"
      "0.05449754509293646,0.002936610206396084", "--p", "uniform:9", "--seed", "1"],
+    # the class merge over two chunks: 115,973 classes at n = 10, whose failed separation
+    # reports a widest gap that reads every class representative
+    ["spectrum", "--pstar", "0.09860273265144309,0.02834436176298094,0.4939593914120916,"
+     "0.03367170296561788,0.010600843053265419,0.16538686885637988,0.04582092044752285,"
+     "0.0506711871355861,0.0027304262065164942,0.07021156550859575", "--p", "uniform:10"],
+    # an uncertified pair, p* proportional to 1..7: single linkage, multiplicities up to 17
+    ["spectrum", "--pstar", "0.03571428571428571,0.07142857142857142,0.10714285714285714,"
+     "0.14285714285714285,0.17857142857142858,0.21428571428571427,0.25", "--p", "uniform:7",
+     "--seed", "0"],
+    # t_1 = 3.5e7: a decomposition residual of 2.0e-9 that is rounding, not a violation
+    ["certificate", "--pstar", "0.3619701549786831,0.11829971871738446,0.5197301263039324",
+     "--p", "0.28716836889047226,0.300504679667063,0.4123269514424647"],
 ]
 
 ERROR_CASES = [

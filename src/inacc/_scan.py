@@ -69,6 +69,11 @@ into the degree, and ``_verdicts`` reads the verdicts off the max.
 The class scan buckets each chunk's posteriors on a 1e-12 grid, then
 merges the parts by single linkage within TOL_DEDUP into one class table
 (one pair or a stack of samples alike), with no Python loop per bucket or class.
+A part is two arrays, a posterior per bucket and its row count; the grid
+keys are recomputed from the posteriors when parts are bucketed again.
+One row sort, ``_runs``, both buckets and orders: it sorts rows by their
+bytes as big-endian float64s, which for non-negative finite rows with no
+-0.0 is the numeric lexicographic order.
 
 The scans also take tables with a leading sample axis, built from
 measures shaped (S, n): the subset tables become (S, 2^n), scores
@@ -568,10 +573,12 @@ def certify_singletons(ratio: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _class_chunk(acc: list, labels: np.ndarray, ratio: np.ndarray, p: np.ndarray) -> None:
-    """Append (keys, reps, counts) for one chunk: its posteriors bucketed on a 1e-12 grid.
+    """Append (posteriors, counts) for one chunk: its posteriors bucketed on a 1e-12 grid.
 
-    keys are distinct, reps holds the posterior of the first row in each
-    bucket and counts the rows per bucket.  With a (S, 2^n) ratio table and
+    A bucket is a run of equal keys (``_grid_runs``).  The keys only bucket
+    the rows and are dropped: posteriors holds the posterior of the first
+    row in each bucket, in the numeric lexicographic order of the keys,
+    and counts the rows per bucket.  With a (S, 2^n) ratio table and
     (S, n) p each posterior leads with its sample index, so no bucket mixes
     samples.
     """
@@ -580,22 +587,30 @@ def _class_chunk(acc: list, labels: np.ndarray, ratio: np.ndarray, p: np.ndarray
         samples, rows, n = q.shape
         sample = np.repeat(np.arange(samples, dtype=float), rows)
         q = np.column_stack((sample, q.reshape(-1, n)))
-    rounded = np.round(q, 12) + 0.0  # normalize -0.0 so equal keys compare equal
-    order, starts = _runs(rounded)
-    counts = np.diff(np.append(starts, order.size))
-    acc.append((rounded[order[starts]], q[order[starts]], counts))
+    order, starts = _grid_runs(q)
+    acc.append((q[order[starts]], np.diff(np.append(starts, order.size))))
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): rows of ``keys`` stably sorted by their bytes, and where each run begins.
+def _grid_runs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_runs`` of the 1e-12 grid keys round(q, 12) + 0.0, with -0.0 turned into 0.0."""
+    return _runs(np.round(q, 12) + 0.0)
 
-    keys[order[starts]] are the distinct rows, each at its first
-    occurrence.  Sorting one bytes field per row is several times faster
-    than a lexsort over the columns; the order is not numeric, and no
-    caller needs it to be.
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): ``rows`` stably sorted by their bytes, and where each run begins.
+
+    rows[order[starts]] are the distinct rows, each at its first
+    occurrence.  Each row is one bytes field of big-endian float64s, and
+    one stable sort of those fields is several times faster than a lexsort
+    over the columns.  The rows must be non-negative and finite, with no
+    -0.0: a big-endian non-negative double orders as an unsigned integer,
+    so the byte order is then the numeric lexicographic order of the rows.
+    The class pass sorts only such rows: posteriors R(B) p_i with R >= 0
+    and p at least the smallest normal double (``require_pair``), their
+    keys with -0.0 normalized, and sample indices.
     """
-    keys = np.ascontiguousarray(keys)
-    raw = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    raw = np.ascontiguousarray(rows, dtype=">f8")
+    raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
     order = np.argsort(raw, kind="stable")
     ranked = raw[order]
     head = np.ones(order.size, dtype=bool)
@@ -631,17 +646,23 @@ def _merge_within_tolerance(
 ) -> np.ndarray:
     """Single-linkage classes of the buckets in ``parts``, in max-norm <= TOL_DEDUP.
 
-    A structured array, one record per class in lexicographic order: the
-    ``posterior`` that is its buckets' first representative (a bucket keeps
-    that of the first part that has it), and the ``multiplicity`` that
-    counts their rows.  With ``linked`` false every bucket is its own class,
-    as for a pair that ``certify_singletons`` certifies.
+    Each part is ``_class_chunk``'s (posteriors, counts).  Over more than
+    one part the buckets are formed again from keys recomputed from the
+    posteriors by the same rule (``_grid_runs``), so a bucket keeps the
+    posterior of the first part that has it and adds up its counts; a
+    single part's buckets are already distinct.  A structured array, one
+    record per class in lexicographic order (the ``_runs`` byte order of
+    the posteriors): the ``posterior`` that is its buckets' first
+    representative, and the ``multiplicity`` that counts their rows.  With
+    ``linked`` false every bucket is its own class, as for a pair that
+    ``certify_singletons`` certifies.
     """
-    keys, reps, counts = (np.concatenate(col) for col in zip(*parts))
+    reps, counts = (np.concatenate(col) for col in zip(*parts))
     if len(parts) > 1:
-        order, starts = _runs(keys)
+        order, starts = _grid_runs(reps)
         reps, counts = reps[order[starts]], np.add.reduceat(counts[order], starts)
-    order = np.lexsort(reps.T[::-1])
+    # distinct keys have distinct posteriors, so this order has no ties
+    order, _ = _runs(reps)
     reps, counts = reps[order], counts[order]
     root = _single_linkage(reps, chunk_rows) if linked else np.arange(counts.size)
     roots = np.flatnonzero(root == np.arange(root.size))

@@ -294,9 +294,8 @@ def appendix_certificate(
     Requires p and p* strictly positive and the reciprocal ratio p/p*
     injective (ties abort with NotInjective; no perturbation is applied).
     Every S_m and A_m must exceed TOL_NUM, the rule construct applies to
-    Delta and eps: at smaller margins t_m = S_m / A_m amplifies rounding
-    past the residual bounds, so such pairs raise SeparationBelowTolerance.
-    Invariant failures past that raise TheoremViolation.
+    Delta and eps, so such pairs raise SeparationBelowTolerance.  Invariant
+    failures past rounding raise TheoremViolation (see ``_certificate``).
     """
     n = require_pair(p_star, p)
     if not p_star.strictly_positive:
@@ -306,54 +305,82 @@ def appendix_certificate(
     if not apart.all():
         raise NotInjective("ratio p/p* has ties; certificate needs a strict ordering")
 
-    ps_sorted, p_sorted = ps_arr[order], p_arr[order]
-    S = np.cumsum(ps_sorted - p_sorted)[:-1]
-
+    S = np.cumsum(ps_arr[order] - p_arr[order])[:-1]
     # row m - 1 is q_m - p*, q_m conditioned on the m-th and (m+1)-th ratio outcomes
     pairs = [pair_partition(i, j, n) for i, j in zip(order, order[1:])]
     shifts = np.array([jeffrey_posterior(p_star, p, pi).weights for pi in pairs]) - ps_arr
-    rows = np.arange(n - 1)
-    A = shifts[rows, order[1:]]
+    A = shifts[np.arange(n - 1), order[1:]]
     low_s, low_a = float(S.min()), float(A.min())
     if min(low_s, low_a) <= TOL_NUM:
         raise SeparationBelowTolerance(
             f"certificate margins (min S = {low_s!r}, min A = {low_a!r}) within tolerance of zero"
         )
-    t = S / A
-    t_sum = float(t.sum())
+    return _certificate(p_arr, ps_arr, order, S, S / A, shifts, pairs)
 
+
+def _certificate(
+    p_arr: np.ndarray,
+    ps_arr: np.ndarray,
+    order: np.ndarray,
+    S: np.ndarray,
+    t: np.ndarray,
+    shifts: np.ndarray,
+    pairs: list,
+) -> AppendixCertificate:
+    """The certificate of these quantities; TheoremViolation when an invariant fails past rounding.
+
+    Every check allows slack = max(TOL_NUM, 5 u n sum_m (1 + t_m)), with
+    u = 2^-53 the unit roundoff, because the decomposition's rounding grows
+    with t_m = S_m / A_m, which reaches 1e9 for margins just above TOL_NUM.
+    To first order in u, with p_i, p*_i, q_m(i), S_m and A_m all at most 1:
+
+    - a pair-block entry of q_m takes two block sums, a product and a
+      quotient (4u), and ``ProbabilityVector`` divides it by a total within
+      6u of 1 (7u), so it is off by at most 11u; a singleton entry
+      p*_i p_i / p_i by at most 9u, and its shift fl(q_m(i) - p*_i) is
+      exact, so at most 9u;
+    - A_m is read at position m + 1 of row m.  So t_m A_m rounds S_m by u,
+      and the shift -A'_m of row m at position m is off from -A_m by at most
+      11u (q_a + q_b) + 2u <= 13u, which row m adds times t_m;
+    - at sorted position k, S_{k-1} - S_k is p_k - p*_k up to the last
+      cumsum step (2u), or at k = n - 1 up to the whole sum and
+      |sum p - sum p*| (2(n - 1)u + 2u); fl(p - p*) adds u, and the sum of
+      n - 1 products (n - 1)u (S_{k-1} + S_k).
+
+    So the residual is at most u (4n + 1 + 13 sum_m t_m).  With n - 1 terms
+    in the sum, 5 u n sum_m (1 + t_m) covers this for every n >= 3, and the
+    telescoping and pair-shift residuals (O(n u) and 13u) with it.  The
+    t_m >= 1 check takes the same slack.
+    """
+    n = p_arr.size
+    rows = np.arange(n - 1)
+    A = shifts[rows, order[1:]]
     # decomposition: p - p* = sum_m t_m (q_m - p*), in original coordinates
     recon = (t[:, None] * shifts).sum(axis=0)
-    decomposition_residual = float(np.abs((p_arr - ps_arr) - recon).max())
-
     # telescoping: p - p* = sum_m S_m (e_{m+1} - e_m), in sorted coordinates
     tele = np.concatenate(([0.0], S)) - np.concatenate((S, [0.0]))
-    telescoping_residual = float(np.abs((p_sorted - ps_sorted) - tele).max())
-
     # pair shift: q_m - p* = A_m (e_{m+1} - e_m), zero off the pair block
     expected = np.zeros_like(shifts)
     expected[rows, order[:-1]] = -A
     expected[rows, order[1:]] = A
-    qm_shift_residual = float(np.abs(shifts - expected).max())
-
     cert = AppendixCertificate(
         ordering=tuple(int(i) + 1 for i in order),
         S=tuple(float(x) for x in S),
         A=tuple(float(x) for x in A),
         t=tuple(float(x) for x in t),
-        t_sum=t_sum,
-        decomposition_residual=decomposition_residual,
-        telescoping_residual=telescoping_residual,
-        qm_shift_residual=qm_shift_residual,
+        t_sum=float(t.sum()),
+        decomposition_residual=float(np.abs((p_arr - ps_arr) - recon).max()),
+        telescoping_residual=float(np.abs((p_arr[order] - ps_arr[order]) - tele).max()),
+        qm_shift_residual=float(np.abs(shifts - expected).max()),
         pair_partitions=tuple(pairs),
     )
-    # S_m, A_m > TOL_NUM hold by the refusal above
+    # S_m, A_m > TOL_NUM hold by the caller's refusal
+    slack = max(TOL_NUM, 5.0 * 2.0**-53 * n * float((1.0 + t).sum()))
     bad = (
-        any(t_m < 1.0 - TOL_NUM for t_m in cert.t)
+        any(t_m < 1.0 - slack for t_m in cert.t)
         or cert.t_sum <= 1.0
-        or cert.decomposition_residual > TOL_NUM
-        or cert.telescoping_residual > TOL_NUM
-        or cert.qm_shift_residual > TOL_NUM
+        or max(cert.decomposition_residual, cert.telescoping_residual, cert.qm_shift_residual)
+        > slack
     )
     if bad:
         raise TheoremViolation(f"certificate invariants failed: {cert.to_json_dict()}")

@@ -5,6 +5,7 @@ from inacc import (
     NotInjective,
     OutOfRange,
     ProbabilityVector,
+    InaccError,
     SeparationBelowTolerance,
     TheoremViolation,
     UtilityFunction,
@@ -28,6 +29,11 @@ from oracles import brute_jeffrey, brute_proper_partitions
 
 UNIFORM3 = ProbabilityVector.uniform(3)
 PSTAR3 = ProbabilityVector([0.5, 0.3, 0.2])
+#: an injective pair whose t_1 = S_1 / A_1 is 3.5e7
+LARGE_T = (
+    ProbabilityVector([0.3619701549786831, 0.11829971871738446, 0.5197301263039324]),
+    ProbabilityVector([0.28716836889047226, 0.300504679667063, 0.4123269514424647]),
+)
 
 
 def injective_pairs(rng, n, count):
@@ -146,6 +152,55 @@ class TestAppendixCertificate:
         assert radon_nikodym(p, p_star).injective
         with pytest.raises(SeparationBelowTolerance, match=r"min A = 6\.01\d*e-11"):
             appendix_certificate(p_star, p)
+
+    def test_rounding_at_large_t_is_no_violation(self):
+        # A_1 = 3.0e-9 makes t_1 = 3.5e7 and the decomposition residual 2.0e-9, past
+        # TOL_NUM but within the rounding that t_1 amplifies
+        cert = appendix_certificate(*LARGE_T)
+        assert cert.t[0] > 3e7
+        assert 1e-9 < cert.decomposition_residual < 5 * 2.0**-53 * 3 * (2 + cert.t_sum)
+
+    def test_seeded_near_ties_raise_no_violation(self):
+        # each n: 400 draws, alpha cycling through 0.05..5, odd draws near-tied at two outcomes
+        certified = []
+        for n in range(3, 11):
+            rng = np.random.default_rng(1000 + n)
+            for k in range(400):
+                alpha = np.full(n, (0.05, 0.2, 1.0, 5.0)[k % 4])
+                ps, p = rng.dirichlet(alpha), rng.dirichlet(alpha)
+                if k % 2:
+                    i, j = rng.choice(n, 2, replace=False)
+                    ps[j] = ps[i] * p[j] / p[i] * (1.0 + 10 ** rng.uniform(-12, -7))
+                    ps /= ps.sum()
+                try:
+                    cert = appendix_certificate(ProbabilityVector(ps), ProbabilityVector(p))
+                except TheoremViolation:
+                    raise
+                except InaccError:
+                    continue
+                certified.append(cert.decomposition_residual)
+        # 75 of these raised TheoremViolation while the residual bound was TOL_NUM alone
+        assert len(certified) == 1113
+        assert max(certified) > 1e-9
+
+    @pytest.mark.parametrize("mutation", ["flip t", "scale a shift row"])
+    def test_a_broken_decomposition_still_raises(self, mutation, monkeypatch):
+        checked = mono._certificate
+        pairs = [(PSTAR3, UNIFORM3), LARGE_T, *injective_pairs(np.random.default_rng(740), 6, 3)]
+        for p_star, p in pairs:
+            for m in range(p.n - 1):
+
+                def broken(p_arr, ps_arr, order, S, t, shifts, *rest):
+                    t, shifts = t.copy(), shifts.copy()
+                    if mutation == "flip t":
+                        t[m] = -t[m]
+                    else:
+                        shifts[m] *= 1.0 + 1e-6
+                    return checked(p_arr, ps_arr, order, S, t, shifts, *rest)
+
+                monkeypatch.setattr(mono, "_certificate", broken)
+                with pytest.raises(TheoremViolation):
+                    appendix_certificate(p_star, p)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_invariants_random_pairs(self, n):

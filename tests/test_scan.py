@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import itertools
 import os
 import platform
@@ -884,7 +885,8 @@ def test_pooled_class_scan_merges_classes_across_runs():
 
     def bucket_keys(a, b):
         task = (prefix[a:b], maxes[a:b], n, _scan.CHUNK_ROWS, table, p)
-        return {key.tobytes() for keys, _, _ in _scan._class_worker(task) for key in keys}
+        parts = _scan._class_worker(task)
+        return {key.tobytes() for reps, _ in parts for key in np.round(reps, 12) + 0.0}
 
     assert bucket_keys(bounds[0], bounds[1]) & bucket_keys(bounds[1], bounds[2])
     classes = _scan.class_scan(n, table, p, workers=1)
@@ -902,7 +904,7 @@ def test_class_scan_counts():
 def test_class_scan_merges_near_duplicates():
     # two posteriors closer than the dedup radius must count as one class
     reps = np.array([[0.4, 0.4, 0.2], [0.4, 0.4 + 2e-10, 0.2 - 2e-10], [0.5, 0.25, 0.25]])
-    merged = _scan._merge_within_tolerance([(np.round(reps, 12), reps, np.array([2, 3, 1]))])
+    merged = _scan._merge_within_tolerance([(reps, np.array([2, 3, 1]))])
     assert [count for _, count in merged] == [5, 1]
 
 
@@ -913,10 +915,7 @@ def test_class_scan_links_chains(chunk_rows):
     a = np.array([0.4, 0.4, 0.2])
     reps = np.array([a, a + step, a + 2 * step])
     # a's bucket is in both parts and keeps the representative of the first
-    parts = [
-        (np.round(reps[:2], 12), reps[:2], np.array([2, 3])),
-        (np.round(reps[::2], 12), reps[::2] + 1e-13, np.array([4, 1])),
-    ]
+    parts = [(reps[:2], np.array([2, 3])), (reps[::2] + 1e-13, np.array([4, 1]))]
     merged = _scan._merge_within_tolerance(parts, chunk_rows)
     assert merged["posterior"].tolist() == [a.tolist()]
     assert merged["multiplicity"].tolist() == [10]
@@ -955,6 +954,62 @@ def test_certified_pair_skips_the_linkage(n, monkeypatch):
 
     monkeypatch.setattr(_scan, "_single_linkage", no_linkage)
     assert same_table(_scan.class_scan(n, ratio, pw), linked)
+
+
+#: sha256 over the bytes of the class tables below, recorded before the class parts
+#: dropped their rounded keys and the byte sort began to order the classes
+CLASS_TABLES_SHA256 = "755ba15a378d219c4457f94eefdc5c63e990d146d7b3a41dd88b4249ac4eb60d"
+
+
+def class_table_cases():
+    """(n, p*, p, workers): certified, uncertified, pooled and batched class scans."""
+    for n in (8, 9, 10):
+        p_star, p = random_positive_pair(np.random.default_rng(800 + n), n)
+        yield n, p_star.as_array(), p.as_array(), 1
+    # p* proportional to (1, .., n) against uniform p: multiplicities up to 17 at n = 7
+    for n in (5, 6, 7):
+        yield n, np.arange(1.0, n + 1) / (n * (n + 1) / 2), np.full(n, 1.0 / n), 1
+    # the tied pair of the pooled test: buckets that span both runs of a pool of two
+    n = 11
+    p = np.full(n, 1.0 / n)
+    ratio = np.ones(n)
+    ratio[0] = 2.0
+    for workers in (1, 2):
+        yield n, p * ratio / (p * ratio).sum(), p, workers
+    rng = np.random.default_rng(31)
+    yield 8, rng.dirichlet(np.full(8, 0.05), 16), rng.dirichlet(np.ones(8), 16), 1
+
+
+def test_class_tables_are_pinned():
+    # order, representatives, linkage roots and multiplicities, byte for byte
+    digest = hashlib.sha256()
+    for n, pstar, p, workers in class_table_cases():
+        digest.update(_scan.class_scan(n, _scan._ratio_table(pstar, p), p, workers).tobytes())
+    assert digest.hexdigest() == CLASS_TABLES_SHA256
+    assert_no_child_left()
+
+
+#: zero, the smallest subnormal, about the smallest normal, the 1e-12 grid step, a huge double
+EDGE_VALUES = np.array([0.0, 5e-324, 2.2e-308, 1e-12, 1e300])
+
+
+@pytest.mark.parametrize("width", range(1, 14))
+def test_runs_order_rows_lexicographically(width):
+    # a stable sort by big-endian bytes is the numeric lexsort of non-negative rows
+    rng = np.random.default_rng(3100 + width)
+    for trial in range(40):
+        rows = rng.choice(EDGE_VALUES, size=(30, width))
+        spread = rng.random(rows.shape) < 0.5
+        rows[spread] = 10.0 ** rng.uniform(-320, 300, spread.sum()) * rng.random(spread.sum())
+        rows = rows[rng.integers(0, rows.shape[0], 60)]  # duplicate rows
+        if trial % 2:
+            rows = np.column_stack((rng.integers(0, 3, rows.shape[0]).astype(float), rows))
+        order, starts = _scan._runs(rows)
+        assert order.tolist() == np.lexsort(rows.T[::-1]).tolist()
+        ranked = rows[order]
+        new = np.ones(ranked.shape[0], dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        assert starts.tolist() == np.flatnonzero(new).tolist()
 
 
 def tied_pair(rng, n):
