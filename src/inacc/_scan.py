@@ -592,7 +592,7 @@ def _class_chunk(acc: list, labels: np.ndarray, ratio: np.ndarray, p: np.ndarray
 
 
 def _grid_runs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_runs`` of the 1e-12 grid keys round(q, 12) + 0.0, with -0.0 turned into 0.0."""
+    """``_runs`` of the 1e-12 grid keys round(q, 12) + 0.0: +0.0 gives -0.0 the bytes of 0.0."""
     return _runs(np.round(q, 12) + 0.0)
 
 
@@ -600,14 +600,12 @@ def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): ``rows`` stably sorted by their bytes, and where each run begins.
 
     rows[order[starts]] are the distinct rows, each at its first
-    occurrence.  Each row is one bytes field of big-endian float64s, and
-    one stable sort of those fields is several times faster than a lexsort
-    over the columns.  The rows must be non-negative and finite, with no
-    -0.0: a big-endian non-negative double orders as an unsigned integer,
-    so the byte order is then the numeric lexicographic order of the rows.
+    occurrence.  A row is one bytes field of big-endian float64s, several
+    times faster to sort than a lexsort over the columns.  For
+    non-negative finite rows with no -0.0 a big-endian double orders as an
+    unsigned integer, so the byte order is the numeric lexicographic order.
     The class pass sorts only such rows: posteriors R(B) p_i with R >= 0
-    and p at least the smallest normal double (``require_pair``), their
-    keys with -0.0 normalized, and sample indices.
+    and p normal (``require_pair``), their grid keys, and sample indices.
     """
     raw = np.ascontiguousarray(rows, dtype=">f8")
     raw = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
